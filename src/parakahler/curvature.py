@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional
 
 import numpy as np
@@ -23,11 +24,11 @@ import numpy as np
 from . import linalg
 from .expr import (
     ZERO,
+    Compiled,
     Const,
     Expression,
     as_expression,
     differentiate,
-    evaluate,
     is_zero,
     simplify,
 )
@@ -101,27 +102,25 @@ class ChristoffelSymbols:
         return self.symbols is not None and all(
             is_zero(e) for plane in self.symbols for row in plane for e in row)
 
+    @cached_property
+    def _compiled(self) -> Compiled:
+        source = self.metric_derivatives if self.symbols is None else self.symbols
+        return Compiled(e for plane in source for row in plane for e in row)
+
     def at(self, point: Mapping[str, float]) -> np.ndarray:
         """Numeric Gamma^a_{bc} array at a point."""
         dim = self.chart.dim
+        values = np.array(self._compiled.at(point)).reshape(dim, dim, dim)
         if self.symbols is not None:
-            out = np.empty((dim, dim, dim))
-            for a in range(dim):
-                for b in range(dim):
-                    for c in range(b, dim):
-                        v = evaluate(self.symbols[a][b][c], point)
-                        out[a, b, c] = out[a, c, b] = v
-            return out
+            return values
         gm = self.metric.at(point)
         det = np.linalg.det(gm)
         if abs(det) <= SINGULARITY_TOL:
             raise SingularMetricError(f"metric singular at {point}")
         inv = np.linalg.inv(gm)
-        dgv = np.array([[[evaluate(e, point) for e in row] for row in plane]
-                        for plane in self.metric_derivatives])
-        # T[d, b, c] = d_b g_{dc} + d_c g_{bd} - d_d g_{bc}
-        T = (np.einsum('bdc->dbc', dgv) + np.einsum('cbd->dbc', dgv)
-             - np.einsum('dbc->dbc', dgv))
+        # values[a, b, c] = d_a g_{bc}; T[d, b, c] = d_b g_{dc} + d_c g_{bd} - d_d g_{bc}
+        T = (np.einsum('bdc->dbc', values) + np.einsum('cbd->dbc', values)
+             - np.einsum('dbc->dbc', values))
         return 0.5 * np.einsum('ad,dbc->abc', inv, T)
 
 
@@ -229,21 +228,20 @@ class CurvatureTensor:
         entries = {k: Const(factor) * v for k, v in self.canonical.items()}
         return CurvatureTensor.from_canonical(self.chart, entries)
 
+    @cached_property
+    def _compiled(self) -> Compiled:
+        if self.dense is not None:
+            return Compiled(e for x in self.dense for y in x for z in y for e in z)
+        return Compiled(self.canonical.values())
+
     def at(self, point: Mapping[str, float]) -> np.ndarray:
         """Dense numeric component array at a point."""
         dim = self.chart.dim
-        out = np.zeros((dim, dim, dim, dim))
+        values = self._compiled.at(point)
         if self.dense is not None:
-            for a in range(dim):
-                for b in range(dim):
-                    for c in range(dim):
-                        for d in range(dim):
-                            e = self.dense[a][b][c][d]
-                            if not is_zero(e):
-                                out[a, b, c, d] = evaluate(e, point)
-            return out
-        for (a, b, c, d), e in self.canonical.items():
-            v = evaluate(e, point)
+            return np.array(values).reshape(dim, dim, dim, dim)
+        out = np.zeros((dim, dim, dim, dim))
+        for (a, b, c, d), v in zip(self.canonical, values):
             out[a, b, c, d] = v
             out[b, a, c, d] = -v
             out[a, b, d, c] = -v
@@ -398,17 +396,15 @@ def nabla_J(g: Metric, J: ProductStructure, trials: int = 10, seed: int = 0) -> 
     chart = g.chart
     dim = chart.dim
     gamma = christoffel(g)
-    dJ = tuple(tuple(tuple(differentiate(J.entries[b][c], chart.variable(a))
-                           for c in range(dim)) for b in range(dim))
-               for a in range(dim))
+    dJ = Compiled(differentiate(J.entries[b][c], chart.variable(a))
+                  for a in range(dim) for b in range(dim) for c in range(dim))
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(max(1, trials)):
         point = chart.sample_point(rng)
         G = gamma.at(point)
         Jm = J.at(point)
-        dJv = np.array([[[evaluate(e, point) for e in row] for row in plane]
-                        for plane in dJ])
+        dJv = np.array(dJ.at(point)).reshape(dim, dim, dim)
         term2 = np.einsum('bad,dc->abc', G, Jm)
         term3 = np.einsum('dac,bd->abc', G, Jm)
         worst = max(worst, float(np.max(np.abs(dJv + term2 - term3))))

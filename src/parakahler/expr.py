@@ -12,7 +12,8 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from types import CodeType, FunctionType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,7 +33,10 @@ class ParseError(ExpressionError):
 
 
 class EvaluationError(ExpressionError):
-    """Missing assignment or numeric domain error during evaluation."""
+    """Missing assignment or numeric domain error; Compiled sets index and row."""
+
+    index: int | None = None
+    row: int | None = None
 
 
 class SamplingError(ExpressionError):
@@ -138,24 +142,6 @@ ZERO = Const(0.0)
 ONE = Const(1.0)
 _MINUS_ONE = Const(-1.0)
 
-_FUNCTIONS: dict[str, Callable[[float], float]] = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "ln": math.log,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-}
-
-_NUMPY_FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "ln": np.log,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-}
-
 
 def as_expression(value) -> Expression:
     if isinstance(value, Expression):
@@ -169,22 +155,22 @@ def is_zero(e: Expression) -> bool:
     return isinstance(e, Const) and e.value == 0.0
 
 
+def _children(e: Expression) -> tuple:
+    if isinstance(e, (Const, Var)):
+        return ()
+    if isinstance(e, (Sum, Product)):
+        return e.terms if isinstance(e, Sum) else e.factors
+    if isinstance(e, Quotient):
+        return (e.numerator, e.denominator)
+    if isinstance(e, (Power, Call)):
+        return (e.base,) if isinstance(e, Power) else (e.arg,)
+    raise TypeError(f"unknown node {type(e).__name__}")
+
+
 def free_variables(e: Expression) -> frozenset[Var]:
-    if isinstance(e, Const):
-        return frozenset()
     if isinstance(e, Var):
         return frozenset((e,))
-    if isinstance(e, Sum):
-        return frozenset().union(*(free_variables(t) for t in e.terms))
-    if isinstance(e, Product):
-        return frozenset().union(*(free_variables(f) for f in e.factors))
-    if isinstance(e, Quotient):
-        return free_variables(e.numerator) | free_variables(e.denominator)
-    if isinstance(e, Power):
-        return free_variables(e.base)
-    if isinstance(e, Call):
-        return free_variables(e.arg)
-    raise TypeError(f"unknown node {type(e).__name__}")
+    return frozenset().union(*map(free_variables, _children(e)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +243,16 @@ def simplify(e: Expression) -> Expression:
         return _simplify_power(e)
     if isinstance(e, Call):
         arg = simplify(e.arg)
-        if isinstance(arg, Const):
-            try:
-                return Const(_FUNCTIONS[e.func](arg.value))
-            except ValueError:
-                pass
-        return Call(e.func, arg)
+        return _fold(Call(e.func, arg)) if isinstance(arg, Const) else Call(e.func, arg)
     raise TypeError(f"unknown node {type(e).__name__}")
+
+
+def _fold(e: Expression) -> Expression:
+    """A constant expression's value, or e itself where it is undefined."""
+    try:
+        return Const(evaluate(e, {}))
+    except EvaluationError:
+        return e
 
 
 def _split_coefficient(e: Expression):
@@ -399,152 +388,203 @@ def _simplify_power(e: Power) -> Expression:
     if p == 1.0:
         return base
     if isinstance(base, Const):
-        try:
-            return Const(_pow_value(base.value, p))
-        except EvaluationError:
-            pass
+        return _fold(Power(base, p))
     if isinstance(base, Power) and float(base.exponent).is_integer() and float(p).is_integer():
         return Power(base.base, base.exponent * p)
     return Power(base, p)
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: one code generator, run on a math or a numpy namespace
 # ---------------------------------------------------------------------------
 
-def _pow_value(b: float, p: float) -> float:
-    if float(p).is_integer():
-        if b == 0.0 and p < 0.0:
-            raise EvaluationError("zero base with negative exponent")
-        return float(b) ** int(p)
-    if b <= 0.0:
-        raise EvaluationError(f"non-integer exponent {p} requires a positive base, got {b}")
+def _ln(v: float) -> float:
+    if v <= 0.0:
+        raise EvaluationError(f"ln of non-positive value {v}")
+    return math.log(v)
+
+
+def _fpow(b: float, p: float) -> float:
+    """b^p for a non-integer p: defined for b > 0, and for b = 0 when p > 0."""
+    if b < 0.0 or (b == 0.0 and p < 0.0):
+        raise EvaluationError(f"non-integer exponent {p} is undefined at base {b}")
     return math.pow(b, p)
 
 
-def evaluate(e: Expression, point: Mapping[str, float]) -> float:
-    """Evaluate at a coordinate assignment given as {name: value}."""
+# What generated code's names mean on floats and on numpy columns; where
+# math raises, numpy gives inf or nan, which Compiled.columns then reports.
+_SCALAR = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": _ln,
+           "sinh": math.sinh, "cosh": math.cosh, "fpow": _fpow,
+           "inf": math.inf, "nan": math.nan}
+_VECTOR = {**_SCALAR, "sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log,
+           "sinh": np.sinh, "cosh": np.cosh, "fpow": np.power}
+_FUNCTIONS = ("sin", "cos", "exp", "ln", "sinh", "cosh")
+
+# Operands per line of a long sum or product, and the nesting depth that
+# starts a temporary: the Python compiler rejects deeply nested source.
+_CHAIN = 32
+_DEPTH = 32
+
+
+class _Source:
+    """Source of a function of the coordinates in names that returns e.
+
+    A node used more than once gets a temporary, keyed on its identity, so
+    a shared subtree is computed once; the rest is inline up to _DEPTH,
+    which compiles in half the memory of one line per node.  Methods, not
+    closures calling each other, whose cycle would hold the source until
+    the garbage collector runs.
+    """
+
+    def __init__(self, e: Expression, names: Sequence[str]):
+        self.names = names
+        self.lines: list[str] = []
+        self.temps: dict[int, str] = {}
+        self.uses: dict[int, int] = {}
+        self.count(e)
+        self.result = self.operand(e)[0]
+
+    def count(self, node: Expression):
+        self.uses[id(node)] = self.uses.get(id(node), 0) + 1
+        if self.uses[id(node)] == 1:
+            for child in _children(node):
+                self.count(child)
+
+    def operand(self, node: Expression) -> tuple[str, int]:
+        """Source text of node, and how deeply it nests."""
+        if isinstance(node, Const):
+            return f"({node.value!r})", 0
+        if isinstance(node, Var):
+            if node.name not in self.names:
+                raise EvaluationError(f"missing assignment for {node.name}")
+            return node.name, 0
+        if id(node) in self.temps:
+            return self.temps[id(node)], 0
+        parts = [self.operand(child) for child in _children(node)]
+        if isinstance(node, (Sum, Product)) and len(parts) < 2:
+            return parts[0] if parts else ("0.0" if isinstance(node, Sum) else "1.0", 0)
+        texts = [text for text, _ in parts]
+        depth = len(parts) + max(d for _, d in parts)
+        op = " + " if isinstance(node, Sum) else " * "
+        if isinstance(node, (Sum, Product)):
+            text = op.join(texts[:_CHAIN])
+        elif isinstance(node, Quotient):
+            text = f"{texts[0]} / {texts[1]}"
+        elif isinstance(node, Power):
+            p = node.exponent
+            text = f"{texts[0]} ** {int(p)}" if p.is_integer() else f"fpow({texts[0]}, {p!r})"
+        elif node.func in _FUNCTIONS:
+            text = f"{node.func}({texts[0]})"
+        else:
+            raise TypeError(f"unknown function {node.func!r}")
+        if self.uses[id(node)] == 1 and depth <= _DEPTH and len(texts) <= _CHAIN:
+            return f"({text})", depth
+        # a name is taken only after the children have theirs
+        name = f"t{len(self.temps)}"
+        self.lines.append(f"{name} = {text}")
+        for i in range(_CHAIN, len(texts), _CHAIN):
+            self.lines.append(f"{name} = {op.join([name, *texts[i:i + _CHAIN]])}")
+        self.temps[id(node)] = name
+        return name, 0
+
+
+def _code(e: Expression, names: Sequence[str]) -> CodeType:
+    """Code of a function of the coordinates in names that returns e."""
+    source = _Source(e, names)
+    body = "".join(f"    {line}\n" for line in source.lines)
+    module = compile(f"def f({', '.join(names)}):\n{body}    return {source.result}\n",
+                     "<expression>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
+def _reason(exc: Exception) -> str:
+    if isinstance(exc, ZeroDivisionError):
+        return "division by zero"
+    return f"overflow: {exc}" if isinstance(exc, OverflowError) else str(exc)
+
+
+def _lookup(values: Mapping, names: Sequence[str]) -> list:
     try:
-        return _eval(e, point)
-    except OverflowError as exc:
-        raise EvaluationError(f"overflow: {exc}") from exc
-    except ZeroDivisionError as exc:
-        raise EvaluationError("division by zero") from exc
+        return [values[name] for name in names]
+    except KeyError as exc:
+        raise EvaluationError(f"missing assignment for {exc.args[0]}") from None
 
 
-def _eval(e: Expression, point: Mapping[str, float]) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
+class Compiled:
+    """Expressions compiled once, then evaluated at many points.
+
+    One code object per expression runs on floats with math (a call, or
+    at) or on numpy columns, under the policy in docs/expression-grammar.md.
+    An EvaluationError carries the failing expression's index and label,
+    and for columns the first failing row.  names orders a call's
+    arguments; by default they are the variables read.
+    """
+
+    def __init__(self, exprs: Iterable[Expression], names: Sequence[str] | None = None,
+                 labels: Sequence[str] | None = None):
+        exprs = tuple(exprs)
+        if names is None:
+            names = sorted({v.name for e in exprs for v in free_variables(e)})
+        self.names = tuple(names)
+        self.labels = labels
+        # one code object per expression: a whole tensor as one source
+        # takes several times the memory to compile
+        unique = {id(e): e for e in exprs}
+        codes = {key: _code(e, self.names) for key, e in unique.items()}
+        self._scalar = [FunctionType(codes[id(e)], _SCALAR) for e in exprs]
+        self._vector = [FunctionType(codes[id(e)], _VECTOR) for e in exprs]
+
+    def _error(self, index: int, reason: str, row: int | None = None) -> EvaluationError:
+        label = "" if self.labels is None else f"{self.labels[index]}: "
+        error = EvaluationError(label + reason)
+        error.index, error.row = index, row
+        return error
+
+    def __call__(self, values: Sequence[float]) -> list:
+        """Values at the coordinates given in the order of names."""
+        if isinstance(values, np.ndarray):
+            values = values.tolist()   # floats raise where numpy gives inf or nan
+        out = []
         try:
-            return float(point[e.name])
-        except KeyError:
-            raise EvaluationError(f"missing assignment for {e.name}") from None
-    if isinstance(e, Sum):
-        return sum(_eval(t, point) for t in e.terms)
-    if isinstance(e, Product):
-        out = 1.0
-        for f in e.factors:
-            out *= _eval(f, point)
+            for f in self._scalar:
+                out.append(f(*values))
+        except (ArithmeticError, ValueError, EvaluationError) as exc:
+            raise self._error(len(out), _reason(exc)) from exc
+        if not all(map(math.isfinite, out)):
+            index = next(i for i, v in enumerate(out) if not math.isfinite(v))
+            raise self._error(index, f"non-finite value {out[index]}")
         return out
-    if isinstance(e, Quotient):
-        d = _eval(e.denominator, point)
-        if d == 0.0:
-            raise EvaluationError("division by zero")
-        return _eval(e.numerator, point) / d
-    if isinstance(e, Power):
-        return _pow_value(_eval(e.base, point), e.exponent)
-    if isinstance(e, Call):
-        v = _eval(e.arg, point)
-        if e.func == "ln" and v <= 0.0:
-            raise EvaluationError(f"ln of non-positive value {v}")
-        return _FUNCTIONS[e.func](v)
-    raise TypeError(f"unknown node {type(e).__name__}")
+
+    def at(self, point: Mapping[str, float]) -> list:
+        """Values at a coordinate assignment given as {name: value}."""
+        return self([float(v) for v in _lookup(point, self.names)])
+
+    def columns(self, columns: Mapping[str, np.ndarray]) -> list:
+        """Values over parallel coordinate arrays, one array per expression."""
+        args = _lookup(columns, self.names)
+        out = []
+        with np.errstate(all="ignore"):
+            for index, f in enumerate(self._vector):
+                try:
+                    value = np.asarray(f(*args), dtype=float)
+                except (ArithmeticError, ValueError) as exc:   # fails on every row
+                    raise self._error(index, _reason(exc), 0) from exc
+                bad = np.flatnonzero(~np.isfinite(value))
+                if bad.size:
+                    row = int(bad[0])
+                    raise self._error(index, f"non-finite value at row {row}", row)
+                out.append(value)
+        return out
+
+
+def evaluate(e: Expression, point: Mapping[str, float]) -> float:
+    """Evaluate at {name: value}; compiles e, so repeated use wants a Compiled."""
+    return Compiled((e,)).at(point)[0]
 
 
 def evaluate_many(e: Expression, columns: Mapping[str, np.ndarray]) -> np.ndarray:
     """Vectorized evaluation over parallel coordinate arrays."""
-    with np.errstate(all="ignore"):
-        out = np.asarray(_eval_np(e, columns), dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError("non-finite value in vectorized evaluation")
-    return out
-
-
-def _eval_np(e: Expression, columns: Mapping[str, np.ndarray]):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return columns[e.name]
-        except KeyError:
-            raise EvaluationError(f"missing assignment for {e.name}") from None
-    if isinstance(e, Sum):
-        out = _eval_np(e.terms[0], columns)
-        for t in e.terms[1:]:
-            out = out + _eval_np(t, columns)
-        return out
-    if isinstance(e, Product):
-        out = _eval_np(e.factors[0], columns)
-        for f in e.factors[1:]:
-            out = out * _eval_np(f, columns)
-        return out
-    if isinstance(e, Quotient):
-        return _eval_np(e.numerator, columns) / _eval_np(e.denominator, columns)
-    if isinstance(e, Power):
-        if float(e.exponent).is_integer():
-            return _eval_np(e.base, columns) ** int(e.exponent)
-        return np.power(_eval_np(e.base, columns), e.exponent)
-    if isinstance(e, Call):
-        return _NUMPY_FUNCTIONS[e.func](_eval_np(e.arg, columns))
-    raise TypeError(f"unknown node {type(e).__name__}")
-
-
-def bind(e: Expression, names: Sequence[str]) -> Callable[[Sequence[float]], float]:
-    """Build a fast closure evaluating e against a state vector.
-
-    names fixes the position of each coordinate in the state vector.
-    """
-    position = {name: i for i, name in enumerate(names)}
-
-    def build(node: Expression) -> Callable[[Sequence[float]], float]:
-        if isinstance(node, Const):
-            v = node.value
-            return lambda s: v
-        if isinstance(node, Var):
-            try:
-                i = position[node.name]
-            except KeyError:
-                raise EvaluationError(f"missing assignment for {node.name}") from None
-            return lambda s: s[i]
-        if isinstance(node, Sum):
-            fs = tuple(build(t) for t in node.terms)
-            return lambda s: sum(f(s) for f in fs)
-        if isinstance(node, Product):
-            fs = tuple(build(f) for f in node.factors)
-
-            def prod(s):
-                out = 1.0
-                for f in fs:
-                    out *= f(s)
-                return out
-
-            return prod
-        if isinstance(node, Quotient):
-            fn, fd = build(node.numerator), build(node.denominator)
-            return lambda s: fn(s) / fd(s)
-        if isinstance(node, Power):
-            fb, p = build(node.base), node.exponent
-            if float(p).is_integer():
-                ip = int(p)
-                return lambda s: fb(s) ** ip
-            return lambda s: math.pow(fb(s), p)
-        if isinstance(node, Call):
-            fa, fn = build(node.arg), _FUNCTIONS[node.func]
-            return lambda s: fn(fa(s))
-        raise TypeError(f"unknown node {type(node).__name__}")
-
-    return build(e)
+    return Compiled((e,)).columns(columns)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +607,12 @@ def equal_on_samples(a: Expression, b: Expression, trials: int = 100,
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     variables = free_variables(a) | free_variables(b)
+    pair = Compiled((a, b), [v.name for v in variables])
     for _ in range(trials):
         for attempt in range(MAX_RESAMPLES + 1):
             point = sample_point(rng, variables)
             try:
-                va = evaluate(a, point)
-                vb = evaluate(b, point)
+                va, vb = pair.at(point)
             except EvaluationError:
                 if attempt == MAX_RESAMPLES:
                     raise SamplingError(
@@ -582,10 +622,6 @@ def equal_on_samples(a: Expression, b: Expression, trials: int = 100,
                 return False
             break
     return True
-
-
-def is_zero_on_samples(e: Expression, trials: int = 100, seed: int = 0) -> bool:
-    return equal_on_samples(e, ZERO, trials=trials, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from .expr import (
     ONE,
     ZERO,
+    Compiled,
     Const,
     Expression,
     Product,
@@ -26,7 +28,6 @@ from .expr import (
     as_expression,
     differentiate,
     equal_on_samples,
-    evaluate,
     free_variables,
     is_zero,
     simplify,
@@ -119,8 +120,12 @@ class VectorField:
     def constant(chart: Chart, values) -> "VectorField":
         return VectorField(chart, tuple(Const(float(v)) for v in values))
 
+    @cached_property
+    def _compiled(self) -> Compiled:
+        return Compiled(self.components)
+
     def at(self, point: Mapping[str, float]) -> np.ndarray:
-        return np.array([evaluate(c, point) for c in self.components])
+        return np.array(self._compiled.at(point))
 
     def is_zero(self) -> bool:
         return all(is_zero(simplify(c)) for c in self.components)
@@ -199,8 +204,12 @@ class DifferentialForm:
         return make_form(self.chart, self.degree,
                          [(k, factor * v) for k, v in self.coefficients.items()])
 
+    @cached_property
+    def _compiled(self) -> Compiled:
+        return Compiled(self.coefficients.values())
+
     def at(self, point: Mapping[str, float]) -> dict:
-        return {k: evaluate(v, point) for k, v in self.coefficients.items()}
+        return dict(zip(self.coefficients, self._compiled.at(point)))
 
     def __str__(self):
         return form_to_text(self)
@@ -338,13 +347,15 @@ class Metric:
     def entry(self, a: int, b: int) -> Expression:
         return self.entries[a][b]
 
+    @cached_property
+    def _compiled(self) -> Compiled:
+        dim = self.chart.dim
+        return Compiled(self.entries[min(a, b)][max(a, b)]
+                        for a in range(dim) for b in range(dim))
+
     def at(self, point: Mapping[str, float]) -> np.ndarray:
         dim = self.chart.dim
-        out = np.empty((dim, dim))
-        for a in range(dim):
-            for b in range(a, dim):
-                out[a, b] = out[b, a] = evaluate(self.entries[a][b], point)
-        return out
+        return np.array(self._compiled.at(point)).reshape(dim, dim)
 
     def is_constant(self) -> bool:
         return all(not free_variables(e) for row in self.entries for e in row)
@@ -365,10 +376,13 @@ class ProductStructure:
     def entry(self, a: int, b: int) -> Expression:
         return self.entries[a][b]
 
+    @cached_property
+    def _compiled(self) -> Compiled:
+        return Compiled(e for row in self.entries for e in row)
+
     def at(self, point: Mapping[str, float]) -> np.ndarray:
         dim = self.chart.dim
-        return np.array([[evaluate(self.entries[a][b], point) for b in range(dim)]
-                         for a in range(dim)])
+        return np.array(self._compiled.at(point)).reshape(dim, dim)
 
     def to_dual(self) -> "ProductStructure":
         return ProductStructure(self.chart, self.entries, dual=True)

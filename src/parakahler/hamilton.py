@@ -10,17 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .expr import (
     Const,
     Expression,
     ZERO,
     as_expression,
     differentiate,
-    equal_on_samples,
     free_variables,
-    is_zero,
     parse,
     simplify,
 )
@@ -74,50 +70,11 @@ def canonical_form(chart: Chart) -> DifferentialForm:
     return exterior_derivative(liouville_one_form(chart)).scale(-1.0)
 
 
-def _form_matrix(phi: DifferentialForm) -> np.ndarray:
-    """Antisymmetric coefficient matrix of a constant-coefficient 2-form."""
-    dim = phi.chart.dim
-    out = np.zeros((dim, dim))
-    for (a, b), coefficient in phi.coefficients.items():
-        if not isinstance(coefficient, Const):
-            raise ValueError("expected constant coefficients")
-        out[a, b] = coefficient.value
-        out[b, a] = -coefficient.value
-    return out
-
-
 def hamiltonian_vector_field(H: HamiltonianSystem) -> VectorField:
-    """Solve i_{Z} Phi = dH for Z, then cross-check the closed form.
-
-    The generic route inverts the constant coefficient matrix of Phi; the
-    result must agree with Z = sum dH/dy_i d/dx_i - dH/dx_i d/dy_i, and a
-    disagreement means the sign conventions drifted, so it is fatal.
-    """
-    chart = H.chart
-    dim, n = chart.dim, chart.n
-    phi = canonical_form(chart)
-    omega = _form_matrix(phi)
-    # (i_Z Phi)_b = sum_a Z^a Omega_{ab}; solve Omega^T z = dH
-    inverse = np.linalg.inv(omega.T)
-    gradient = [differentiate(H.H, chart.variable(b)) for b in range(dim)]
-    components = []
-    for a in range(dim):
-        acc = ZERO
-        for b in range(dim):
-            weight = inverse[a, b]
-            if weight == 0.0:
-                continue
-            acc = acc + Const(weight) * gradient[b]
-        components.append(simplify(acc))
-
-    for i in range(n):
-        direct_x = gradient[n + i]
-        direct_y = simplify(-gradient[i])
-        if not equal_on_samples(components[i], direct_x, trials=20, seed=11 + i):
-            raise AssertionError("generic solve disagrees with the closed form")
-        if not equal_on_samples(components[n + i], direct_y, trials=20, seed=37 + i):
-            raise AssertionError("generic solve disagrees with the closed form")
-    return VectorField(chart, tuple(components))
+    """Z_H = sum dH/dy_i d/dx_i - dH/dx_i d/dy_i, the solution of i_Z Phi = dH."""
+    n = H.chart.n
+    dH = [differentiate(H.H, v) for v in H.chart.variables()]
+    return VectorField(H.chart, tuple(dH[n:]) + tuple(simplify(-d) for d in dH[:n]))
 
 
 def hamilton_odes(H: HamiltonianSystem) -> ODESystem:

@@ -9,7 +9,6 @@ uniform grids.
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import Expression, bind, differentiate, evaluate_many
+from .expr import Compiled, EvaluationError, Expression, differentiate, to_source
 from .geometry import Chart
 
 MAX_STEPS = 10_000_000
@@ -71,10 +70,8 @@ class ODESystem:
         if self.rhs_callable is not None:
             return self.rhs_callable
         names = self.chart.names()
-        bound = [bind(e, names) for e in self.rhs]
-        def f(state):
-            return np.array([fb(state) for fb in bound])
-        return f
+        rhs = Compiled(self.rhs, names, labels=[f"d{name}/dt" for name in names])
+        return lambda state: np.array(rhs(state))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +106,26 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1].copy()
 
+    def evaluate(self, exprs) -> list:
+        """Values of a sequence of expressions on every row, steps + 1 each.
+
+        A row where one is not finite is reported by its step, t and state.
+        """
+        try:
+            values = Compiled(exprs).columns(self.columns())
+        except EvaluationError as exc:
+            if exc.row is None:   # a missing coordinate, not a failing row
+                raise
+            k = exc.row
+            raise EvaluationError(
+                f"{to_source(exprs[exc.index])} is not finite at step {k} "
+                f"(t = {self.times[k]:.9g}, {_where(self.names, self.states[k])})") from exc
+        return [np.broadcast_to(v, self.times.shape) for v in values]
+
+
+def _where(names, state) -> str:
+    return ", ".join(f"{name} = {value:.9g}" for name, value in zip(names, state))
+
 
 def _step_count(t0: float, t1: float, h: float) -> int:
     if not (h > 0.0):
@@ -122,40 +139,56 @@ def _step_count(t0: float, t1: float, h: float) -> int:
     return steps
 
 
+def _run(step: Callable, state0: Sequence[float], t0: float, t1: float, h: float,
+         names: tuple) -> Trajectory:
+    """Apply step(state, k) for k = 1..steps from state0.
+
+    A failed evaluation becomes a NonFiniteStateError that names the step.
+    """
+    steps = _step_count(t0, t1, h)
+    state = np.asarray(state0, float)
+    if state.shape != (len(names),):
+        raise ValueError(f"initial state must have length {len(names)}")
+    out = np.empty((steps + 1, len(names)))
+    out[0] = state
+    with np.errstate(all="ignore"):
+        for k in range(1, steps + 1):
+            try:
+                state = step(state, k)
+            except EvaluationError as exc:
+                raise NonFiniteStateError(
+                    k, f"evaluation failed in step {k}, from t = {t0 + (k - 1) * h:.9g} "
+                       f"at {_where(names, state)}: {exc}") from exc
+            if not np.all(np.isfinite(state)):
+                raise NonFiniteStateError(k)
+            out[k] = state
+    return Trajectory(t0, h, out, names)
+
+
 def integrate_rk4(sys: ODESystem, state0: Sequence[float], t0: float, t1: float,
                   h: float) -> Trajectory:
     """Classical fourth-order Runge-Kutta with a fixed step."""
-    steps = _step_count(t0, t1, h)
     f = sys.vector_function()
-    state = np.asarray(state0, float)
-    if state.shape != (sys.chart.dim,):
-        raise ValueError(f"initial state must have length {sys.chart.dim}")
-    out = np.empty((steps + 1, sys.chart.dim))
-    out[0] = state
-    with np.errstate(all="ignore"):
-        for k in range(steps):
-            k1 = f(state)
-            k2 = f(state + 0.5 * h * k1)
-            k3 = f(state + 0.5 * h * k2)
-            k4 = f(state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(state)):
-                raise NonFiniteStateError(k + 1)
-            out[k + 1] = state
-    return Trajectory(t0, h, out, sys.chart.names())
+
+    def step(state, k):
+        k1 = f(state)
+        k2 = f(state + 0.5 * h * k1)
+        k3 = f(state + 0.5 * h * k2)
+        k4 = f(state + h * k3)
+        return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return _run(step, state0, t0, t1, h, sys.chart.names())
 
 
 def _hamiltonian_gradients(H):
-    """Bound closures for H_x, H_y, and the mixed block d2H/dx dy."""
-    chart = H.chart
+    """Compiled H_x, H_y, and the mixed block d2H/dx dy in row-major order."""
+    chart, n = H.chart, H.chart.n
     names = chart.names()
-    n = chart.n
-    hx = [differentiate(H.H, chart.variable(i)) for i in range(n)]
-    hy = [differentiate(H.H, chart.variable(n + i)) for i in range(n)]
-    hxy = [[differentiate(hx[i], chart.variable(n + j)) for j in range(n)]
-           for i in range(n)]
-    bind_all = lambda exprs: [bind(e, names) for e in exprs]
-    return bind_all(hx), bind_all(hy), [bind_all(row) for row in hxy]
+    dH = [differentiate(H.H, v) for v in chart.variables()]
+    hxy = [differentiate(dH[i], chart.variable(n + j)) for i in range(n) for j in range(n)]
+    labels = [f"dH/d{v}" for v in names]
+    return (Compiled(dH[:n], names, labels[:n]), Compiled(dH[n:], names, labels[n:]),
+            Compiled(hxy, names, [f"d2H/d{u}d{v}" for u in names[:n] for v in names[n:]]))
 
 
 def integrate_symplectic_euler(H, state0: Sequence[float], t0: float, t1: float,
@@ -169,66 +202,51 @@ def integrate_symplectic_euler(H, state0: Sequence[float], t0: float, t1: float,
     """
     chart = H.chart
     n = chart.n
-    steps = _step_count(t0, t1, h)
     hx, hy, hxy = _hamiltonian_gradients(H)
 
-    state = np.asarray(state0, float)
-    if state.shape != (chart.dim,):
-        raise ValueError(f"initial state must have length {chart.dim}")
-    out = np.empty((steps + 1, chart.dim))
-    out[0] = state
+    def step(state, k):
+        work = state.copy()
 
-    with np.errstate(all="ignore"):
-        for k in range(steps):
-            x = state[:n]
-            y = state[n:].copy()
-            work = np.concatenate([x, y])
+        def residual(yv):
+            work[n:] = yv
+            return yv - state[n:] + h * np.array(hx(work))
 
-            def residual(yv):
-                work[n:] = yv
-                grad = np.array([f(work) for f in hx])
-                return yv - state[n:] + h * grad
-
-            ynew = y
-            r = residual(ynew)
-            if not np.all(np.isfinite(r)):
-                raise NonFiniteStateError(k + 1)
-            converged = float(np.max(np.abs(r))) <= NEWTON_TOL
-            for _ in range(NEWTON_MAX_ITERS):
-                if converged:
-                    break
-                work[n:] = ynew
-                jac = np.eye(n) + h * np.array(
-                    [[f(work) for f in row] for row in hxy])
-                if not np.all(np.isfinite(jac)):
-                    raise NonFiniteStateError(k + 1)
-                try:
-                    delta = np.linalg.solve(jac, -r)
-                except np.linalg.LinAlgError as exc:
-                    raise NewtonConvergenceError(
-                        k + 1, f"singular Newton system at step {k + 1}") from exc
-                scale = 1.0
-                norm0 = float(np.max(np.abs(r)))
-                while scale >= 1.0 / 64.0:
-                    candidate = ynew + scale * delta
-                    rc = residual(candidate)
-                    if float(np.max(np.abs(rc))) < norm0 or scale < 1.0 / 32.0:
-                        ynew, r = candidate, rc
-                        break
-                    scale *= 0.5
-                if not np.all(np.isfinite(r)):
-                    raise NonFiniteStateError(k + 1)
-                converged = float(np.max(np.abs(r))) <= NEWTON_TOL
-            if not converged:
-                raise NewtonConvergenceError(k + 1)
-
+        ynew = state[n:]
+        r = residual(ynew)
+        if not np.all(np.isfinite(r)):
+            raise NonFiniteStateError(k)
+        converged = float(np.max(np.abs(r))) <= NEWTON_TOL
+        for _ in range(NEWTON_MAX_ITERS):
+            if converged:
+                break
             work[n:] = ynew
-            xnew = x + h * np.array([f(work) for f in hy])
-            state = np.concatenate([xnew, ynew])
-            if not np.all(np.isfinite(state)):
-                raise NonFiniteStateError(k + 1)
-            out[k + 1] = state
-    return Trajectory(t0, h, out, chart.names())
+            jac = np.eye(n) + h * np.array(hxy(work)).reshape(n, n)
+            if not np.all(np.isfinite(jac)):
+                raise NonFiniteStateError(k)
+            try:
+                delta = np.linalg.solve(jac, -r)
+            except np.linalg.LinAlgError as exc:
+                raise NewtonConvergenceError(
+                    k, f"singular Newton system at step {k}") from exc
+            scale = 1.0
+            norm0 = float(np.max(np.abs(r)))
+            while scale >= 1.0 / 64.0:
+                candidate = ynew + scale * delta
+                rc = residual(candidate)
+                if float(np.max(np.abs(rc))) < norm0 or scale < 1.0 / 32.0:
+                    ynew, r = candidate, rc
+                    break
+                scale *= 0.5
+            if not np.all(np.isfinite(r)):
+                raise NonFiniteStateError(k)
+            converged = float(np.max(np.abs(r))) <= NEWTON_TOL
+        if not converged:
+            raise NewtonConvergenceError(k)
+
+        work[n:] = ynew
+        return np.concatenate([state[:n] + h * np.array(hy(work)), ynew])
+
+    return _run(step, state0, t0, t1, h, chart.names())
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +279,7 @@ class ConservationReport:
 
 def conservation_report(traj: Trajectory, quantity: Expression) -> ConservationReport:
     """Evaluate a would-be first integral on every row and report drift."""
-    values = evaluate_many(quantity, traj.columns())
-    values = np.broadcast_to(values, traj.times.shape)
+    values = traj.evaluate((quantity,))[0]
     first = float(values[0])
     drift = float(np.max(np.abs(values - first))) / max(1.0, abs(first))
     return ConservationReport(first, float(values[-1]), float(values.min()),
@@ -292,11 +309,8 @@ def symplecticity_check(H, scheme: str, state0: Sequence[float], h: float,
         def flow(s):
             return integrate_symplectic_euler(H, s, 0.0, t1, h).final_state()
     elif scheme == "rk4":
-        names = chart.names()
-        n = chart.n
-        rhs = ([differentiate(H.H, chart.variable(n + i)) for i in range(n)]
-               + [-differentiate(H.H, chart.variable(i)) for i in range(n)])
-        sys = ODESystem(chart, rhs=tuple(rhs), provenance="hamiltonian")
+        from .hamilton import hamilton_odes   # hamilton imports this module
+        sys = hamilton_odes(H)
         def flow(s):
             return integrate_rk4(sys, s, 0.0, t1, h).final_state()
     else:

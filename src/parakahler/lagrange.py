@@ -23,13 +23,11 @@ import numpy as np
 from . import linalg
 from .expr import (
     ZERO,
+    Compiled,
     Expression,
     as_expression,
-    bind,
     differentiate,
     equal_on_samples,
-    evaluate,
-    evaluate_many,
     free_variables,
     is_zero,
     parse,
@@ -63,15 +61,10 @@ class DegenerateLagrangianError(Exception):
 
 @dataclass(frozen=True)
 class LagrangianSystem:
-    """A Lagrangian expression over the chart coordinates.
-
-    The convention marker records that energy differentials treat the
-    semispray coefficients as constants under d.
-    """
+    """A Lagrangian expression over the chart coordinates."""
 
     chart: Chart
     L: Expression
-    convention: str = "semispray-coefficients-fixed"
 
     def __post_init__(self):
         object.__setattr__(self, "L", as_expression(self.L))
@@ -178,10 +171,11 @@ def energy_differential(L: LagrangianSystem, xi: Semispray) -> DifferentialForm:
 
 def _numeric_rank(L: LagrangianSystem, hess, seed: int = 20240502) -> int:
     rng = random.Random(seed)
+    dim = L.chart.dim
+    entries = Compiled(e for row in hess for e in row)
     rank = 0
     for _ in range(REGULARITY_PROBES):
-        point = L.chart.sample_point(rng)
-        matrix = np.array([[evaluate(e, point) for e in row] for row in hess])
+        matrix = np.array(entries.at(L.chart.sample_point(rng))).reshape(dim, dim)
         rank = max(rank, int(np.linalg.matrix_rank(matrix, tol=1e-9)))
     return rank
 
@@ -211,13 +205,12 @@ def solve_semispray(L: LagrangianSystem) -> Semispray:
         solution = linalg.cramer_solve(hess, rhs)
         return Semispray(chart, tuple(solution))
 
-    names = chart.names()
-    hess_bound = [[bind(e, names) for e in row] for row in hess]
-    rhs_bound = [bind(e, names) for e in rhs]
+    system = Compiled([*(e for row in hess for e in row), *rhs], chart.names())
 
     def numeric(state):
-        matrix = np.array([[f(state) for f in row] for row in hess_bound])
-        vector = np.array([f(state) for f in rhs_bound])
+        values = system(state)
+        matrix = np.array(values[:dim * dim]).reshape(dim, dim)
+        vector = np.array(values[dim * dim:])
         try:
             return np.linalg.solve(matrix, vector)
         except np.linalg.LinAlgError as exc:
@@ -290,7 +283,24 @@ def energy_is_conserved(L: LagrangianSystem, xi: Semispray, trials: int = 40,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Proposition1Report:
+class _FamilyReport:
+    """One number per index j for the x family and for the y family."""
+
+    x_family: tuple
+    y_family: tuple
+
+    def as_dict(self) -> dict:
+        return {"x_family": list(self.x_family), "y_family": list(self.y_family)}
+
+
+def _momenta_on_rows(L: LagrangianSystem, traj: Trajectory):
+    """Pairs (dL/dx_j, dL/dy_j) on every row of traj, compiled once as columns."""
+    values = traj.evaluate(_gradient(L))
+    return zip(values[:L.chart.n], values[L.chart.n:])
+
+
+@dataclass(frozen=True)
+class Proposition1Report(_FamilyReport):
     """Residuals of the eigenvalue-paired first-order laws along a trajectory.
 
     For each j the x-family residual is max_t |d/dt (dL/dx_j) - dL/dx_j|
@@ -299,71 +309,47 @@ class Proposition1Report:
     The signs mirror the +1/-1 eigendirections of the product structure.
     """
 
-    x_family: tuple
-    y_family: tuple
-
     def max_violation(self) -> float:
         return max(self.x_family + self.y_family)
-
-    def as_dict(self) -> dict:
-        return {"x_family": list(self.x_family), "y_family": list(self.y_family)}
 
 
 def proposition1_report(L: LagrangianSystem, traj: Trajectory) -> Proposition1Report:
     """Check the paired growth/decay laws of dL/dx_j and dL/dy_j."""
     if traj.states.shape[0] < 3:
         raise ValueError("trajectory too short: need at least 3 samples")
-    chart = L.chart
-    n = chart.n
-    columns = traj.columns()
     h = traj.h
     x_res, y_res = [], []
-    for j in range(n):
-        f = evaluate_many(differentiate(L.L, chart.variable(j)), columns)
-        f = np.broadcast_to(f, traj.times.shape)
+    for f, g in _momenta_on_rows(L, traj):
         fdot = (f[2:] - f[:-2]) / (2.0 * h)
         x_res.append(float(np.max(np.abs(fdot - f[1:-1]))))
-        g = evaluate_many(differentiate(L.L, chart.variable(n + j)), columns)
-        g = np.broadcast_to(g, traj.times.shape)
         gdot = (g[2:] - g[:-2]) / (2.0 * h)
         y_res.append(float(np.max(np.abs(gdot + g[1:-1]))))
     return Proposition1Report(tuple(x_res), tuple(y_res))
 
 
 @dataclass(frozen=True)
-class ExponentialLawReport:
+class ExponentialLawReport(_FamilyReport):
     """Relative drift of (dL/dx_j) e^{-t} and (dL/dy_j) e^{t} along a flow.
 
     Both products are constant along exact Euler-Lagrange trajectories;
     drift is measured against max(1, |initial value|).
     """
 
-    x_family: tuple
-    y_family: tuple
-
     def max_drift(self) -> float:
         return max(self.x_family + self.y_family)
-
-    def as_dict(self) -> dict:
-        return {"x_family": list(self.x_family), "y_family": list(self.y_family)}
 
 
 def exponential_law_report(L: LagrangianSystem, traj: Trajectory) -> ExponentialLawReport:
     """Drift of the exponentially-rescaled momenta along a trajectory."""
-    chart = L.chart
-    n = chart.n
-    columns = traj.columns()
     times = traj.times
     decay = np.exp(-(times - times[0]))
     growth = np.exp(times - times[0])
     x_drift, y_drift = [], []
-    for j in range(n):
-        f = evaluate_many(differentiate(L.L, chart.variable(j)), columns)
-        scaled = np.broadcast_to(f, times.shape) * decay
+    for f, g in _momenta_on_rows(L, traj):
+        scaled = f * decay
         x_drift.append(float(np.max(np.abs(scaled - scaled[0]))
                              / max(1.0, abs(scaled[0]))))
-        g = evaluate_many(differentiate(L.L, chart.variable(n + j)), columns)
-        scaled = np.broadcast_to(g, times.shape) * growth
+        scaled = g * growth
         y_drift.append(float(np.max(np.abs(scaled - scaled[0]))
                              / max(1.0, abs(scaled[0]))))
     return ExponentialLawReport(tuple(x_drift), tuple(y_drift))

@@ -167,6 +167,17 @@ class TestCheckCommand:
         assert "FAIL compatibility" in out
         assert "first failing identity: compatibility" in out
 
+    def test_tol_override_decides_compatibility(self, tmp_path, capsys):
+        payload = {"name": "nearly", "kind": "metric", "n": 1,
+                   "metric": {"matrix": [["1e-8", "1"], ["1", "0"]]}}
+        path = write_problem(tmp_path, payload)
+        assert main(["check", "--problem", path]) == EXIT_IDENTITY
+        assert "FAIL compatibility" in capsys.readouterr().out
+        code = main(["check", "--problem", path, "--tol", "1e-6", "--format", "json"])
+        assert code == EXIT_OK
+        compatibility = json.loads(capsys.readouterr().out)["identities"]["compatibility"]
+        assert compatibility == {"violation": pytest.approx(2e-8), "pass": True, "tol": 1e-6}
+
     def test_check_requires_metric_kind(self, tmp_path, capsys):
         path = write_problem(tmp_path, lagrangian_payload())
         assert main(["check", "--problem", path]) == EXIT_PARSE
@@ -213,6 +224,37 @@ class TestIntegrateCommand:
         assert main(["integrate", "--problem", path,
                      "--out", str(tmp_path)]) == EXIT_NUMERIC
         assert "step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme,where", [
+        ("rk4", "step 4, from t = 0.03 at x1 = 0.00982390791, y1 = -3.01019662: dy1/dt: "),
+        ("symplectic-euler", "step 5, from t = 0.04 at x1 = -0.0203834642, "
+                             "y1 = -3.01318666: dH/dx1: "),
+    ])
+    def test_domain_error_in_step_names_it(self, tmp_path, capsys, scheme, where):
+        payload = {
+            "name": "cusp", "kind": "hamiltonian", "n": 1,
+            "hamiltonian": "x1^1.5 + 0.5*y1^2",
+            "initial_state": [0.1, -3.0],
+            "integrator": {"scheme": scheme, "t0": 0.0, "t1": 1.0, "h": 0.01},
+        }
+        path = write_problem(tmp_path, payload)
+        assert main(["integrate", "--problem", path,
+                     "--out", str(tmp_path)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert where + "non-integer exponent 0.5 is undefined at base -" in err
+
+    def test_non_finite_conserved_quantity_names_step(self, tmp_path, capsys):
+        payload = {
+            "name": "pole", "kind": "hamiltonian", "n": 1,
+            "hamiltonian": "ln(x1) + 0.5*y1^2",
+            "initial_state": [0.5, -3.0],
+            "integrator": {"scheme": "rk4", "t0": 0.0, "t1": 1.0, "h": 0.01},
+        }
+        path = write_problem(tmp_path, payload)
+        assert main(["integrate", "--problem", path,
+                     "--out", str(tmp_path)]) == EXIT_NUMERIC
+        assert ("ln(x1) + 0.5*y1^2 is not finite at step 16 (t = 0.16, x1 = -0.0301347593"
+                in capsys.readouterr().err)
 
     def test_symplectic_euler_demands_hamiltonian(self, tmp_path, capsys):
         payload = lagrangian_payload()

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parakahler.expr import Const, equal_on_samples, is_zero, parse, simplify, to_source
+from parakahler.expr import (
+    Const,
+    differentiate,
+    equal_on_samples,
+    evaluate,
+    is_zero,
+    parse,
+    simplify,
+    to_source,
+)
 from parakahler.geometry import (
     Chart,
     exterior_derivative,
@@ -42,7 +51,6 @@ def form_matrix(phi, point):
     dim = phi.chart.dim
     m = np.zeros((dim, dim))
     for (a, b), coefficient in phi.terms():
-        from parakahler.expr import evaluate
         value = evaluate(coefficient, point)
         m[a, b] = value
         m[b, a] = -value
@@ -122,6 +130,21 @@ class TestHamiltonianVectorField:
         lhs = interior_product(Z, canonical_form(chart))
         rhs = exterior_derivative(function_form(chart, H.H))
         assert forms_equal_on_samples(lhs, rhs, seed=seed)
+
+    @settings(derandomize=True, max_examples=30)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_closed_form_matches_generic_solve(self, seed):
+        # solve (i_Z Phi)_b = sum_a Z^a Omega_ab = dH_b numerically at a point
+        rng = random.Random(seed)
+        chart = rng.choice([CHART1, CHART2])
+        H = HamiltonianSystem(chart, helpers.random_polynomial(
+            rng, chart, max_degree=4, terms=5))
+        point = chart.sample_point(rng)
+        omega = form_matrix(canonical_form(chart), point)
+        dH = [evaluate(differentiate(H.H, v), point) for v in chart.variables()]
+        generic = np.linalg.solve(omega.T, dH)
+        closed = hamiltonian_vector_field(H).at(point)
+        assert np.allclose(closed, generic, rtol=1e-12, atol=1e-12)
 
     @settings(derandomize=True, max_examples=50)
     @given(st.integers(min_value=0, max_value=10**6))
