@@ -11,20 +11,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import curvature as curvature_mod
 from . import hamilton as hamilton_mod
 from . import integrate as integrate_mod
 from . import lagrange as lagrange_mod
 from .expr import Compiled, EvaluationError, ParseError, Var, equal_on_samples, parse, to_source
-from .geometry import Chart, Metric, form_to_text, model_product_structure
+from .geometry import (COMPAT_TOL, Chart, Metric, compatibility_violation, form_to_text,
+                       model_product_structure)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -33,7 +33,6 @@ EXIT_IDENTITY = 4
 EXIT_NUMERIC = 5
 
 CHECK_TRIALS = 20
-COMPAT_TOL = 1e-9
 CURVATURE_TOL = 1e-6
 RESIDUAL_PROBES = 20
 
@@ -77,7 +76,7 @@ def load_problem(path: str) -> ProblemFile:
     if kind not in ("lagrangian", "hamiltonian", "metric"):
         raise ProblemError(f"kind must be lagrangian, hamiltonian, or metric, got {kind!r}")
     n = raw.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ProblemError("n must be an integer >= 1")
 
     name = raw.get("name")
@@ -100,6 +99,13 @@ def load_problem(path: str) -> ProblemFile:
         known = {"model", "potential", "matrix"}
         if not set(metric) <= known or len(metric) != 1:
             raise ProblemError(f"metric must hold exactly one of {sorted(known)}")
+        if "potential" in metric and not isinstance(metric["potential"], str):
+            raise ProblemError("metric potential must be an expression string")
+        matrix = metric.get("matrix")
+        if "matrix" in metric and (
+                not isinstance(matrix, list) or len(matrix) != 2 * n
+                or not all(isinstance(row, list) and len(row) == 2 * n for row in matrix)):
+            raise ProblemError(f"metric matrix must be {2 * n} rows of {2 * n} entries")
 
     integrator = raw.get("integrator", {})
     if not isinstance(integrator, dict):
@@ -111,23 +117,25 @@ def load_problem(path: str) -> ProblemFile:
         t0 = float(integrator.get("t0", 0.0))
         t1 = float(integrator.get("t1", 1.0))
         h = float(integrator.get("h", 0.01))
+        integrate_mod._step_count(t0, t1, h)
     except (TypeError, ValueError) as exc:
-        raise ProblemError(f"integrator times must be numbers: {exc}") from exc
-    if h <= 0.0:
-        raise ProblemError("integrator step h must be positive")
+        raise ProblemError(f"integrator: {exc}") from exc
 
     initial = raw.get("initial_state")
     if initial is not None:
         if (not isinstance(initial, list) or len(initial) != 2 * n
-                or not all(isinstance(v, (int, float)) for v in initial)):
-            raise ProblemError(f"initial_state must be a list of 2n = {2 * n} numbers")
+                or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in initial)):
+            raise ProblemError(f"initial_state must be a list of 2n = {2 * n} finite numbers")
         initial = tuple(float(v) for v in initial)
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ProblemError("seed must be a non-negative integer")
     tol = raw.get("tol")
     if tol is not None:
+        if (not isinstance(tol, (int, float)) or isinstance(tol, bool)
+                or not math.isfinite(tol) or tol <= 0):
+            raise ProblemError(f"tol must be a finite positive number, got {tol!r}")
         tol = float(tol)
 
     return ProblemFile(name=name, kind=kind, n=n, lagrangian=source if kind == "lagrangian" else None,
@@ -278,17 +286,6 @@ def _build_metric(problem: ProblemFile, chart: Chart) -> Metric:
     return Metric.from_rows(chart, rows)
 
 
-def _compatibility_violation(g: Metric, J, trials: int, seed: int) -> float:
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(trials):
-        point = g.chart.sample_point(rng)
-        gm = g.at(point)
-        jm = J.at(point)
-        worst = max(worst, float(np.max(np.abs(jm.T @ gm + gm @ jm))))
-    return worst
-
-
 def cmd_check(problem: ProblemFile, seed: int, tol: Optional[float]):
     """Verify the structural identities of a metric problem."""
     if problem.kind != "metric":
@@ -300,7 +297,7 @@ def cmd_check(problem: ProblemFile, seed: int, tol: Optional[float]):
     compat_tol = tol if tol is not None else COMPAT_TOL
 
     identities = {}
-    compat = _compatibility_violation(g, J, CHECK_TRIALS, seed)
+    compat = compatibility_violation(g, J, CHECK_TRIALS, seed)
     identities["compatibility"] = {
         "violation": compat,
         "pass": bool(compat < compat_tol),

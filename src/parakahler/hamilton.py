@@ -9,6 +9,7 @@ i_{Z_H} Phi = dH, giving the flow xdot_i = dH/dy_i, ydot_i = -dH/dx_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .expr import (
     Const,
@@ -52,6 +53,18 @@ class HamiltonianSystem:
     def from_source(source: str, chart: Chart) -> "HamiltonianSystem":
         return HamiltonianSystem(chart, parse(source, chart))
 
+    @cached_property
+    def gradient(self) -> tuple:
+        """(dH/dx_1, .., dH/dy_n), derived once per system."""
+        return tuple(differentiate(self.H, v) for v in self.chart.variables())
+
+    @cached_property
+    def mixed_hessian(self) -> tuple:
+        """d2H/dx_i dy_j as rows i, derived once: the symplectic Euler Jacobian block."""
+        n = self.chart.n
+        return tuple(tuple(differentiate(self.gradient[i], self.chart.variable(n + j))
+                           for j in range(n)) for i in range(n))
+
 
 def liouville_one_form(chart: Chart) -> DifferentialForm:
     """lambda = J* omega = (1/2) sum y_i dx_i - (1/2) sum x_i dy_i."""
@@ -72,22 +85,17 @@ def canonical_form(chart: Chart) -> DifferentialForm:
 
 def hamiltonian_vector_field(H: HamiltonianSystem) -> VectorField:
     """Z_H = sum dH/dy_i d/dx_i - dH/dx_i d/dy_i, the solution of i_Z Phi = dH."""
-    n = H.chart.n
-    dH = [differentiate(H.H, v) for v in H.chart.variables()]
-    return VectorField(H.chart, tuple(dH[n:]) + tuple(simplify(-d) for d in dH[:n]))
+    n, dH = H.chart.n, H.gradient
+    return VectorField(H.chart, dH[n:] + tuple(simplify(-d) for d in dH[:n]))
 
 
 def hamilton_odes(H: HamiltonianSystem) -> ODESystem:
     """First-order flow xdot_i = dH/dy_i, ydot_i = -dH/dx_i."""
     field = hamiltonian_vector_field(H)
-    return ODESystem(H.chart, rhs=field.components, provenance="hamiltonian")
+    return ODESystem(H.chart, rhs=field.components)
 
 
 def poisson_self_derivative(H: HamiltonianSystem) -> Expression:
     """Z_H(H), identically zero: H is a first integral of its own flow."""
-    chart = H.chart
     field = hamiltonian_vector_field(H)
-    acc = ZERO
-    for a in range(chart.dim):
-        acc = acc + field.components[a] * differentiate(H.H, chart.variable(a))
-    return simplify(acc)
+    return simplify(sum((c * d for c, d in zip(field.components, H.gradient)), start=ZERO))

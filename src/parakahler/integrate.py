@@ -16,15 +16,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import Compiled, EvaluationError, Expression, differentiate, to_source
+from .expr import Compiled, EvaluationError, Expression, to_source
 from .geometry import Chart
 
 MAX_STEPS = 10_000_000
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITERS = 25
+BACKTRACK = tuple(2.0 ** -i for i in range(7))   # damped Newton step scales 1 .. 1/64
 FD_STEP = 1e-6
-
-PROVENANCES = ("euler-lagrange", "hamiltonian", "custom")
 
 
 class NonFiniteStateError(Exception):
@@ -55,11 +54,8 @@ class ODESystem:
     chart: Chart
     rhs: Optional[tuple] = None
     rhs_callable: Optional[Callable] = None
-    provenance: str = "custom"
 
     def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"provenance must be one of {PROVENANCES}")
         if (self.rhs is None) == (self.rhs_callable is None):
             raise ValueError("provide exactly one of rhs or rhs_callable")
         if self.rhs is not None and len(self.rhs) != self.chart.dim:
@@ -165,10 +161,8 @@ def _run(step: Callable, state0: Sequence[float], t0: float, t1: float, h: float
     return Trajectory(t0, h, out, names)
 
 
-def integrate_rk4(sys: ODESystem, state0: Sequence[float], t0: float, t1: float,
-                  h: float) -> Trajectory:
-    """Classical fourth-order Runge-Kutta with a fixed step."""
-    f = sys.vector_function()
+def _rk4_step(f: Callable, h: float) -> Callable:
+    """One classical fourth-order Runge-Kutta step of size h for xdot = f(x)."""
 
     def step(state, k):
         k1 = f(state)
@@ -177,32 +171,23 @@ def integrate_rk4(sys: ODESystem, state0: Sequence[float], t0: float, t1: float,
         k4 = f(state + h * k3)
         return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    return _run(step, state0, t0, t1, h, sys.chart.names())
+    return step
 
 
-def _hamiltonian_gradients(H):
-    """Compiled H_x, H_y, and the mixed block d2H/dx dy in row-major order."""
-    chart, n = H.chart, H.chart.n
-    names = chart.names()
-    dH = [differentiate(H.H, v) for v in chart.variables()]
-    hxy = [differentiate(dH[i], chart.variable(n + j)) for i in range(n) for j in range(n)]
+def integrate_rk4(sys: ODESystem, state0: Sequence[float], t0: float, t1: float,
+                  h: float) -> Trajectory:
+    """Classical fourth-order Runge-Kutta with a fixed step."""
+    return _run(_rk4_step(sys.vector_function(), h), state0, t0, t1, h, sys.chart.names())
+
+
+def _symplectic_euler_step(H, h: float) -> Callable:
+    """One symplectic Euler step of size h, compiled from H's derivatives."""
+    n, names = H.chart.n, H.chart.names()
     labels = [f"dH/d{v}" for v in names]
-    return (Compiled(dH[:n], names, labels[:n]), Compiled(dH[n:], names, labels[n:]),
-            Compiled(hxy, names, [f"d2H/d{u}d{v}" for u in names[:n] for v in names[n:]]))
-
-
-def integrate_symplectic_euler(H, state0: Sequence[float], t0: float, t1: float,
-                               h: float) -> Trajectory:
-    """Symplectic Euler for the para-Hamiltonian equations.
-
-    One step solves y' = y - h * H_x(x, y') implicitly (damped Newton with
-    the analytic Jacobian I + h * H_xy, tolerance 1e-12, at most 25
-    iterations), then advances x' = x + h * H_y(x, y').  H is any object
-    with a chart and a symbolic Hamiltonian attribute H.
-    """
-    chart = H.chart
-    n = chart.n
-    hx, hy, hxy = _hamiltonian_gradients(H)
+    hx = Compiled(H.gradient[:n], names, labels[:n])
+    hy = Compiled(H.gradient[n:], names, labels[n:])
+    hxy = Compiled((e for row in H.mixed_hessian for e in row), names,
+                   [f"d2H/d{u}d{v}" for u in names[:n] for v in names[n:]])
 
     def step(state, k):
         work = state.copy()
@@ -213,12 +198,14 @@ def integrate_symplectic_euler(H, state0: Sequence[float], t0: float, t1: float,
 
         ynew = state[n:]
         r = residual(ynew)
-        if not np.all(np.isfinite(r)):
-            raise NonFiniteStateError(k)
-        converged = float(np.max(np.abs(r))) <= NEWTON_TOL
-        for _ in range(NEWTON_MAX_ITERS):
-            if converged:
+        for iteration in range(NEWTON_MAX_ITERS + 1):
+            if not np.all(np.isfinite(r)):
+                raise NonFiniteStateError(k)
+            norm = float(np.max(np.abs(r)))
+            if norm <= NEWTON_TOL:
                 break
+            if iteration == NEWTON_MAX_ITERS:
+                raise NewtonConvergenceError(k)
             work[n:] = ynew
             jac = np.eye(n) + h * np.array(hxy(work)).reshape(n, n)
             if not np.all(np.isfinite(jac)):
@@ -228,25 +215,31 @@ def integrate_symplectic_euler(H, state0: Sequence[float], t0: float, t1: float,
             except np.linalg.LinAlgError as exc:
                 raise NewtonConvergenceError(
                     k, f"singular Newton system at step {k}") from exc
-            scale = 1.0
-            norm0 = float(np.max(np.abs(r)))
-            while scale >= 1.0 / 64.0:
+            for scale in BACKTRACK:   # the last, smallest scale is taken regardless
                 candidate = ynew + scale * delta
                 rc = residual(candidate)
-                if float(np.max(np.abs(rc))) < norm0 or scale < 1.0 / 32.0:
-                    ynew, r = candidate, rc
+                if float(np.max(np.abs(rc))) < norm:
                     break
-                scale *= 0.5
-            if not np.all(np.isfinite(r)):
-                raise NonFiniteStateError(k)
-            converged = float(np.max(np.abs(r))) <= NEWTON_TOL
-        if not converged:
-            raise NewtonConvergenceError(k)
+            ynew, r = candidate, rc
 
         work[n:] = ynew
         return np.concatenate([state[:n] + h * np.array(hy(work)), ynew])
 
-    return _run(step, state0, t0, t1, h, chart.names())
+    return step
+
+
+def integrate_symplectic_euler(H, state0: Sequence[float], t0: float, t1: float,
+                               h: float) -> Trajectory:
+    """Symplectic Euler for the para-Hamiltonian equations.
+
+    One step solves y' = y - h * H_x(x, y') implicitly (damped Newton with
+    the analytic Jacobian I + h * H_xy, tolerance 1e-12, at most 25
+    iterations, each halving its step at most six times), then advances
+    x' = x + h * H_y(x, y').  H is a HamiltonianSystem: its gradient and
+    mixed_hessian are read, not re-derived, so repeated runs on one system
+    differentiate nothing.
+    """
+    return _run(_symplectic_euler_step(H, h), state0, t0, t1, h, H.chart.names())
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +296,16 @@ def symplecticity_check(H, scheme: str, state0: Sequence[float], h: float,
     the max entry of |M^T Omega M - Omega|.
     """
     chart = H.chart
-    t1 = steps * h
-
     if scheme == "symplectic-euler":
-        def flow(s):
-            return integrate_symplectic_euler(H, s, 0.0, t1, h).final_state()
+        step = _symplectic_euler_step(H, h)
     elif scheme == "rk4":
         from .hamilton import hamilton_odes   # hamilton imports this module
-        sys = hamilton_odes(H)
-        def flow(s):
-            return integrate_rk4(sys, s, 0.0, t1, h).final_state()
+        step = _rk4_step(hamilton_odes(H).vector_function(), h)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
+
+    def flow(s):
+        return _run(step, s, 0.0, steps * h, h, chart.names()).final_state()
 
     dim = chart.dim
     base = np.asarray(state0, float)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,6 +80,17 @@ class LagrangianSystem:
     def from_source(source: str, chart: Chart) -> "LagrangianSystem":
         return LagrangianSystem(chart, parse(source, chart))
 
+    @cached_property
+    def gradient(self) -> tuple:
+        """(dL/dx_1, .., dL/dy_n), derived once per system."""
+        return tuple(differentiate(self.L, v) for v in self.chart.variables())
+
+    @cached_property
+    def hessian(self) -> tuple:
+        """Rows a of d2L/dz_a dz_b in chart order, derived once per system."""
+        return tuple(tuple(differentiate(g, v) for v in self.chart.variables())
+                     for g in self.gradient)
+
 
 @dataclass(frozen=True)
 class Semispray:
@@ -110,23 +122,6 @@ class Semispray:
         return Semispray(chart, tuple(as_expression(c) for c in components))
 
 
-def _gradient(L: LagrangianSystem):
-    chart = L.chart
-    return [differentiate(L.L, chart.variable(a)) for a in range(chart.dim)]
-
-
-def _hessian(L: LagrangianSystem):
-    chart = L.chart
-    grad = _gradient(L)
-    return tuple(tuple(differentiate(grad[a], chart.variable(b))
-                       for b in range(chart.dim)) for a in range(chart.dim)), grad
-
-
-def _twisted_gradient(grad, n: int):
-    """Right-hand side (dL/dx, -dL/dy) of the semispray system."""
-    return [grad[a] if a < n else simplify(-grad[a]) for a in range(2 * n)]
-
-
 def kahler_form(L: LagrangianSystem) -> DifferentialForm:
     """Phi_L = -d(d_J L), a closed 2-form, degenerate iff L is."""
     return exterior_derivative(vertical_derivative(L.L, L.chart)).scale(-1.0)
@@ -139,12 +134,11 @@ def liouville_field(xi: Semispray, J: ProductStructure) -> VectorField:
 
 def energy(L: LagrangianSystem, xi: Semispray) -> Expression:
     """E_L = sum_i X_i dL/dx_i - Y_i dL/dy_i - L, simplified."""
-    chart = L.chart
-    n = chart.n
+    n, grad = L.chart.n, L.gradient
     acc = -L.L
     for i in range(n):
-        acc = acc + xi.components[i] * differentiate(L.L, chart.variable(i))
-        acc = acc - xi.components[n + i] * differentiate(L.L, chart.variable(n + i))
+        acc = acc + xi.components[i] * grad[i]
+        acc = acc - xi.components[n + i] * grad[n + i]
     return simplify(acc)
 
 
@@ -156,9 +150,8 @@ def energy_differential(L: LagrangianSystem, xi: Semispray) -> DifferentialForm:
     substituted energy would add dX/dY terms; the fixed-coefficient
     convention is the one under which i_xi Phi_L = dE_L holds.
     """
-    chart = L.chart
-    dim, n = chart.dim, chart.n
-    hess, grad = _hessian(L)
+    dim, n = L.chart.dim, L.chart.n
+    hess, grad = L.hessian, L.gradient
     terms = []
     for b in range(dim):
         acc = -grad[b]
@@ -166,13 +159,13 @@ def energy_differential(L: LagrangianSystem, xi: Semispray) -> DifferentialForm:
             acc = acc + xi.components[i] * hess[i][b]
             acc = acc - xi.components[n + i] * hess[n + i][b]
         terms.append(((b,), acc))
-    return make_form(chart, 1, terms)
+    return make_form(L.chart, 1, terms)
 
 
-def _numeric_rank(L: LagrangianSystem, hess, seed: int = 20240502) -> int:
+def _numeric_rank(L: LagrangianSystem, seed: int = 20240502) -> int:
     rng = random.Random(seed)
     dim = L.chart.dim
-    entries = Compiled(e for row in hess for e in row)
+    entries = Compiled(e for row in L.hessian for e in row)
     rank = 0
     for _ in range(REGULARITY_PROBES):
         matrix = np.array(entries.at(L.chart.sample_point(rng))).reshape(dim, dim)
@@ -189,10 +182,10 @@ def solve_semispray(L: LagrangianSystem) -> Semispray:
     """
     chart = L.chart
     dim, n = chart.dim, chart.n
-    hess, grad = _hessian(L)
-    rhs = _twisted_gradient(grad, n)
+    hess = L.hessian
+    rhs = [g if a < n else simplify(-g) for a, g in enumerate(L.gradient)]   # (L_x, -L_y)
 
-    rank = _numeric_rank(L, hess)
+    rank = _numeric_rank(L)
     if rank < dim:
         det_ok = False
         if dim <= linalg.MAX_SYMBOLIC_DIM:
@@ -236,10 +229,8 @@ class EulerLagrangeSystem:
     @property
     def ode(self) -> ODESystem:
         if self.semispray.is_symbolic:
-            return ODESystem(self.chart, rhs=self.semispray.components,
-                             provenance="euler-lagrange")
-        return ODESystem(self.chart, rhs_callable=self.semispray.numeric,
-                         provenance="euler-lagrange")
+            return ODESystem(self.chart, rhs=self.semispray.components)
+        return ODESystem(self.chart, rhs_callable=self.semispray.numeric)
 
 
 def euler_lagrange_system(L: LagrangianSystem) -> EulerLagrangeSystem:
@@ -254,7 +245,7 @@ def euler_lagrange_system(L: LagrangianSystem) -> EulerLagrangeSystem:
         return EulerLagrangeSystem(chart, xi, None)
 
     dim, n = chart.dim, chart.n
-    hess, grad = _hessian(L)
+    hess, grad = L.hessian, L.gradient
     residuals = []
     for b in range(dim):
         acc = -grad[b] if b < n else grad[b]
@@ -295,7 +286,7 @@ class _FamilyReport:
 
 def _momenta_on_rows(L: LagrangianSystem, traj: Trajectory):
     """Pairs (dL/dx_j, dL/dy_j) on every row of traj, compiled once as columns."""
-    values = traj.evaluate(_gradient(L))
+    values = traj.evaluate(L.gradient)
     return zip(values[:L.chart.n], values[L.chart.n:])
 
 

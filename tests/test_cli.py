@@ -77,6 +77,36 @@ class TestLoadProblem:
         assert load_problem(path).name == "fallback"
 
 
+def _integrator(**fields):
+    return lagrangian_payload(integrator=dict(
+        {"scheme": "rk4", "t0": 0.0, "t1": 1.0, "h": 0.01}, **fields))
+
+
+class TestMalformedProblem:
+    @pytest.mark.parametrize("command,payload,message", [
+        ("integrate", _integrator(t0=1.0, t1=1.0), "t1 must exceed t0"),
+        ("integrate", _integrator(t1=1e9), "steps exceed the limit"),
+        ("integrate", _integrator(h=float("nan")), "step size h must be positive"),
+        ("derive", lagrangian_payload(tol="abc"), "tol must be a finite positive number"),
+        ("check", {"kind": "metric", "n": 1, "metric": {"matrix": [["0", "1"]]}},
+         "metric matrix must be 2 rows of 2 entries"),
+        ("check", {"kind": "metric", "n": 1, "metric": {"potential": 5}},
+         "metric potential must be an expression string"),
+        ("integrate", lagrangian_payload(initial_state=[float("nan"), 1.0]),
+         "initial_state must be a list of 2n = 2 finite numbers"),
+        ("derive", lagrangian_payload(n=True), "n must be an integer >= 1"),
+        ("derive", lagrangian_payload(seed=True), "seed must be a non-negative integer"),
+    ], ids=["t1-not-after-t0", "too-many-steps", "nan-step", "tol-string",
+            "matrix-1x2", "potential-number", "nan-initial-state", "boolean-n",
+            "boolean-seed"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, command, payload, message):
+        path = write_problem(tmp_path, payload)
+        assert main([command, "--problem", path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+
 class TestDeriveCommand:
     def test_lagrangian_text_lines(self, tmp_path, capsys):
         path = write_problem(tmp_path, lagrangian_payload())

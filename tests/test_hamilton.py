@@ -163,7 +163,6 @@ class TestHamiltonianVectorField:
 class TestHamiltonOdes:
     def test_bilinear(self):
         sys = hamilton_odes(system("x1*y1"))
-        assert sys.provenance == "hamiltonian"
         assert to_source(simplify(sys.rhs[0])) == "x1"
         assert to_source(simplify(sys.rhs[1])) == "-y1"
 

@@ -211,7 +211,6 @@ class TestEulerLagrangeSystem:
         el = euler_lagrange_system(system("x1*y1"))
         assert to_source(el.semispray.X(1)) == "-x1"
         assert to_source(el.semispray.Y(1)) == "y1"
-        assert el.ode.provenance == "euler-lagrange"
 
     def test_quadratic_odes(self):
         el = euler_lagrange_system(system("0.5*(x1^2 + y1^2)"))
