@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .expr import (
+    Compiled,
     Const,
     Expression,
     ZERO,
@@ -65,6 +66,21 @@ class HamiltonianSystem:
         return tuple(tuple(differentiate(self.gradient[i], self.chart.variable(n + j))
                            for j in range(n)) for i in range(n))
 
+    @cached_property
+    def compiled_blocks(self) -> tuple:
+        """Compiled (H_x, H_y, H_xy), built once: the symplectic Euler step reads them."""
+        n, names = self.chart.n, self.chart.names()
+        labels = [f"dH/d{v}" for v in names]
+        return (Compiled(self.gradient[:n], names, labels[:n]),
+                Compiled(self.gradient[n:], names, labels[n:]),
+                Compiled((e for row in self.mixed_hessian for e in row), names,
+                         [f"d2H/d{u}d{v}" for u in names[:n] for v in names[n:]]))
+
+    @cached_property
+    def odes(self) -> ODESystem:
+        """The flow of Z_H, built once; hamilton_odes returns it."""
+        return ODESystem(self.chart, rhs=hamiltonian_vector_field(self).components)
+
 
 def liouville_one_form(chart: Chart) -> DifferentialForm:
     """lambda = J* omega = (1/2) sum y_i dx_i - (1/2) sum x_i dy_i."""
@@ -90,9 +106,8 @@ def hamiltonian_vector_field(H: HamiltonianSystem) -> VectorField:
 
 
 def hamilton_odes(H: HamiltonianSystem) -> ODESystem:
-    """First-order flow xdot_i = dH/dy_i, ydot_i = -dH/dx_i."""
-    field = hamiltonian_vector_field(H)
-    return ODESystem(H.chart, rhs=field.components)
+    """First-order flow xdot_i = dH/dy_i, ydot_i = -dH/dx_i, built once per system."""
+    return H.odes
 
 
 def poisson_self_derivative(H: HamiltonianSystem) -> Expression:

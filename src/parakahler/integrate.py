@@ -4,14 +4,22 @@ Provides the classical fourth-order Runge-Kutta scheme for any autonomous
 system on the chart and a symplectic Euler scheme for Hamiltonian systems
 (x as positions, y as momenta for the canonical pairing), plus drift and
 symplecticity reports.  No adaptive step control: the diagnostics want
-uniform grids.
+uniform grids, so t1 - t0 must be a whole number of steps.
+
+A step works on a list of floats, calling the compiled scalar right-hand
+side directly; its arithmetic follows the array form term by term, so
+trajectories are bit-identical to it.  Compiled flows are cached per
+system (ODESystem.vector_function, HamiltonianSystem.compiled_blocks), so
+repeated runs on one system compile nothing.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,6 +31,7 @@ MAX_STEPS = 10_000_000
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITERS = 25
 BACKTRACK = tuple(2.0 ** -i for i in range(7))   # damped Newton step scales 1 .. 1/64
+SPAN_RTOL = 1e-9     # t1 - t0 may miss a whole number of steps by this much, relative
 FD_STEP = 1e-6
 
 
@@ -47,8 +56,9 @@ class ODESystem:
     """Autonomous first-order system on the chart coordinates.
 
     Exactly one of rhs (a tuple of 2n Expressions) or rhs_callable (a map
-    from state vectors to derivative vectors) must be provided; the
-    callable form exists for systems whose symbolic solve is infeasible.
+    from a state, a list of floats, to its derivative, a list of floats)
+    must be provided; the callable form exists for systems whose symbolic
+    solve is infeasible.
     """
 
     chart: Chart
@@ -61,13 +71,13 @@ class ODESystem:
         if self.rhs is not None and len(self.rhs) != self.chart.dim:
             raise ValueError(f"expected {self.chart.dim} right-hand sides")
 
+    @cached_property
     def vector_function(self) -> Callable:
-        """Compile the right-hand side to a state -> ndarray closure."""
+        """The right-hand side as a map from a list of floats to a list, compiled once."""
         if self.rhs_callable is not None:
             return self.rhs_callable
         names = self.chart.names()
-        rhs = Compiled(self.rhs, names, labels=[f"d{name}/dt" for name in names])
-        return lambda state: np.array(rhs(state))
+        return Compiled(self.rhs, names, labels=[f"d{name}/dt" for name in names])
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +134,7 @@ def _where(names, state) -> str:
 
 
 def _step_count(t0: float, t1: float, h: float) -> int:
+    """The number of steps of size h from t0 to t1, which must be whole."""
     if not (h > 0.0):
         raise ValueError("step size h must be positive")
     if not (t1 > t0):
@@ -131,15 +142,27 @@ def _step_count(t0: float, t1: float, h: float) -> int:
     span = (t1 - t0) / h
     if span > MAX_STEPS:
         raise ValueError(f"{span:.3g} steps exceed the limit {MAX_STEPS}")
-    steps = max(1, round(span))
+    steps = round(span)
+    if abs(span - steps) > SPAN_RTOL * span:
+        raise ValueError(f"t1 - t0 = {t1 - t0:.9g} is not a whole number of steps "
+                         f"of h = {h:.9g} ({span:.9g} steps)")
     return steps
+
+
+class _StepFailure(Exception):
+    """Raised inside a step; _run re-raises it as error, naming the step, t and state."""
+
+    def __init__(self, error: type, reason: str):
+        super().__init__(reason)
+        self.error = error
 
 
 def _run(step: Callable, state0: Sequence[float], t0: float, t1: float, h: float,
          names: tuple) -> Trajectory:
-    """Apply step(state, k) for k = 1..steps from state0.
+    """Apply step(state) for steps 1..steps from state0, states as lists of floats.
 
-    A failed evaluation becomes a NonFiniteStateError that names the step.
+    A failed evaluation becomes a NonFiniteStateError, and every failure
+    names the step and the t and state it started from.
     """
     steps = _step_count(t0, t1, h)
     state = np.asarray(state0, float)
@@ -147,29 +170,42 @@ def _run(step: Callable, state0: Sequence[float], t0: float, t1: float, h: float
         raise ValueError(f"initial state must have length {len(names)}")
     out = np.empty((steps + 1, len(names)))
     out[0] = state
+    state = state.tolist()
     with np.errstate(all="ignore"):
         for k in range(1, steps + 1):
             try:
-                state = step(state, k)
+                new = step(state)
             except EvaluationError as exc:
                 raise NonFiniteStateError(
-                    k, f"evaluation failed in step {k}, from t = {t0 + (k - 1) * h:.9g} "
-                       f"at {_where(names, state)}: {exc}") from exc
-            if not np.all(np.isfinite(state)):
-                raise NonFiniteStateError(k)
-            out[k] = state
+                    k, f"evaluation failed {_origin(k, t0, h, names, state)}: {exc}") from exc
+            except _StepFailure as exc:
+                raise exc.error(k, f"{exc} {_origin(k, t0, h, names, state)}") from None
+            if not all(map(math.isfinite, new)):
+                raise NonFiniteStateError(
+                    k, f"non-finite state {_origin(k, t0, h, names, state)}")
+            out[k] = state = new
     return Trajectory(t0, h, out, names)
 
 
-def _rk4_step(f: Callable, h: float) -> Callable:
-    """One classical fourth-order Runge-Kutta step of size h for xdot = f(x)."""
+def _origin(k: int, t0: float, h: float, names: tuple, state) -> str:
+    return f"in step {k}, from t = {t0 + (k - 1) * h:.9g} at {_where(names, state)}"
 
-    def step(state, k):
-        k1 = f(state)
-        k2 = f(state + 0.5 * h * k1)
-        k3 = f(state + 0.5 * h * k2)
-        k4 = f(state + h * k3)
-        return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+def _rk4_step(f: Callable, h: float) -> Callable:
+    """One classical fourth-order Runge-Kutta step of size h for xdot = f(x).
+
+    States are lists of floats; the arithmetic is the array form's, term
+    by term, s + (h/6)*(k1 + 2*k2 + 2*k3 + k4), so results are identical.
+    """
+    half, sixth = 0.5 * h, h / 6.0
+
+    def step(s):
+        k1 = f(s)
+        k2 = f([x + half * d for x, d in zip(s, k1)])
+        k3 = f([x + half * d for x, d in zip(s, k2)])
+        k4 = f([x + h * d for x, d in zip(s, k3)])
+        return [x + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
+                for x, a, b, c, d in zip(s, k1, k2, k3, k4)]
 
     return step
 
@@ -177,53 +213,52 @@ def _rk4_step(f: Callable, h: float) -> Callable:
 def integrate_rk4(sys: ODESystem, state0: Sequence[float], t0: float, t1: float,
                   h: float) -> Trajectory:
     """Classical fourth-order Runge-Kutta with a fixed step."""
-    return _run(_rk4_step(sys.vector_function(), h), state0, t0, t1, h, sys.chart.names())
+    return _run(_rk4_step(sys.vector_function, h), state0, t0, t1, h, sys.chart.names())
+
+
+def _max_abs(r: list) -> float:
+    """max |r_i|, or inf when an entry is not finite."""
+    return max(map(abs, r)) if all(map(math.isfinite, r)) else math.inf
 
 
 def _symplectic_euler_step(H, h: float) -> Callable:
-    """One symplectic Euler step of size h, compiled from H's derivatives."""
-    n, names = H.chart.n, H.chart.names()
-    labels = [f"dH/d{v}" for v in names]
-    hx = Compiled(H.gradient[:n], names, labels[:n])
-    hy = Compiled(H.gradient[n:], names, labels[n:])
-    hxy = Compiled((e for row in H.mixed_hessian for e in row), names,
-                   [f"d2H/d{u}d{v}" for u in names[:n] for v in names[n:]])
+    """One symplectic Euler step of size h, from H's compiled derivative blocks."""
+    n = H.chart.n
+    hx, hy, hxy = H.compiled_blocks
+    eye = np.eye(n)
 
-    def step(state, k):
-        work = state.copy()
+    def step(s):
+        x, y = s[:n], s[n:]
 
         def residual(yv):
-            work[n:] = yv
-            return yv - state[n:] + h * np.array(hx(work))
+            return [(a - b) + h * g for a, b, g in zip(yv, y, hx(x + yv))]
 
-        ynew = state[n:]
+        ynew = y
         r = residual(ynew)
         for iteration in range(NEWTON_MAX_ITERS + 1):
-            if not np.all(np.isfinite(r)):
-                raise NonFiniteStateError(k)
-            norm = float(np.max(np.abs(r)))
+            norm = _max_abs(r)
+            if norm == math.inf:
+                raise _StepFailure(NonFiniteStateError, "non-finite Newton residual")
             if norm <= NEWTON_TOL:
                 break
             if iteration == NEWTON_MAX_ITERS:
-                raise NewtonConvergenceError(k)
-            work[n:] = ynew
-            jac = np.eye(n) + h * np.array(hxy(work)).reshape(n, n)
+                raise _StepFailure(NewtonConvergenceError,
+                                   f"Newton iteration failed after {NEWTON_MAX_ITERS} iterations")
+            jac = eye + h * np.array(hxy(x + ynew)).reshape(n, n)
             if not np.all(np.isfinite(jac)):
-                raise NonFiniteStateError(k)
+                raise _StepFailure(NonFiniteStateError, "non-finite Newton Jacobian")
             try:
-                delta = np.linalg.solve(jac, -r)
-            except np.linalg.LinAlgError as exc:
-                raise NewtonConvergenceError(
-                    k, f"singular Newton system at step {k}") from exc
+                delta = np.linalg.solve(jac, -np.array(r)).tolist()
+            except np.linalg.LinAlgError:
+                raise _StepFailure(NewtonConvergenceError, "singular Newton system") from None
             for scale in BACKTRACK:   # the last, smallest scale is taken regardless
-                candidate = ynew + scale * delta
+                candidate = [a + scale * d for a, d in zip(ynew, delta)]
                 rc = residual(candidate)
-                if float(np.max(np.abs(rc))) < norm:
+                if _max_abs(rc) < norm:
                     break
             ynew, r = candidate, rc
 
-        work[n:] = ynew
-        return np.concatenate([state[:n] + h * np.array(hy(work)), ynew])
+        return [a + h * g for a, g in zip(x, hy(x + ynew))] + ynew
 
     return step
 
@@ -235,9 +270,9 @@ def integrate_symplectic_euler(H, state0: Sequence[float], t0: float, t1: float,
     One step solves y' = y - h * H_x(x, y') implicitly (damped Newton with
     the analytic Jacobian I + h * H_xy, tolerance 1e-12, at most 25
     iterations, each halving its step at most six times), then advances
-    x' = x + h * H_y(x, y').  H is a HamiltonianSystem: its gradient and
-    mixed_hessian are read, not re-derived, so repeated runs on one system
-    differentiate nothing.
+    x' = x + h * H_y(x, y').  H is a HamiltonianSystem: its derivative
+    blocks are derived and compiled once per system, so repeated runs on
+    one system differentiate and compile nothing.
     """
     return _run(_symplectic_euler_step(H, h), state0, t0, t1, h, H.chart.names())
 
@@ -300,7 +335,7 @@ def symplecticity_check(H, scheme: str, state0: Sequence[float], h: float,
         step = _symplectic_euler_step(H, h)
     elif scheme == "rk4":
         from .hamilton import hamilton_odes   # hamilton imports this module
-        step = _rk4_step(hamilton_odes(H).vector_function(), h)
+        step = _rk4_step(hamilton_odes(H).vector_function, h)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 

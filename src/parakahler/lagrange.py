@@ -205,7 +205,7 @@ def solve_semispray(L: LagrangianSystem) -> Semispray:
         matrix = np.array(values[:dim * dim]).reshape(dim, dim)
         vector = np.array(values[dim * dim:])
         try:
-            return np.linalg.solve(matrix, vector)
+            return np.linalg.solve(matrix, vector).tolist()
         except np.linalg.LinAlgError as exc:
             raise DegenerateLagrangianError(
                 int(np.linalg.matrix_rank(matrix)), dim) from exc
@@ -226,7 +226,7 @@ class EulerLagrangeSystem:
     semispray: Semispray
     residuals: Optional[tuple]
 
-    @property
+    @cached_property
     def ode(self) -> ODESystem:
         if self.semispray.is_symbolic:
             return ODESystem(self.chart, rhs=self.semispray.components)

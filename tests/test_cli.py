@@ -87,6 +87,10 @@ class TestMalformedProblem:
         ("integrate", _integrator(t0=1.0, t1=1.0), "t1 must exceed t0"),
         ("integrate", _integrator(t1=1e9), "steps exceed the limit"),
         ("integrate", _integrator(h=float("nan")), "step size h must be positive"),
+        ("integrate", _integrator(h=0.3), "t1 - t0 = 1 is not a whole number of steps "
+                                          "of h = 0.3 (3.33333333 steps)"),
+        ("integrate", _integrator(h=2.5), "t1 - t0 = 1 is not a whole number of steps "
+                                          "of h = 2.5 (0.4 steps)"),
         ("derive", lagrangian_payload(tol="abc"), "tol must be a finite positive number"),
         ("check", {"kind": "metric", "n": 1, "metric": {"matrix": [["0", "1"]]}},
          "metric matrix must be 2 rows of 2 entries"),
@@ -96,7 +100,8 @@ class TestMalformedProblem:
          "initial_state must be a list of 2n = 2 finite numbers"),
         ("derive", lagrangian_payload(n=True), "n must be an integer >= 1"),
         ("derive", lagrangian_payload(seed=True), "seed must be a non-negative integer"),
-    ], ids=["t1-not-after-t0", "too-many-steps", "nan-step", "tol-string",
+    ], ids=["t1-not-after-t0", "too-many-steps", "nan-step", "span-short-of-t1",
+            "span-past-t1", "tol-string",
             "matrix-1x2", "potential-number", "nan-initial-state", "boolean-n",
             "boolean-seed"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, command, payload, message):
@@ -272,6 +277,25 @@ class TestIntegrateCommand:
                      "--out", str(tmp_path)]) == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert where + "non-integer exponent 0.5 is undefined at base -" in err
+
+    @pytest.mark.parametrize("hamiltonian,scheme,h,state0,message", [
+        ("x1*y1^2", "symplectic-euler", 0.5, [1.0, -1.0],
+         "singular Newton system in step 1, from t = 0 at x1 = 1, y1 = -1"),
+        ("1e308*y1", "rk4", 0.25, [0.5, 2.0],
+         "non-finite state in step 1, from t = 0 at x1 = 0.5, y1 = 2"),
+    ], ids=["singular-newton", "overflow"])
+    def test_step_failure_names_t_and_state(self, tmp_path, capsys, hamiltonian, scheme,
+                                            h, state0, message):
+        payload = {
+            "name": "fails", "kind": "hamiltonian", "n": 1,
+            "hamiltonian": hamiltonian,
+            "initial_state": state0,
+            "integrator": {"scheme": scheme, "t0": 0.0, "t1": 1.0, "h": h},
+        }
+        path = write_problem(tmp_path, payload)
+        assert main(["integrate", "--problem", path,
+                     "--out", str(tmp_path)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_non_finite_conserved_quantity_names_step(self, tmp_path, capsys):
         payload = {

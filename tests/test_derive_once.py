@@ -1,8 +1,8 @@
 """Each system derives its gradient and Hessian once; consumers read them.
 
-Counting wrappers replace `differentiate` and `Compiled` in every package
-module that imports them, so a consumer that re-derives or recompiles
-shows up as an extra call.
+Counting wrappers replace `differentiate`, `simplify` and `Compiled` in
+every package module that imports them, so a consumer that re-derives,
+re-simplifies or recompiles shows up as an extra call.
 """
 
 import sys
@@ -12,7 +12,11 @@ import pytest
 from parakahler import expr
 from parakahler.geometry import Chart
 from parakahler.hamilton import HamiltonianSystem, hamilton_odes
-from parakahler.integrate import integrate_symplectic_euler, symplecticity_check
+from parakahler.integrate import (
+    integrate_rk4,
+    integrate_symplectic_euler,
+    symplecticity_check,
+)
 from parakahler.lagrange import (
     LagrangianSystem,
     energy_is_conserved,
@@ -30,18 +34,28 @@ def _patch_everywhere(monkeypatch, name, replacement):
             monkeypatch.setattr(module, name, replacement)
 
 
+def _record_first_arguments(monkeypatch, name):
+    calls = []
+    original = getattr(expr, name)
+
+    def recording(e, *args):
+        calls.append(e)
+        return original(e, *args)
+
+    _patch_everywhere(monkeypatch, name, recording)
+    return calls
+
+
 @pytest.fixture
 def derivations(monkeypatch):
     """The first argument of every differentiate call, in call order."""
-    calls = []
-    original = expr.differentiate
+    return _record_first_arguments(monkeypatch, "differentiate")
 
-    def counting(e, v):
-        calls.append(e)
-        return original(e, v)
 
-    _patch_everywhere(monkeypatch, "differentiate", counting)
-    return calls
+@pytest.fixture
+def simplifications(monkeypatch):
+    """The argument of every simplify call, in call order."""
+    return _record_first_arguments(monkeypatch, "simplify")
 
 
 @pytest.fixture
@@ -91,3 +105,24 @@ def test_lagrangian_hessian_derived_once(derivations):
     assert len(derivations) == dim + dim * dim + dim
     assert len([e for e in derivations if e == L.L]) == dim
     assert len([e for e in derivations if e in L.gradient]) == dim * dim
+
+
+def test_second_run_on_one_system_compiles_and_simplifies_nothing(compilations,
+                                                                  simplifications):
+    H = HamiltonianSystem.from_source(QUARTIC, Chart(2))
+    L = LagrangianSystem.from_source("x1*y1 + 2*x2*y2 + 0.1*x1^3 + 0.2*x1*x2^2", Chart(2))
+    el = euler_lagrange_system(L)
+    state0 = (0.3, -0.2, 0.1, 0.4)
+
+    def runs():
+        integrate_rk4(hamilton_odes(H), state0, 0.0, 0.1, 0.01)
+        integrate_symplectic_euler(H, state0, 0.0, 0.1, 0.01)
+        integrate_rk4(el.ode, state0, 0.0, 0.1, 0.01)
+
+    runs()
+    assert compilations[0] > 0 and simplifications
+    compilations[0] = 0
+    simplifications.clear()
+    runs()
+    assert compilations[0] == 0
+    assert simplifications == []

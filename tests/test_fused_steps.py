@@ -1,0 +1,158 @@
+"""The float-list steps of `integrate` against the numpy-array steps they replaced.
+
+`reference_rk4_step` and `reference_symplectic_euler_step` are the array
+forms the package used before its steps ran on lists of floats.  The
+list forms keep their operation order, so trajectories must be equal to
+the last bit, not merely close.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from parakahler.expr import Compiled
+from parakahler.geometry import Chart
+from parakahler.hamilton import HamiltonianSystem, hamilton_odes
+from parakahler.integrate import (
+    BACKTRACK,
+    NEWTON_MAX_ITERS,
+    NEWTON_TOL,
+    NewtonConvergenceError,
+    NonFiniteStateError,
+    integrate_rk4,
+    integrate_symplectic_euler,
+)
+from parakahler.lagrange import LagrangianSystem, euler_lagrange_system
+
+BILINEAR = "x1*y1"
+# the x1*y1^4 and x1*x2*y1*y2 terms make H_x nonlinear in y, so Newton iterates
+QUARTIC = "0.5*(y1^2 + y2^2) + 0.1*x1*y1^4 + 0.25*(x1^2 + x2^2)^2 + 0.1*x1*x2*y1*y2"
+COUPLED = "1.3*x1*y1 + 1.4*x2*y2 + 0.05*x1^2*y2 + 0.04*x2*y1"
+NUMERIC = "x1*y1 + 2*x2*y2 + 1.5*x3*y3 + 0.1*x1^2*y2 + 0.05*x3^2"
+
+
+def reference_rk4_step(f, h):
+    """One classical fourth-order Runge-Kutta step of size h for xdot = f(x)."""
+
+    def step(state, k):
+        k1 = f(state)
+        k2 = f(state + 0.5 * h * k1)
+        k3 = f(state + 0.5 * h * k2)
+        k4 = f(state + h * k3)
+        return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return step
+
+
+def reference_symplectic_euler_step(H, h):
+    """One symplectic Euler step of size h, compiled from H's derivatives."""
+    n, names = H.chart.n, H.chart.names()
+    labels = [f"dH/d{v}" for v in names]
+    hx = Compiled(H.gradient[:n], names, labels[:n])
+    hy = Compiled(H.gradient[n:], names, labels[n:])
+    hxy = Compiled((e for row in H.mixed_hessian for e in row), names,
+                   [f"d2H/d{u}d{v}" for u in names[:n] for v in names[n:]])
+
+    def step(state, k):
+        work = state.copy()
+
+        def residual(yv):
+            work[n:] = yv
+            return yv - state[n:] + h * np.array(hx(work))
+
+        ynew = state[n:]
+        r = residual(ynew)
+        for iteration in range(NEWTON_MAX_ITERS + 1):
+            if not np.all(np.isfinite(r)):
+                raise NonFiniteStateError(k)
+            norm = float(np.max(np.abs(r)))
+            if norm <= NEWTON_TOL:
+                break
+            if iteration == NEWTON_MAX_ITERS:
+                raise NewtonConvergenceError(k)
+            work[n:] = ynew
+            jac = np.eye(n) + h * np.array(hxy(work)).reshape(n, n)
+            if not np.all(np.isfinite(jac)):
+                raise NonFiniteStateError(k)
+            try:
+                delta = np.linalg.solve(jac, -r)
+            except np.linalg.LinAlgError as exc:
+                raise NewtonConvergenceError(
+                    k, f"singular Newton system at step {k}") from exc
+            for scale in BACKTRACK:   # the last, smallest scale is taken regardless
+                candidate = ynew + scale * delta
+                rc = residual(candidate)
+                if float(np.max(np.abs(rc))) < norm:
+                    break
+            ynew, r = candidate, rc
+
+        work[n:] = ynew
+        return np.concatenate([state[:n] + h * np.array(hy(work)), ynew])
+
+    return step
+
+
+def reference_run(step, state0, steps):
+    """The states of steps applications of step(state, k) from state0, as rows."""
+    rows = [np.asarray(state0, float)]
+    with np.errstate(all="ignore"):
+        for k in range(1, steps + 1):
+            rows.append(step(rows[-1], k))
+    return np.array(rows)
+
+
+def reference_rk4(system, state0, h, steps):
+    f = system.vector_function
+    return reference_run(reference_rk4_step(lambda s: np.array(f(s)), h), state0, steps)
+
+
+def hamiltonian(source, n):
+    return HamiltonianSystem.from_source(source, Chart(n))
+
+
+def lagrangian_ode(source, n):
+    return euler_lagrange_system(LagrangianSystem.from_source(source, Chart(n))).ode
+
+
+@pytest.mark.parametrize("system,state0,h,steps", [
+    (lambda: hamilton_odes(hamiltonian(BILINEAR, 1)), [1.0, -0.5], 0.01, 200),
+    (lambda: hamilton_odes(hamiltonian(QUARTIC, 2)), [0.3, -0.2, 0.5, 0.4], 0.01, 200),
+    (lambda: lagrangian_ode(COUPLED, 2), [0.1, 0.2, -0.1, 0.05], 0.01, 200),
+    (lambda: lagrangian_ode(NUMERIC, 3), [0.1, 0.2, -0.1, 0.05, 0.1, 0.2], 0.01, 50),
+], ids=["bilinear-n1", "quartic-n2", "coupled-lagrangian-n2", "numeric-semispray-n3"])
+def test_rk4_matches_array_reference(system, state0, h, steps):
+    system = system()
+    fused = integrate_rk4(system, state0, 0.0, steps * h, h).states
+    assert np.array_equal(fused, reference_rk4(system, state0, h, steps))
+
+
+@pytest.mark.parametrize("source,n,state0,h,steps,iterations", [
+    (BILINEAR, 1, [1.0, -0.5], 0.01, 200, 1),
+    (QUARTIC, 2, [0.3, -0.2, 0.5, 0.4], 0.05, 100, 2),
+], ids=["bilinear-n1", "quartic-n2"])
+def test_symplectic_euler_matches_array_reference(source, n, state0, h, steps, iterations):
+    H = hamiltonian(source, n)
+    hx, hy, hxy = H.compiled_blocks
+    jacobians = []
+
+    def counting(values):
+        jacobians.append(values)
+        return hxy(values)
+
+    vars(H)["compiled_blocks"] = (hx, hy, counting)   # one Jacobian per Newton iteration
+    fused = integrate_symplectic_euler(H, state0, 0.0, steps * h, h).states
+    assert len(jacobians) >= iterations * steps
+    expected = reference_run(reference_symplectic_euler_step(H, h), state0, steps)
+    assert np.array_equal(fused, expected)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=4, max_size=4))
+def test_steps_match_array_reference_from_any_state(state0):
+    H = hamiltonian(QUARTIC, 2)
+    h, steps = 0.02, 25
+    rk4 = integrate_rk4(hamilton_odes(H), state0, 0.0, steps * h, h).states
+    assert np.array_equal(rk4, reference_rk4(hamilton_odes(H), state0, h, steps))
+    se = integrate_symplectic_euler(H, state0, 0.0, steps * h, h).states
+    expected = reference_run(reference_symplectic_euler_step(H, h), state0, steps)
+    assert np.array_equal(se, expected)
