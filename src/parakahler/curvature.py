@@ -5,6 +5,9 @@ R^e_{abc} = d_a Gamma^e_{bc} - d_b Gamma^e_{ac} + Gamma^e_{ad} Gamma^d_{bc}
 - Gamma^e_{bd} Gamma^d_{ac}, lowered in the last slot to R_{abcd}.  The
 comparison tensor R0 is the constant-curvature model built from g and J;
 a space form is a metric whose curvature is a constant multiple of R0.
+Both are CurvatureTensors: only the entries with a < b and c < d are
+stored, each simplified once as it is built, and the two antisymmetries
+give the rest by sign.
 
 Metric inversion is symbolic (adjugate) for charts with 2n <= 4 and
 numeric per point beyond; constant metrics short-circuit to exact zeros
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
@@ -142,7 +145,7 @@ def christoffel(g: Metric) -> ChristoffelSymbols:
     if dim > linalg.MAX_SYMBOLIC_DIM:
         return ChristoffelSymbols(chart, None, g, dg)
 
-    adj, det = linalg.inverse_entries(g.entries)
+    adj, det = linalg.adjugate(g.entries), linalg.determinant(g.entries)
     symbols = []
     for a in range(dim):
         plane = [[ZERO] * dim for _ in range(dim)]
@@ -164,44 +167,21 @@ def christoffel(g: Metric) -> ChristoffelSymbols:
 
 @dataclass(frozen=True)
 class CurvatureTensor:
-    """(0,4)-tensor R_{abcd}.
+    """(0,4)-tensor R_{abcd} in canonical storage.
 
-    Canonical storage keeps only a < b, c < d keys and expands the two
-    antisymmetries by sign, so they hold exactly.  A dense variant stores
-    raw components without imposed symmetry, for synthetic inputs used to
-    exercise the violation reports.
+    canonical maps keys (a, b, c, d) with a < b and c < d to simplified,
+    nonzero entries; every other component follows from the two
+    antisymmetries by sign, so they hold exactly.
     """
 
     chart: Chart
-    canonical: Optional[dict]
-    dense: Optional[tuple]
-
-    @staticmethod
-    def from_canonical(chart: Chart, entries: Mapping) -> "CurvatureTensor":
-        cleaned = {}
-        for (a, b, c, d), value in entries.items():
-            if not (a < b and c < d):
-                raise ValueError("canonical keys require a < b and c < d")
-            value = simplify(as_expression(value))
-            if not is_zero(value):
-                cleaned[(a, b, c, d)] = value
-        return CurvatureTensor(chart, cleaned, None)
-
-    @staticmethod
-    def from_dense(chart: Chart, components) -> "CurvatureTensor":
-        dim = chart.dim
-        dense = tuple(tuple(tuple(tuple(as_expression(components[a][b][c][d])
-                                        for d in range(dim)) for c in range(dim))
-                            for b in range(dim)) for a in range(dim))
-        return CurvatureTensor(chart, None, dense)
+    canonical: dict
 
     @staticmethod
     def zero(chart: Chart) -> "CurvatureTensor":
-        return CurvatureTensor(chart, {}, None)
+        return CurvatureTensor(chart, {})
 
     def component(self, a: int, b: int, c: int, d: int) -> Expression:
-        if self.dense is not None:
-            return self.dense[a][b][c][d]
         if a == b or c == d:
             return ZERO
         sign = 1
@@ -213,35 +193,25 @@ class CurvatureTensor:
         return value if sign == 1 else simplify(-value)
 
     def is_zero(self) -> bool:
-        if self.dense is not None:
-            return all(is_zero(simplify(e)) for x in self.dense for y in x
-                       for z in y for e in z)
         return not self.canonical
 
     def scaled(self, factor: float) -> "CurvatureTensor":
-        if self.dense is not None:
-            dim = self.chart.dim
-            scaled = [[[[simplify(Const(factor) * self.dense[a][b][c][d])
-                         for d in range(dim)] for c in range(dim)]
-                       for b in range(dim)] for a in range(dim)]
-            return CurvatureTensor.from_dense(self.chart, scaled)
-        entries = {k: Const(factor) * v for k, v in self.canonical.items()}
-        return CurvatureTensor.from_canonical(self.chart, entries)
+        entries = {}
+        for key, value in self.canonical.items():
+            value = simplify(Const(factor) * value)
+            if not is_zero(value):
+                entries[key] = value
+        return CurvatureTensor(self.chart, entries)
 
     @cached_property
     def _compiled(self) -> Compiled:
-        if self.dense is not None:
-            return Compiled(e for x in self.dense for y in x for z in y for e in z)
         return Compiled(self.canonical.values())
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
         """Dense numeric component array at a point."""
         dim = self.chart.dim
-        values = self._compiled.at(point)
-        if self.dense is not None:
-            return np.array(values).reshape(dim, dim, dim, dim)
         out = np.zeros((dim, dim, dim, dim))
-        for (a, b, c, d), v in zip(self.canonical, values):
+        for (a, b, c, d), v in zip(self.canonical, self._compiled.at(point)):
             out[a, b, c, d] = v
             out[b, a, c, d] = -v
             out[a, b, d, c] = -v
@@ -295,7 +265,7 @@ def riemann(g: Metric) -> CurvatureTensor:
             value = simplify(lowered)
             if not is_zero(value):
                 entries[(a, b, c, d)] = value
-    return CurvatureTensor.from_canonical(chart, entries)
+    return CurvatureTensor(chart, entries)
 
 
 def r_zero(g: Metric, J: ProductStructure) -> CurvatureTensor:
@@ -320,7 +290,7 @@ def r_zero(g: Metric, J: ProductStructure) -> CurvatureTensor:
             value = simplify(Const(0.25) * bracket)
             if not is_zero(value):
                 entries[(a, b, c, d)] = value
-    return CurvatureTensor.from_canonical(chart, entries)
+    return CurvatureTensor(chart, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -347,19 +317,11 @@ class SymmetryReport:
         return max(self.antisymmetry_first_pair, self.antisymmetry_second_pair,
                    self.first_bianchi)
 
-    def passes(self, tol: float, include_j: bool = True) -> bool:
-        worst = self.metric_identities_max()
-        if include_j:
-            worst = max(worst, self.j_invariance)
-        return worst < tol
+    def passes(self, tol: float) -> bool:
+        return max(self.metric_identities_max(), self.j_invariance) < tol
 
     def as_dict(self) -> dict:
-        return {
-            "antisymmetry_first_pair": self.antisymmetry_first_pair,
-            "antisymmetry_second_pair": self.antisymmetry_second_pair,
-            "first_bianchi": self.first_bianchi,
-            "j_invariance": self.j_invariance,
-        }
+        return asdict(self)
 
 
 def symmetry_report(R: CurvatureTensor, J: ProductStructure, trials: int = 10,

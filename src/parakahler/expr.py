@@ -516,13 +516,14 @@ class Compiled:
     One code object per expression runs on floats with math (a call, or
     at) or on numpy columns, under the policy in docs/expression-grammar.md.
     An EvaluationError carries the failing expression's index and label,
-    and for columns the first failing row.  names orders a call's
-    arguments; by default they are the variables read.
+    and for columns the first failing row; exprs keeps the expressions,
+    in order.  names orders a call's arguments; by default they are the
+    variables read.
     """
 
     def __init__(self, exprs: Iterable[Expression], names: Sequence[str] | None = None,
                  labels: Sequence[str] | None = None):
-        exprs = tuple(exprs)
+        self.exprs = exprs = tuple(exprs)
         if names is None:
             names = sorted({v.name for e in exprs for v in free_variables(e)})
         self.names = tuple(names)

@@ -366,15 +366,14 @@ class Metric:
 
 @dataclass(frozen=True)
 class ProductStructure:
-    """(1,1)-tensor J with J squared the identity; dual flag marks J*."""
+    """(1,1)-tensor J with J squared the identity."""
 
     chart: Chart
     entries: tuple
-    dual: bool = False
 
     @staticmethod
-    def from_rows(chart: Chart, rows, dual: bool = False) -> "ProductStructure":
-        return ProductStructure(chart, _matrix_rows(chart, rows), dual)
+    def from_rows(chart: Chart, rows) -> "ProductStructure":
+        return ProductStructure(chart, _matrix_rows(chart, rows))
 
     def entry(self, a: int, b: int) -> Expression:
         return self.entries[a][b]
@@ -386,9 +385,6 @@ class ProductStructure:
     def at(self, point: Mapping[str, float]) -> np.ndarray:
         dim = self.chart.dim
         return np.array(self._compiled.at(point)).reshape(dim, dim)
-
-    def to_dual(self) -> "ProductStructure":
-        return ProductStructure(self.chart, self.entries, dual=True)
 
     def squares_to_identity(self) -> bool:
         """Exact check that the matrix square simplifies to the identity."""
@@ -424,8 +420,8 @@ def model_product_structure(chart: Chart) -> ProductStructure:
 
 
 def model_dual_structure(chart: Chart) -> ProductStructure:
-    """The action of J on coordinate differentials (same matrix, dual flag)."""
-    return model_product_structure(chart).to_dual()
+    """J*, the action of J on coordinate differentials: the same matrix as J."""
+    return model_product_structure(chart)
 
 
 def metric_apply(g: Metric, X: VectorField, Y: VectorField) -> Expression:
@@ -508,7 +504,7 @@ def compatibility_violation(g: Metric, J: ProductStructure, trials: int,
     _require_same_chart(g, J)
     rng = random.Random(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(max(1, trials)):
         point = g.chart.sample_point(rng)
         gm = g.at(point)
         jm = J.at(point)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -112,19 +112,19 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1].copy()
 
-    def evaluate(self, exprs) -> list:
-        """Values of a sequence of expressions on every row, steps + 1 each.
+    def evaluate(self, compiled: Compiled) -> list:
+        """Values of compiled expressions on every row, steps + 1 each.
 
         A row where one is not finite is reported by its step, t and state.
         """
         try:
-            values = Compiled(exprs).columns(self.columns())
+            values = compiled.columns(self.columns())
         except EvaluationError as exc:
             if exc.row is None:   # a missing coordinate, not a failing row
                 raise
             k = exc.row
             raise EvaluationError(
-                f"{to_source(exprs[exc.index])} is not finite at step {k} "
+                f"{to_source(compiled.exprs[exc.index])} is not finite at step {k} "
                 f"(t = {self.times[k]:.9g}, {_where(self.names, self.states[k])})") from exc
         return [np.broadcast_to(v, self.times.shape) for v in values]
 
@@ -296,18 +296,12 @@ class ConservationReport:
     max_relative_drift: float
 
     def as_dict(self) -> dict:
-        return {
-            "first": self.first,
-            "last": self.last,
-            "minimum": self.minimum,
-            "maximum": self.maximum,
-            "max_relative_drift": self.max_relative_drift,
-        }
+        return asdict(self)
 
 
 def conservation_report(traj: Trajectory, quantity: Expression) -> ConservationReport:
     """Evaluate a would-be first integral on every row and report drift."""
-    values = traj.evaluate((quantity,))[0]
+    values = traj.evaluate(Compiled((quantity,)))[0]
     first = float(values[0])
     drift = float(np.max(np.abs(values - first))) / max(1.0, abs(first))
     return ConservationReport(first, float(values[-1]), float(values.min()),
@@ -324,7 +318,7 @@ def canonical_matrix(chart: Chart) -> np.ndarray:
 
 
 def symplecticity_check(H, scheme: str, state0: Sequence[float], h: float,
-                        steps: int, fd_step: float = FD_STEP) -> float:
+                        steps: int) -> float:
     """Deviation of the step-composed flow from preserving the canonical form.
 
     Computes the flow Jacobian M by central finite differences and returns
@@ -347,8 +341,8 @@ def symplecticity_check(H, scheme: str, state0: Sequence[float], h: float,
     M = np.empty((dim, dim))
     for j in range(dim):
         bump = np.zeros(dim)
-        bump[j] = fd_step
-        M[:, j] = (flow(base + bump) - flow(base - bump)) / (2.0 * fd_step)
+        bump[j] = FD_STEP
+        M[:, j] = (flow(base + bump) - flow(base - bump)) / (2.0 * FD_STEP)
     omega = canonical_matrix(chart)
     return float(np.max(np.abs(M.T @ omega @ M - omega)))
 

@@ -47,7 +47,7 @@ from .geometry import (
 from .integrate import ODESystem, Trajectory
 
 REGULARITY_PROBES = 5
-REGULARITY_TOL = 1e-12
+REGULARITY_TOL = 1e-9
 
 
 class DegenerateLagrangianError(Exception):
@@ -84,6 +84,11 @@ class LagrangianSystem:
     def gradient(self) -> tuple:
         """(dL/dx_1, .., dL/dy_n), derived once per system."""
         return tuple(differentiate(self.L, v) for v in self.chart.variables())
+
+    @cached_property
+    def compiled_gradient(self) -> Compiled:
+        """The gradient compiled once: the trajectory reports read it."""
+        return Compiled(self.gradient)
 
     @cached_property
     def hessian(self) -> tuple:
@@ -169,7 +174,7 @@ def _numeric_rank(L: LagrangianSystem, seed: int = 20240502) -> int:
     rank = 0
     for _ in range(REGULARITY_PROBES):
         matrix = np.array(entries.at(L.chart.sample_point(rng))).reshape(dim, dim)
-        rank = max(rank, int(np.linalg.matrix_rank(matrix, tol=1e-9)))
+        rank = max(rank, int(np.linalg.matrix_rank(matrix, tol=REGULARITY_TOL)))
     return rank
 
 
@@ -285,8 +290,8 @@ class _FamilyReport:
 
 
 def _momenta_on_rows(L: LagrangianSystem, traj: Trajectory):
-    """Pairs (dL/dx_j, dL/dy_j) on every row of traj, compiled once as columns."""
-    values = traj.evaluate(L.gradient)
+    """Pairs (dL/dx_j, dL/dy_j) on every row of traj, from the system's compiled gradient."""
+    values = traj.evaluate(L.compiled_gradient)
     return zip(values[:L.chart.n], values[L.chart.n:])
 
 

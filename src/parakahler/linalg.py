@@ -59,11 +59,6 @@ def adjugate(m):
     return tuple(rows)
 
 
-def inverse_entries(m):
-    """Pair (adjugate, determinant); the inverse is adj/det entrywise."""
-    return adjugate(m), determinant(m)
-
-
 def cramer_solve(m, rhs):
     """Solve m @ z = rhs symbolically via Cramer's rule.
 

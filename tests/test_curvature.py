@@ -1,13 +1,13 @@
 """Connection, curvature, the comparison tensor, and space-form tests."""
 
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from parakahler.expr import Const, parse
+from parakahler.expr import Const, parse, simplify
 from parakahler.curvature import (
-    CurvatureTensor,
     DegeneratePlaneError,
     IsotropicVectorError,
     SectionalPlane,
@@ -43,6 +43,28 @@ def two_potential_metric():
 def sample_points(chart, count, seed, box=0.8):
     rng = random.Random(seed)
     return [chart.sample_point(rng, box=box) for _ in range(count)]
+
+
+@dataclass(frozen=True)
+class ConstantArray:
+    """A constant (0,4) component array with no imposed symmetry.
+
+    It has the chart and at() that the numeric reports read, so they can
+    be shown components that no CurvatureTensor can hold.
+    """
+
+    chart: Chart
+    values: np.ndarray
+
+    def at(self, point):
+        return self.values
+
+
+STORED_ENTRY_POTENTIALS = [
+    (CHART1, "x1*y1 + (x1*y1)^2"),
+    (CHART2, "x1*y1 + x2*y2 + 0.5*x1^2*y1^2 + 0.25*x2^2*y2^2"),
+    (CHART2, "x1*y1 + x2*y2 + 0.02*(x1*y1)^2 + 0.015*x1*x2*y1*y2"),
+]
 
 
 class TestChristoffel:
@@ -125,6 +147,17 @@ class TestRiemann:
     def test_potential_metric_is_curved(self):
         assert not riemann(quartic_metric()).is_zero()
 
+    @pytest.mark.parametrize("chart, source", STORED_ENTRY_POTENTIALS)
+    def test_stored_entries_are_simplified_and_nonzero(self, chart, source):
+        g = metric_from_potential(parse(source, chart), chart)
+        J = model_product_structure(chart)
+        for R in (riemann(g), r_zero(g, J)):
+            assert R.canonical
+            for (a, b, c, d), value in R.canonical.items():
+                assert a < b and c < d
+                assert simplify(value) == value
+                assert value != Const(0.0)
+
     def test_nonconstant_metric_beyond_dim_four_rejected(self):
         chart = Chart(3)
         phi = parse("x1*y1 + x2*y2 + x3*y3 + 0.1*(x1*y2)^2", chart)
@@ -145,11 +178,10 @@ class TestSymmetryReport:
     def test_constructed_antisymmetry_violation(self):
         # R_1212 = R_2112 = 1 breaks antisymmetry in the first pair by 2
         dim = CHART1.dim
-        dense = [[[[Const(0.0)] * dim for _ in range(dim)] for _ in range(dim)]
-                 for _ in range(dim)]
-        dense[0][1][0][1] = Const(1.0)
-        dense[1][0][0][1] = Const(1.0)
-        R = CurvatureTensor.from_dense(CHART1, dense)
+        dense = np.zeros((dim, dim, dim, dim))
+        dense[0, 1, 0, 1] = 1.0
+        dense[1, 0, 0, 1] = 1.0
+        R = ConstantArray(CHART1, dense)
         rep = symmetry_report(R, model_product_structure(CHART1))
         assert rep.antisymmetry_first_pair == pytest.approx(2.0)
         assert not rep.passes(1e-9)
@@ -323,13 +355,10 @@ class TestConstantCTest:
         g = model_metric(CHART1)
         J = model_product_structure(CHART1)
         R0 = r_zero(g, J)
-        dim = CHART1.dim
         point = {"x1": 0.0, "y1": 0.0}
-        base = R0.at(point)
-        dense = [[[[Const(float(base[a, b, c, d])) for d in range(dim)]
-                   for c in range(dim)] for b in range(dim)] for a in range(dim)]
-        dense[0][1][0][1] = Const(float(base[0, 1, 0, 1]) + 0.1)
-        R = CurvatureTensor.from_dense(CHART1, dense)
+        dense = R0.at(point)
+        dense[0, 1, 0, 1] += 0.1
+        R = ConstantArray(CHART1, dense)
         assert constant_c_test(R, R0) is None
 
     def test_curved_potential_metric_is_not_a_space_form(self):

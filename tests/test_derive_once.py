@@ -21,6 +21,7 @@ from parakahler.lagrange import (
     LagrangianSystem,
     energy_is_conserved,
     euler_lagrange_system,
+    exponential_law_report,
 )
 
 QUARTIC = "0.5*(y1^2 + y2^2) + 0.25*(x1^2 + x2^2)^2 + 0.1*x1*x2*y1*y2"
@@ -126,3 +127,13 @@ def test_second_run_on_one_system_compiles_and_simplifies_nothing(compilations,
     runs()
     assert compilations[0] == 0
     assert simplifications == []
+
+
+def test_second_exponential_law_report_compiles_nothing(compilations):
+    L = LagrangianSystem.from_source("x1*y1 + 2*x2*y2 + 0.1*x1^3 + 0.2*x1*x2^2", Chart(2))
+    traj = integrate_rk4(euler_lagrange_system(L).ode, (0.3, -0.2, 0.1, 0.4), 0.0, 0.1, 0.01)
+    first = exponential_law_report(L, traj)
+    assert compilations[0] > 0
+    compilations[0] = 0
+    assert exponential_law_report(L, traj) == first
+    assert compilations[0] == 0

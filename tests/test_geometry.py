@@ -14,6 +14,7 @@ from parakahler.geometry import (
     ProductStructure,
     VectorField,
     compatibility_check,
+    compatibility_violation,
     coordinate_differential,
     exterior_derivative,
     form_to_text,
@@ -135,6 +136,13 @@ class TestCompatibility:
                 for a in range(2)]
         g = Metric.from_rows(CHART1, rows)
         assert not compatibility_check(g, model_product_structure(CHART1))
+
+    @pytest.mark.parametrize("trials", [0, 20])
+    def test_every_trial_count_samples(self, trials):
+        g = Metric.from_rows(CHART1, [[Const(1.0), Const(0.0)], [Const(0.0), Const(1.0)]])
+        J = model_product_structure(CHART1)
+        assert not compatibility_check(g, J, trials=trials)
+        assert compatibility_violation(g, J, trials, seed=0) == 2.0
 
 
 class TestWedge:

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parakahler.expr import Const, Product, Var, equal_on_samples, parse, simplify, to_source
+from parakahler.expr import (
+    Const,
+    EvaluationError,
+    Product,
+    Var,
+    equal_on_samples,
+    parse,
+    simplify,
+    to_source,
+)
 from parakahler.geometry import (
     Chart,
     exterior_derivative,
@@ -279,6 +288,13 @@ class TestExponentialLaws:
                                     differentiate(L.L, Var("y", 1)))))
         rep = conservation_report(traj, product)
         assert rep.max_relative_drift < 1e-6
+
+    def test_failing_row_named(self):
+        L = system("ln(x1)*y1")
+        traj = Trajectory(0.0, 0.1, [[1.0, 1.0], [0.0, 1.0], [1.0, 1.0]], ("x1", "y1"))
+        with pytest.raises(EvaluationError) as info:
+            exponential_law_report(L, traj)
+        assert str(info.value) == "y1*1/x1 is not finite at step 1 (t = 0.1, x1 = 0, y1 = 1)"
 
 
 class TestEnergyConservation:
