@@ -4,6 +4,12 @@ Supports parsing, exact differentiation, conservative simplification,
 IEEE-double evaluation, and a seeded sampling oracle for expression
 equality.  Equality of expressions is decided numerically on random
 sample points, not by canonical forms.
+
+Nodes are frozen, slotted dataclasses that compute their hash once.
+Trees share subtrees by reference; one simplify call simplifies each
+distinct node once and prints each sort key once, through memos that
+belong to the call.  The parser reads a chain of + and - or of * as one
+flat Sum or Product, and rejects nesting deeper than MAX_NESTING.
 """
 
 from __future__ import annotations
@@ -47,8 +53,16 @@ class SamplingError(ExpressionError):
 # expression nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Expression:
+    """Base of the node classes: frozen, slotted dataclasses.
+
+    Each node computes its hash once, into the _hash slot, the first time
+    it is hashed.  The value is the dataclass's own, the hash of the tuple
+    of the node's fields, so sets of nodes keep their order.
+    """
+
+    __slots__ = ("_hash",)
+
     def __add__(self, other):
         return Sum((self, as_expression(other)))
 
@@ -83,7 +97,24 @@ class Expression:
         return to_source(self)
 
 
-@dataclass(frozen=True)
+def _hash_once(cls):
+    """Keep the dataclass hash of cls, computed once per node into _hash."""
+    fields_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            value = fields_hash(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_once
+@dataclass(frozen=True, slots=True)
 class Const(Expression):
     value: float
 
@@ -91,7 +122,8 @@ class Const(Expression):
         object.__setattr__(self, "value", float(self.value))
 
 
-@dataclass(frozen=True)
+@_hash_once
+@dataclass(frozen=True, slots=True)
 class Var(Expression):
     kind: str     # "x" or "y"
     index: int    # 1-based
@@ -107,23 +139,27 @@ class Var(Expression):
         return f"{self.kind}{self.index}"
 
 
-@dataclass(frozen=True)
+@_hash_once
+@dataclass(frozen=True, slots=True)
 class Sum(Expression):
     terms: tuple
 
 
-@dataclass(frozen=True)
+@_hash_once
+@dataclass(frozen=True, slots=True)
 class Product(Expression):
     factors: tuple
 
 
-@dataclass(frozen=True)
+@_hash_once
+@dataclass(frozen=True, slots=True)
 class Quotient(Expression):
     numerator: Expression
     denominator: Expression
 
 
-@dataclass(frozen=True)
+@_hash_once
+@dataclass(frozen=True, slots=True)
 class Power(Expression):
     base: Expression
     exponent: float
@@ -132,7 +168,8 @@ class Power(Expression):
         object.__setattr__(self, "exponent", float(self.exponent))
 
 
-@dataclass(frozen=True)
+@_hash_once
+@dataclass(frozen=True, slots=True)
 class Call(Expression):
     func: str
     arg: Expression
@@ -230,21 +267,160 @@ def simplify(e: Expression) -> Expression:
     The result is numerically equal to the input wherever the input is
     defined (dropping an annihilated factor may enlarge the domain, e.g.
     0 * ln(x1) simplifies to 0).
+
+    One call simplifies each distinct node of e once, and prints each sort
+    key that orders terms and factors once, however often the node is
+    shared by reference; the result shares equal subtrees the same way.
+    Both memos belong to the call and are dropped when it returns.
     """
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Sum):
-        return _simplify_sum(e)
-    if isinstance(e, Product):
-        return _simplify_product(e)
-    if isinstance(e, Quotient):
-        return _simplify_quotient(e)
-    if isinstance(e, Power):
-        return _simplify_power(e)
-    if isinstance(e, Call):
-        arg = simplify(e.arg)
-        return _fold(Call(e.func, arg)) if isinstance(arg, Const) else Call(e.func, arg)
-    raise TypeError(f"unknown node {type(e).__name__}")
+    return _Simplify()(e)
+
+
+class _Simplify:
+    """The scope of one simplify call: its nested calls are its methods.
+
+    done maps id(node) to (node, simplified node), and keys maps id(node)
+    to (node, source of node) for sort keys and the subtrees they print.  Each entry holds its node,
+    so no id is reused while the scope lives.  An object per call, not
+    module state, so two threads never share a scope.
+    """
+
+    def __init__(self):
+        self.done: dict[int, tuple[Expression, Expression]] = {}
+        self.keys: dict[int, tuple[Expression, str]] = {}
+
+    def __call__(self, e: Expression) -> Expression:
+        if isinstance(e, (Const, Var)):
+            return e
+        hit = self.done.get(id(e))
+        if hit is None:
+            hit = self.done[id(e)] = (e, self.node(e))
+        return hit[1]
+
+    def node(self, e: Expression) -> Expression:
+        if isinstance(e, Sum):
+            return self.sum(e)
+        if isinstance(e, Product):
+            return self.product(e)
+        if isinstance(e, Quotient):
+            return self.quotient(e)
+        if isinstance(e, Power):
+            return self.power(e)
+        if isinstance(e, Call):
+            arg = self(e.arg)
+            return _fold(Call(e.func, arg)) if isinstance(arg, Const) else Call(e.func, arg)
+        raise TypeError(f"unknown node {type(e).__name__}")
+
+    def sort_key(self, e: Expression):
+        if isinstance(e, Var):
+            return (0, e.kind, e.index, "")
+        if isinstance(e, Power) and isinstance(e.base, Var):
+            return (0, e.base.kind, e.base.index, self.source(e))
+        return (1, "", 0, self.source(e))
+
+    def source(self, e: Expression) -> str:
+        hit = self.keys.get(id(e))
+        if hit is None:
+            hit = self.keys[id(e)] = (e, _print_node(e, self.source))
+        return hit[1]
+
+    def sum(self, e: Sum) -> Expression:
+        constant = 0.0
+        collected: dict[Expression, float] = {}
+        order: list[Expression] = []
+
+        def absorb(term: Expression):
+            nonlocal constant
+            if isinstance(term, Sum):
+                for t in term.terms:
+                    absorb(t)
+                return
+            coeff, residual = _split_coefficient(term)
+            if residual is None:
+                constant += coeff
+                return
+            if residual not in collected:
+                collected[residual] = 0.0
+                order.append(residual)
+            collected[residual] += coeff
+
+        for t in e.terms:
+            absorb(self(t))
+
+        terms = [_scale(c, r) for r in sorted(order, key=self.sort_key)
+                 if (c := collected[r]) != 0.0]
+        if constant != 0.0:
+            terms.append(Const(constant))
+        if not terms:
+            return ZERO
+        if len(terms) == 1:
+            return terms[0]
+        return Sum(tuple(terms))
+
+    def product(self, e: Product) -> Expression:
+        coeff = 1.0
+        exponents: dict[Expression, float] = {}
+        order: list[Expression] = []
+
+        def absorb(factor: Expression):
+            nonlocal coeff
+            if isinstance(factor, Product):
+                for f in factor.factors:
+                    absorb(f)
+                return
+            if isinstance(factor, Const):
+                coeff *= factor.value
+                return
+            base, power = (factor.base, factor.exponent) if isinstance(factor, Power) else (factor, 1.0)
+            if base not in exponents:
+                exponents[base] = 0.0
+                order.append(base)
+            exponents[base] += power
+
+        for f in e.factors:
+            absorb(self(f))
+
+        if coeff == 0.0:
+            return ZERO
+        factors = []
+        for base in sorted(order, key=self.sort_key):
+            p = exponents[base]
+            if p == 0.0:
+                continue
+            factors.append(base if p == 1.0 else self.power(Power(base, p)))
+        if not factors:
+            return Const(coeff)
+        if coeff != 1.0:
+            factors.insert(0, Const(coeff))
+        if len(factors) == 1:
+            return factors[0]
+        return Product(tuple(factors))
+
+    def quotient(self, e: Quotient) -> Expression:
+        numerator = self(e.numerator)
+        denominator = self(e.denominator)
+        if isinstance(denominator, Const):
+            if denominator.value == 0.0:
+                return Quotient(numerator, denominator)  # left for evaluation to report
+            return self(_scale_const_div(numerator, denominator.value))
+        if is_zero(numerator):
+            return ZERO
+        if numerator == denominator:
+            return ONE
+        return Quotient(numerator, denominator)
+
+    def power(self, e: Power) -> Expression:
+        base = self(e.base)
+        p = e.exponent
+        if p == 0.0:
+            return ONE
+        if p == 1.0:
+            return base
+        if isinstance(base, Const):
+            return _fold(Power(base, p))
+        if isinstance(base, Power) and float(base.exponent).is_integer() and float(p).is_integer():
+            return Power(base.base, base.exponent * p)
+        return Power(base, p)
 
 
 def _fold(e: Expression) -> Expression:
@@ -278,120 +454,10 @@ def _scale(c: float, e: Expression | None) -> Expression:
     return Product((Const(c), e))
 
 
-def _sort_key(e: Expression):
-    if isinstance(e, Var):
-        return (0, e.kind, e.index, "")
-    if isinstance(e, Power) and isinstance(e.base, Var):
-        return (0, e.base.kind, e.base.index, to_source(e))
-    return (1, "", 0, to_source(e))
-
-
-def _simplify_sum(e: Sum) -> Expression:
-    constant = 0.0
-    collected: dict[Expression, float] = {}
-    order: list[Expression] = []
-
-    def absorb(term: Expression):
-        nonlocal constant
-        if isinstance(term, Sum):
-            for t in term.terms:
-                absorb(t)
-            return
-        coeff, residual = _split_coefficient(term)
-        if residual is None:
-            constant += coeff
-            return
-        if residual not in collected:
-            collected[residual] = 0.0
-            order.append(residual)
-        collected[residual] += coeff
-
-    for t in e.terms:
-        absorb(simplify(t))
-
-    terms = [_scale(c, r) for r in sorted(order, key=_sort_key)
-             if (c := collected[r]) != 0.0]
-    if constant != 0.0:
-        terms.append(Const(constant))
-    if not terms:
-        return ZERO
-    if len(terms) == 1:
-        return terms[0]
-    return Sum(tuple(terms))
-
-
-def _simplify_product(e: Product) -> Expression:
-    coeff = 1.0
-    exponents: dict[Expression, float] = {}
-    order: list[Expression] = []
-
-    def absorb(factor: Expression):
-        nonlocal coeff
-        if isinstance(factor, Product):
-            for f in factor.factors:
-                absorb(f)
-            return
-        if isinstance(factor, Const):
-            coeff *= factor.value
-            return
-        base, power = (factor.base, factor.exponent) if isinstance(factor, Power) else (factor, 1.0)
-        if base not in exponents:
-            exponents[base] = 0.0
-            order.append(base)
-        exponents[base] += power
-
-    for f in e.factors:
-        absorb(simplify(f))
-
-    if coeff == 0.0:
-        return ZERO
-    factors = []
-    for base in sorted(order, key=_sort_key):
-        p = exponents[base]
-        if p == 0.0:
-            continue
-        factors.append(base if p == 1.0 else _simplify_power(Power(base, p)))
-    if not factors:
-        return Const(coeff)
-    if coeff != 1.0:
-        factors.insert(0, Const(coeff))
-    if len(factors) == 1:
-        return factors[0]
-    return Product(tuple(factors))
-
-
-def _simplify_quotient(e: Quotient) -> Expression:
-    numerator = simplify(e.numerator)
-    denominator = simplify(e.denominator)
-    if isinstance(denominator, Const):
-        if denominator.value == 0.0:
-            return Quotient(numerator, denominator)  # left for evaluation to report
-        return simplify(_scale_const_div(numerator, denominator.value))
-    if is_zero(numerator):
-        return ZERO
-    if numerator == denominator:
-        return ONE
-    return Quotient(numerator, denominator)
-
-
 def _scale_const_div(numerator: Expression, d: float) -> Expression:
     if isinstance(numerator, Const):
         return Const(numerator.value / d)
     return _scale(1.0 / d, numerator)
-
-
-def _simplify_power(e: Power) -> Expression:
-    base = simplify(e.base) if not isinstance(e.base, (Const, Var)) else e.base
-    p = e.exponent
-    if p == 0.0:
-        return ONE
-    if p == 1.0:
-        return base
-    if isinstance(base, Const):
-        return _fold(Power(base, p))
-    if isinstance(base, Power) and float(base.exponent).is_integer() and float(p).is_integer():
-        return Power(base.base, base.exponent * p)
-    return Power(base, p)
 
 
 # ---------------------------------------------------------------------------
@@ -654,22 +720,23 @@ def _precedence(e: Expression) -> float:
     return _PREC_SUM
 
 
-def _print(e: Expression, parent_prec: float) -> str:
-    s = _print_node(e)
+def _print(e: Expression, parent_prec: float, text) -> str:
+    s = text(e)
     if _precedence(e) < parent_prec:
         return f"({s})"
     return s
 
 
-def _print_node(e: Expression) -> str:
+def _print_node(e: Expression, text) -> str:
+    """Source of e, given text(child), the source of each child."""
     if isinstance(e, Const):
         return _format_number(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Sum):
-        out = _print(e.terms[0], _PREC_SUM)
+        out = _print(e.terms[0], _PREC_SUM, text)
         for t in e.terms[1:]:
-            s = _print(t, _PREC_SUM + 0.5)
+            s = _print(t, _PREC_SUM + 0.5, text)
             if s.startswith("-"):
                 out += f" - {s[1:]}"
             else:
@@ -682,26 +749,31 @@ def _print_node(e: Expression) -> str:
             prefix = "-"
             factors = factors[1:]
         if len(factors) == 1:
-            return prefix + _print(factors[0], _PREC_MUL)
-        return prefix + "*".join(_print(f, _PREC_MUL) for f in factors)
+            return prefix + _print(factors[0], _PREC_MUL, text)
+        return prefix + "*".join(_print(f, _PREC_MUL, text) for f in factors)
     if isinstance(e, Quotient):
-        return f"{_print(e.numerator, _PREC_MUL)}/{_print(e.denominator, _PREC_POW)}"
+        return f"{_print(e.numerator, _PREC_MUL, text)}/{_print(e.denominator, _PREC_POW, text)}"
     if isinstance(e, Power):
         exp = _format_number(e.exponent)
-        return f"{_print(e.base, _PREC_ATOM)}^{exp}"
+        return f"{_print(e.base, _PREC_ATOM, text)}^{exp}"
     if isinstance(e, Call):
-        return f"{e.func}({_print(e.arg, _PREC_SUM)})"
+        return f"{e.func}({_print(e.arg, _PREC_SUM, text)})"
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
 def to_source(e: Expression) -> str:
     """Render an expression in the input grammar; parse(to_source(e)) == e in value."""
-    return _print_node(e)
+    return _print_node(e, to_source)
 
 
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
+
+# Parentheses, function calls, signs, ^ and / nested deeper than this are
+# a ParseError: each level costs the recursive parser, and every recursive
+# pass over the tree after it, several stack frames.
+MAX_NESTING = 150
 
 _TOKEN_NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
 _TOKEN_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -740,6 +812,13 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.pos = 0
         self.n = chart.n
+        self.depth = 0
+
+    def nest(self, offset: int):
+        """Enter one nesting level: a parenthesis, a sign, a ^ or a /."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", offset)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -763,30 +842,43 @@ class _Parser:
         return e
 
     def sum(self) -> Expression:
-        node = self.term()
+        terms = [self.term()]
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             rhs = self.term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
+            terms.append(rhs if op == "+" else -rhs)
+        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
     def term(self) -> Expression:
-        node = self.unary()
+        # each / closes the product so far: a*b/c*d is ((a*b)/c)*d
+        factors = [self.unary()]
+        depth = self.depth
         while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
+            op, _, offset = self.advance()
+            if op == "/":
+                self.nest(offset)
             rhs = self.unary()
-            node = node * rhs if op == "*" else Quotient(node, rhs)
-        return node
+            if op == "*":
+                factors.append(rhs)
+            else:
+                factors = [Quotient(_product(factors), rhs)]
+        self.depth = depth
+        return _product(factors)
 
     def unary(self) -> Expression:
-        tok = self.peek()
-        if tok[0] == "-":
-            self.advance()
-            return -self.unary()
-        if tok[0] == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
+        # a loop, not a recursion, though each sign still nests the tree
+        depth = self.depth
+        signs = []
+        while self.peek()[0] in ("-", "+"):
+            sign, _, offset = self.advance()
+            self.nest(offset)
+            signs.append(sign)
+        e = self.power()
+        self.depth = depth
+        for sign in reversed(signs):
+            if sign == "-":
+                e = -e
+        return e
 
     def power(self) -> Expression:
         base = self.atom()
@@ -802,7 +894,9 @@ class _Parser:
         while self.peek()[0] == "-":
             self.advance()
             sign = -sign
+        self.nest(caret_offset)
         folded = simplify(self.power())
+        self.depth -= 1
         if not isinstance(folded, Const):
             raise ParseError("exponent must be a numeric constant", caret_offset)
         return sign * folded.value
@@ -813,12 +907,27 @@ class _Parser:
         if kind == "number":
             return Const(float(text))
         if kind == "(":
+            self.nest(offset)
             e = self.sum()
             self.expect(")")
+            self.depth -= 1
             return e
         if kind == "ident":
             if self.peek()[0] == "(":
-                return self.call(text, offset)
+                # a call, parsed here: one stack frame less per nested call
+                if text not in _FUNCTIONS:
+                    raise ParseError(f"unknown function {text!r}", offset)
+                self.advance()
+                self.nest(offset)
+                args = [self.sum()]
+                while self.peek()[0] == ",":
+                    self.advance()
+                    args.append(self.sum())
+                self.expect(")")
+                self.depth -= 1
+                if len(args) != 1:
+                    raise ParseError(f"{text} expects 1 argument, got {len(args)}", offset)
+                return Call(text, args[0])
             m = _VAR_NAME.match(text)
             if m and int(m.group(2)) <= self.n:
                 return Var(m.group(1), int(m.group(2)))
@@ -827,18 +936,9 @@ class _Parser:
             raise ParseError(f"unknown identifier {text!r}", offset)
         raise ParseError(f"expected an expression, found {text!r}", offset)
 
-    def call(self, name: str, offset: int) -> Expression:
-        if name not in _FUNCTIONS:
-            raise ParseError(f"unknown function {name!r}", offset)
-        self.expect("(")
-        args = [self.sum()]
-        while self.peek()[0] == ",":
-            self.advance()
-            args.append(self.sum())
-        self.expect(")")
-        if len(args) != 1:
-            raise ParseError(f"{name} expects 1 argument, got {len(args)}", offset)
-        return Call(name, args[0])
+
+def _product(factors: list) -> Expression:
+    return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
 
 def parse(source: str, chart) -> Expression:

@@ -19,7 +19,7 @@ import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -299,9 +299,18 @@ class ConservationReport:
         return asdict(self)
 
 
+@lru_cache(maxsize=32)
+def _compiled_quantity(quantity: Expression) -> Compiled:
+    """One compile per quantity, shared by its reports on every trajectory.
+
+    Keyed on the expression's value; a node's hash is computed once.
+    """
+    return Compiled((quantity,))
+
+
 def conservation_report(traj: Trajectory, quantity: Expression) -> ConservationReport:
     """Evaluate a would-be first integral on every row and report drift."""
-    values = traj.evaluate(Compiled((quantity,)))[0]
+    values = traj.evaluate(_compiled_quantity(quantity))[0]
     first = float(values[0])
     drift = float(np.max(np.abs(values - first))) / max(1.0, abs(first))
     return ConservationReport(first, float(values[-1]), float(values.min()),

@@ -15,6 +15,7 @@ from parakahler.cli import (
     load_problem,
     main,
 )
+from parakahler.expr import MAX_NESTING
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
@@ -110,6 +111,39 @@ class TestMalformedProblem:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+
+
+def nested_hamiltonian(opening, depth):
+    inner = opening * depth + "x1" + ")" * depth
+    return {"name": "nested", "kind": "hamiltonian", "n": 1,
+            "hamiltonian": f"0.5*y1^2 + {inner}", "initial_state": [0.1, 0.2],
+            "integrator": {"scheme": "rk4", "t0": 0.0, "t1": 0.1, "h": 0.01}}
+
+
+class TestLargeExpressions:
+    """Long and deeply nested sources exit 0 or 2, never with a traceback."""
+
+    @pytest.mark.parametrize("command", ["derive", "integrate"])
+    def test_long_flat_sum(self, tmp_path, capsys, command):
+        terms = " + ".join(f"{k}*x1^{k % 5}*y1" for k in range(1, 3001))
+        path = write_problem(tmp_path, lagrangian_payload(lagrangian=f"0.5*y1^2 + {terms}"))
+        assert main([command, "--problem", path, "--out", str(tmp_path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["derive", "integrate"])
+    @pytest.mark.parametrize("opening", ["(", "sin("])
+    @pytest.mark.parametrize("depth", [100, MAX_NESTING])
+    def test_nesting_within_the_bound(self, tmp_path, capsys, command, opening, depth):
+        path = write_problem(tmp_path, nested_hamiltonian(opening, depth))
+        assert main([command, "--problem", path, "--out", str(tmp_path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["derive", "integrate"])
+    @pytest.mark.parametrize("opening", ["(", "sin("])
+    def test_nesting_beyond_the_bound(self, tmp_path, capsys, command, opening):
+        path = write_problem(tmp_path, nested_hamiltonian(opening, 180))
+        assert main([command, "--problem", path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"nests deeper than {MAX_NESTING} levels" in err
 
 
 class TestDeriveCommand:

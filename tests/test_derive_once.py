@@ -13,6 +13,7 @@ from parakahler import expr
 from parakahler.geometry import Chart
 from parakahler.hamilton import HamiltonianSystem, hamilton_odes
 from parakahler.integrate import (
+    conservation_report,
     integrate_rk4,
     integrate_symplectic_euler,
     symplecticity_check,
@@ -55,7 +56,11 @@ def derivations(monkeypatch):
 
 @pytest.fixture
 def simplifications(monkeypatch):
-    """The argument of every simplify call, in call order."""
+    """The argument of every top-level simplify call, in call order.
+
+    Calls nested inside one simplify call are methods of its scope, so
+    they are not recorded.
+    """
     return _record_first_arguments(monkeypatch, "simplify")
 
 
@@ -137,3 +142,17 @@ def test_second_exponential_law_report_compiles_nothing(compilations):
     compilations[0] = 0
     assert exponential_law_report(L, traj) == first
     assert compilations[0] == 0
+
+
+def test_second_conservation_report_compiles_nothing(compilations):
+    # an H no other test reports on, so the first report must compile
+    H = HamiltonianSystem.from_source("0.5*(y1^2 + y2^2) + 0.125*x1^4 + 0.375*x2^4", Chart(2))
+    state0 = (0.3, -0.2, 0.1, 0.4)
+    first = integrate_symplectic_euler(H, state0, 0.0, 0.1, 0.01)
+    second = integrate_symplectic_euler(H, (0.1, 0.2, 0.3, -0.1), 0.0, 0.1, 0.01)
+    compilations[0] = 0
+    report = conservation_report(first, H.H)
+    assert compilations[0] == 1
+    assert conservation_report(first, H.H) == report
+    conservation_report(second, H.H)
+    assert compilations[0] == 1

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from parakahler.expr import (
     Call,
     Const,
+    MAX_NESTING,
     EvaluationError,
     ParseError,
     Power,
@@ -105,6 +106,35 @@ class TestParse:
     def test_empty_source(self):
         with pytest.raises(ParseError):
             parse("   ", CHART1)
+
+    def test_chains_parse_flat(self):
+        two = Const(2.0)
+        minus = Const(-1.0)
+        assert parse("x1 + y1 - 2*x1*y1 + 2", CHART1) == Sum(
+            (X1, Y1, Product((minus, Product((two, X1, Y1)))), two))
+        # each / closes the product so far
+        assert parse("x1*y1/2*x1", CHART1) == Product((Quotient(Product((X1, Y1)), two), X1))
+        assert parse("x1/y1/2", CHART1) == Quotient(Quotient(X1, Y1), two)
+        assert parse("-x1*y1", CHART1) == Product((Product((minus, X1)), Y1))
+
+    def test_long_flat_sum_parses_and_evaluates(self):
+        source = " + ".join(f"{k}*x1^{k % 5}*y1" for k in range(1, 3001))
+        e = parse(source, CHART1)
+        assert isinstance(e, Sum) and len(e.terms) == 3000
+        assert evaluate(e, {"x1": 1.0, "y1": 1.0}) == 3000 * 3001 / 2
+        assert to_source(simplify(e)) == \
+            "901500*y1 + 899100*x1*y1 + 899700*x1^2*y1 + 900300*x1^3*y1 + 900900*x1^4*y1"
+
+    @pytest.mark.parametrize("opening,closing", [
+        ("(", ")"), ("sin(", ")"), ("-", ""), ("1^", ""), ("x1/", ""),
+    ], ids=["parentheses", "calls", "signs", "exponents", "quotients"])
+    def test_nesting_bound(self, opening, closing):
+        depth = MAX_NESTING
+        parse(opening * depth + "1" + closing * depth, CHART1)
+        depth = MAX_NESTING + 1
+        with pytest.raises(ParseError) as err:
+            parse(opening * depth + "1" + closing * depth, CHART1)
+        assert f"nests deeper than {MAX_NESTING} levels" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
