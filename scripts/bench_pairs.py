@@ -1,15 +1,15 @@
 """Alternating before/after runs of bench/run.py, written to BENCH_<name>.json.
 
     python3 scripts/bench_pairs.py --name NAME [--base REV] [--seeds 1-10]
-        [--held-out 7919 --held-out-pairs 5] [--seconds 36]
-        [--workloads symbolic,trajectory,ensemble]
+        [--held-out 7919 --held-out-pairs 4] [--seconds 36]
 
 The base side is a clean copy of the committed files of REV (default
 HEAD, the commit the working tree sits on), exported with `git archive`
 into a temporary directory; the change side is this working tree.  For
-each workload and seed one pair runs both sides with `--trace 0`, the
-base first in even pairs and the change first in odd ones, so drift of
-the host's speed falls on both sides alike.  The held-out seed, when given, gets its own pairs.
+each workload BENCHMARK.json declares and each seed, one pair runs both
+sides with `--trace 0`, the base first in even pairs and the change
+first in odd ones, so drift of the host's speed falls on both sides
+alike.  The held-out seed, when given, gets its own pairs.
 
 The record keeps every run's end-to-end metrics and fail ratio.  Per
 metric it gives each side's median and quartiles, the change in the
@@ -39,8 +39,8 @@ def parse_seeds(text: str) -> list:
     return seeds
 
 
-def export(rev: str, directory: str) -> str:
-    """The committed files of rev, unpacked under directory."""
+def export(rev: str, directory: str) -> tuple:
+    """The commit rev names, and its committed files unpacked under directory."""
     sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
                          check=True, capture_output=True, text=True).stdout.strip()
     archive = os.path.join(directory, "base.tar")
@@ -113,16 +113,15 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD", help="git revision of the base side")
     parser.add_argument("--seeds", default="1-10", help="e.g. 1-10 or 1,3,5")
     parser.add_argument("--held-out", type=int, help="a seed not used while writing the change")
-    parser.add_argument("--held-out-pairs", type=int, default=5)
+    parser.add_argument("--held-out-pairs", type=int, default=4)
     parser.add_argument("--seconds", type=float, default=36.0)
-    parser.add_argument("--workloads", default="symbolic,trajectory,ensemble")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         benchmark = json.load(handle)
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     better["fail_ratio"] = "lower"
-    workloads = args.workloads.split(",")
+    workloads = [w["name"] for w in benchmark["workloads"]]
     seeds = parse_seeds(args.seeds)
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()

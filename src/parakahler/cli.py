@@ -506,6 +506,12 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: cannot parse source expression: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except RecursionError:
+        # within MAX_NESTING a few shapes still derive trees too deep for
+        # the recursive passes over them
+        print("error: expression nests too deeply for its derivatives to be processed",
+              file=sys.stderr)
+        return EXIT_PARSE
     except lagrange_mod.DegenerateLagrangianError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -273,43 +273,47 @@ def simplify(e: Expression) -> Expression:
     shared by reference; the result shares equal subtrees the same way.
     Both memos belong to the call and are dropped when it returns.
     """
-    return _Simplify()(e)
+    return _Simplify().simplify(e)
 
 
 class _Simplify:
     """The scope of one simplify call: its nested calls are its methods.
 
     done maps id(node) to (node, simplified node), and keys maps id(node)
-    to (node, source of node) for sort keys and the subtrees they print.  Each entry holds its node,
-    so no id is reused while the scope lives.  An object per call, not
-    module state, so two threads never share a scope.
+    to (node, source of node) for sort keys and the subtrees they print.
+    Each entry holds its node, so no id is reused while the scope lives.
+    An object per call, not module state, so two threads never share a
+    scope.
     """
 
     def __init__(self):
         self.done: dict[int, tuple[Expression, Expression]] = {}
         self.keys: dict[int, tuple[Expression, str]] = {}
 
-    def __call__(self, e: Expression) -> Expression:
+    def simplify(self, e: Expression) -> Expression:
+        # a method with the dispatch inline: calling the scope through
+        # __call__, or a dispatch method, would each count once more per
+        # tree level against the recursion limit
         if isinstance(e, (Const, Var)):
             return e
         hit = self.done.get(id(e))
-        if hit is None:
-            hit = self.done[id(e)] = (e, self.node(e))
-        return hit[1]
-
-    def node(self, e: Expression) -> Expression:
+        if hit is not None:
+            return hit[1]
         if isinstance(e, Sum):
-            return self.sum(e)
-        if isinstance(e, Product):
-            return self.product(e)
-        if isinstance(e, Quotient):
-            return self.quotient(e)
-        if isinstance(e, Power):
-            return self.power(e)
-        if isinstance(e, Call):
-            arg = self(e.arg)
-            return _fold(Call(e.func, arg)) if isinstance(arg, Const) else Call(e.func, arg)
-        raise TypeError(f"unknown node {type(e).__name__}")
+            out = self.sum(e)
+        elif isinstance(e, Product):
+            out = self.product(e)
+        elif isinstance(e, Quotient):
+            out = self.quotient(e)
+        elif isinstance(e, Power):
+            out = self.power(e)
+        elif isinstance(e, Call):
+            arg = self.simplify(e.arg)
+            out = _fold(Call(e.func, arg)) if isinstance(arg, Const) else Call(e.func, arg)
+        else:
+            raise TypeError(f"unknown node {type(e).__name__}")
+        self.done[id(e)] = (e, out)
+        return out
 
     def sort_key(self, e: Expression):
         if isinstance(e, Var):
@@ -345,7 +349,7 @@ class _Simplify:
             collected[residual] += coeff
 
         for t in e.terms:
-            absorb(self(t))
+            absorb(self.simplify(t))
 
         terms = [_scale(c, r) for r in sorted(order, key=self.sort_key)
                  if (c := collected[r]) != 0.0]
@@ -378,7 +382,7 @@ class _Simplify:
             exponents[base] += power
 
         for f in e.factors:
-            absorb(self(f))
+            absorb(self.simplify(f))
 
         if coeff == 0.0:
             return ZERO
@@ -397,12 +401,12 @@ class _Simplify:
         return Product(tuple(factors))
 
     def quotient(self, e: Quotient) -> Expression:
-        numerator = self(e.numerator)
-        denominator = self(e.denominator)
+        numerator = self.simplify(e.numerator)
+        denominator = self.simplify(e.denominator)
         if isinstance(denominator, Const):
             if denominator.value == 0.0:
                 return Quotient(numerator, denominator)  # left for evaluation to report
-            return self(_scale_const_div(numerator, denominator.value))
+            return self.simplify(_scale_const_div(numerator, denominator.value))
         if is_zero(numerator):
             return ZERO
         if numerator == denominator:
@@ -410,7 +414,7 @@ class _Simplify:
         return Quotient(numerator, denominator)
 
     def power(self, e: Power) -> Expression:
-        base = self(e.base)
+        base = self.simplify(e.base)
         p = e.exponent
         if p == 0.0:
             return ONE
@@ -721,14 +725,18 @@ def _precedence(e: Expression) -> float:
 
 
 def _print(e: Expression, parent_prec: float, text) -> str:
-    s = text(e)
+    s = _print_node(e, None) if text is None else text(e)
     if _precedence(e) < parent_prec:
         return f"({s})"
     return s
 
 
 def _print_node(e: Expression, text) -> str:
-    """Source of e, given text(child), the source of each child."""
+    """Source of e, given text(child), the source of each child.
+
+    With text None each child is printed afresh, one frame fewer per
+    tree level than a text that recurses back here.
+    """
     if isinstance(e, Const):
         return _format_number(e.value)
     if isinstance(e, Var):
@@ -763,7 +771,7 @@ def _print_node(e: Expression, text) -> str:
 
 def to_source(e: Expression) -> str:
     """Render an expression in the input grammar; parse(to_source(e)) == e in value."""
-    return _print_node(e, to_source)
+    return _print_node(e, None)
 
 
 # ---------------------------------------------------------------------------

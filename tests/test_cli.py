@@ -130,11 +130,34 @@ class TestLargeExpressions:
         assert main([command, "--problem", path, "--out", str(tmp_path)]) == EXIT_OK
 
     @pytest.mark.parametrize("command", ["derive", "integrate"])
-    @pytest.mark.parametrize("opening", ["(", "sin("])
+    @pytest.mark.parametrize("opening", ["(", "sin(", "x1 - (", "x1*(y1 + "])
     @pytest.mark.parametrize("depth", [100, MAX_NESTING])
     def test_nesting_within_the_bound(self, tmp_path, capsys, command, opening, depth):
+        # "(" adds no tree level, "sin(" one, the other two two per opening
         path = write_problem(tmp_path, nested_hamiltonian(opening, depth))
         assert main([command, "--problem", path, "--out", str(tmp_path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["derive", "integrate"])
+    @pytest.mark.parametrize("opening", ["exp(x1*", "x1^2*(", "(x1 + y1)*(", "y1 - x1*(",
+                                         "x1*y1 - (1 + x1)*(", "-(", "x1/(1 + "])
+    @pytest.mark.parametrize("depth", [100, MAX_NESTING])
+    def test_nesting_never_ends_in_a_traceback(self, tmp_path, capsys, command, opening,
+                                               depth):
+        path = write_problem(tmp_path, nested_hamiltonian(opening, depth))
+        code = main([command, "--problem", path, "--out", str(tmp_path)])
+        assert code in (EXIT_OK, EXIT_PARSE)
+        if code == EXIT_PARSE:
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["derive", "integrate"])
+    def test_derivatives_too_deep_exit_2(self, tmp_path, capsys, command):
+        # three tree levels per opening, five in the derivative: the parse
+        # is within the bound, simplifying the gradient is not
+        path = write_problem(tmp_path, nested_hamiltonian("y1 - x1*(", MAX_NESTING))
+        assert main([command, "--problem", path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == "error: expression nests too deeply for its derivatives to be processed\n"
 
     @pytest.mark.parametrize("command", ["derive", "integrate"])
     @pytest.mark.parametrize("opening", ["(", "sin("])

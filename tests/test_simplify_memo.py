@@ -270,13 +270,11 @@ class CountingScope(expr._Simplify):
         self.printed = Counter()
         CountingScope.opened.append(self)
 
-    def __call__(self, e):
+    def simplify(self, e):
         self.visits[id(e)] += 1
-        return super().__call__(e)
-
-    def node(self, e):
-        self.simplified[id(e)] += 1
-        return super().node(e)
+        if not isinstance(e, (Const, Var)) and id(e) not in self.done:
+            self.simplified[id(e)] += 1
+        return super().simplify(e)
 
 
 @pytest.fixture(scope="module")
