@@ -148,12 +148,24 @@ def _named(chart: Chart, values) -> dict:
     return {name: to_source(v) for name, v in zip(chart.names(), values)}
 
 
-def _residual_max(chart: Chart, residuals, seed: int) -> float:
+def _residual_max(chart: Chart, residuals, seed: int, family: str) -> float:
+    """The largest |residual| at RESIDUAL_PROBES seeded sample points.
+
+    Residual b is labelled "<family> residual <name of coordinate b>"; a
+    failing evaluation names it and the sample point.
+    """
     rng = random.Random(seed)
-    compiled = Compiled(residuals)
+    names = chart.names()
+    compiled = Compiled(residuals, names, [f"{family} residual {name}" for name in names])
     worst = 0.0
     for _ in range(RESIDUAL_PROBES):
-        for value in compiled.at(chart.sample_point(rng)):
+        point = chart.sample_point(rng)
+        try:
+            values = compiled.at(point)
+        except EvaluationError as exc:
+            raise EvaluationError(
+                f"{exc} at sample point {integrate_mod._where(names, point.values())}") from exc
+        for value in values:
             worst = max(worst, abs(value))
     return worst
 
@@ -181,7 +193,8 @@ def _derive_lagrangian(problem: ProblemFile, seed: int) -> dict:
         n = chart.n
         report["odes"] = _named(chart, xi.components)
         report["residuals"] = _named(chart, el.residuals)
-        report["residual_max_abs"] = _residual_max(chart, el.residuals, seed)
+        report["residual_max_abs"] = _residual_max(chart, el.residuals, seed,
+                                                   "Euler-Lagrange")
         report["energy"] = to_source(e_l)
         report["energy_conserved"] = lagrange_mod.energy_is_conserved(
             system, xi, seed=seed)
@@ -221,7 +234,7 @@ def _derive_hamiltonian(problem: ProblemFile, seed: int) -> dict:
         "source": problem.hamiltonian,
         "odes": _named(chart, field.components),
         "residuals": _named(chart, residuals),
-        "residual_max_abs": _residual_max(chart, residuals, seed),
+        "residual_max_abs": _residual_max(chart, residuals, seed, "i_Z Phi - dH"),
         "energy": to_source(system.H),
         "energy_conserved": True,
         "canonical_form": form_to_text(phi),

@@ -8,8 +8,12 @@ uniform grids, so t1 - t0 must be a whole number of steps.
 
 A step works on a list of floats, calling the compiled scalar right-hand
 side directly; its arithmetic follows the array form term by term, so
-trajectories are bit-identical to it.  Compiled flows are cached per
-system (ODESystem.vector_function, HamiltonianSystem.compiled_blocks), so
+trajectories are bit-identical to it.  The symplectic Euler step solves
+its n x n Newton system on floats too, by partial-pivot elimination in
+numpy.linalg.solve's operation order (_solve), with no numpy call inside
+a step; its Newton tolerance has a floor at rounding level for large
+momenta.  Compiled flows are cached per system
+(ODESystem.vector_function, HamiltonianSystem.compiled_blocks), so
 repeated runs on one system compile nothing.
 """
 
@@ -221,11 +225,83 @@ def _max_abs(r: list) -> float:
     return max(map(abs, r)) if all(map(math.isfinite, r)) else math.inf
 
 
+def _fma(a: float, b: float, c: float) -> float:
+    """a*b + c rounded once, as a fused multiply-add rounds it.
+
+    Dekker's product splits a*b exactly into p + e (Veltkamp's split of
+    each factor), and math.fsum rounds c + p + e once.  Exact unless a*b
+    overflows or underflows; a factor of 2**997 or more gives nan.
+    """
+    p = a * b
+    t = 134217729.0 * a   # 2**27 + 1
+    ah = t - (t - a)
+    al = a - ah
+    t = 134217729.0 * b
+    bh = t - (t - b)
+    bl = b - bh
+    return math.fsum((c, p, ((ah * bh - p) + ah * bl + al * bh) + al * bl))
+
+
+def _solve(a: list, b: list) -> list:
+    """x with a x = b, for a list of n rows of n floats and b of n floats.
+
+    LU with partial pivoting, then two triangular solves, on floats, in
+    the operation order of numpy.linalg.solve on OpenBLAS: the LU is
+    left-looking, as OpenBLAS's unblocked getf2 runs it, so each column
+    first subtracts the sums of its earlier multiples; each multiplier is
+    the entry times 1/pivot; sums of products and the triangular solves'
+    updates are fused multiply-adds.  So for small n the result equals
+    numpy.linalg.solve's bit for bit.  a and b are overwritten.  An exact
+    zero pivot means a singular system and raises the step failure that
+    names it.
+    """
+    n = len(b)
+    for j in range(n):
+        if j:
+            column = [row[j] for row in a]
+            for i in range(1, n):
+                row = a[i]
+                dot = row[0] * column[0]
+                for k in range(1, i if i < j else j):
+                    dot = _fma(row[k], column[k], dot)
+                row[j] = column[i] = column[i] - dot
+        p = j
+        for i in range(j + 1, n):
+            if abs(a[i][j]) > abs(a[p][j]):
+                p = i
+        if a[p][j] == 0.0:
+            raise _StepFailure(NewtonConvergenceError, "singular Newton system")
+        if p != j:
+            a[j], a[p] = a[p], a[j]
+            b[j], b[p] = b[p], b[j]
+        inverse = 1.0 / a[j][j]
+        bj = -b[j]
+        for i in range(j + 1, n):   # the multipliers, and L y = b by columns
+            row = a[i]
+            row[j] = m = row[j] * inverse
+            b[i] = _fma(bj, m, b[i])
+    for j in range(n - 1, -1, -1):   # U x = y by columns
+        bj = b[j] = b[j] / a[j][j]
+        for i in range(j):
+            b[i] = _fma(-bj, a[i][j], b[i])
+    return b
+
+
+def _newton_floor(y: list, yv: list) -> float:
+    """The rounding level of a residual (yv - y) + h*g: 4 ulp of its largest momentum.
+
+    |h*g| is about |yv - y|, so the momenta bound every term to a factor
+    of two.  Below 2048 in magnitude this is at most 9.1e-13 < NEWTON_TOL.
+    """
+    return 4.0 * math.ulp(max(max(map(abs, y)), max(map(abs, yv))))
+
+
 def _symplectic_euler_step(H, h: float) -> Callable:
     """One symplectic Euler step of size h, from H's compiled derivative blocks."""
     n = H.chart.n
     hx, hy, hxy = H.compiled_blocks
-    eye = np.eye(n)
+    identity = [1.0 if i % (n + 1) == 0 else 0.0 for i in range(n * n)]   # flat, by rows
+    starts = range(0, n * n, n)
 
     def step(s):
         x, y = s[:n], s[n:]
@@ -239,20 +315,17 @@ def _symplectic_euler_step(H, h: float) -> Callable:
             norm = _max_abs(r)
             if norm == math.inf:
                 raise _StepFailure(NonFiniteStateError, "non-finite Newton residual")
-            if norm <= NEWTON_TOL:
+            if norm <= NEWTON_TOL or norm <= _newton_floor(y, ynew):
                 break
             if iteration == NEWTON_MAX_ITERS:
                 raise _StepFailure(NewtonConvergenceError,
                                    f"Newton iteration failed after {NEWTON_MAX_ITERS} iterations")
-            jac = eye + h * np.array(hxy(x + ynew)).reshape(n, n)
-            if not np.all(np.isfinite(jac)):
+            jac = [e + h * v for e, v in zip(identity, hxy(x + ynew))]
+            if not all(map(math.isfinite, jac)):
                 raise _StepFailure(NonFiniteStateError, "non-finite Newton Jacobian")
-            try:
-                delta = np.linalg.solve(jac, -np.array(r)).tolist()
-            except np.linalg.LinAlgError:
-                raise _StepFailure(NewtonConvergenceError, "singular Newton system") from None
+            delta = _solve([jac[i:i + n] for i in starts], r)   # the Newton step is -delta
             for scale in BACKTRACK:   # the last, smallest scale is taken regardless
-                candidate = [a + scale * d for a, d in zip(ynew, delta)]
+                candidate = [a - scale * d for a, d in zip(ynew, delta)]
                 rc = residual(candidate)
                 if _max_abs(rc) < norm:
                     break
@@ -268,11 +341,18 @@ def integrate_symplectic_euler(H, state0: Sequence[float], t0: float, t1: float,
     """Symplectic Euler for the para-Hamiltonian equations.
 
     One step solves y' = y - h * H_x(x, y') implicitly (damped Newton with
-    the analytic Jacobian I + h * H_xy, tolerance 1e-12, at most 25
-    iterations, each halving its step at most six times), then advances
-    x' = x + h * H_y(x, y').  H is a HamiltonianSystem: its derivative
-    blocks are derived and compiled once per system, so repeated runs on
-    one system differentiate and compile nothing.
+    the analytic Jacobian I + h * H_xy, at most 25 iterations, each
+    halving its step at most six times), then advances
+    x' = x + h * H_y(x, y').  The Newton system is solved on floats by
+    Gaussian elimination with partial pivoting; an exactly singular one
+    fails the step.  Newton stops when max |residual| <= max(1e-12,
+    4 ulp(m)), m the largest |y_i| or |y'_i|: the residual
+    (y' - y) + h * H_x cannot fall below the rounding of y', so at large
+    momenta the floor replaces the absolute 1e-12.  While every momentum
+    is below 2048 in magnitude the floor is at most 9.1e-13 and the
+    tolerance is 1e-12.  H is a HamiltonianSystem: its derivative blocks
+    are derived and compiled once per system, so repeated runs on one
+    system differentiate and compile nothing.
     """
     return _run(_symplectic_euler_step(H, h), state0, t0, t1, h, H.chart.names())
 

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from parakahler.cli import (
@@ -190,6 +191,15 @@ class TestDeriveCommand:
         assert "dx1/dt = y1" in out
         assert "dy1/dt = -x1" in out
 
+    def test_residual_overflow_names_residual_and_point(self, tmp_path, capsys):
+        terms = " + ".join(f"{k}*x1^{k}*y1" for k in range(1, 3001))
+        payload = {"name": "steep", "kind": "hamiltonian", "n": 1, "hamiltonian": terms}
+        path = write_problem(tmp_path, payload)
+        assert main(["derive", "--problem", path]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("error: i_Z Phi - dH residual x1: overflow")
+        assert err.endswith(" at sample point x1 = 1.37768741, y1 = 1.03181761\n")
+
     def test_json_format_has_required_keys(self, tmp_path, capsys):
         path = write_problem(tmp_path, lagrangian_payload())
         assert main(["derive", "--problem", path, "--format", "json"]) == EXIT_OK
@@ -304,6 +314,26 @@ class TestIntegrateCommand:
         assert code == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["conservation"]["max_relative_drift"] < 5e-3
+
+    @pytest.mark.parametrize("y0", [3e4, 1e5, 1e6])
+    def test_symplectic_euler_at_large_momentum(self, tmp_path, capsys, y0):
+        # H_x = x1 does not involve y1, so each step is the linear map
+        # y' = y - h*x, x' = x + h*y'.  Its matrix power agrees with the steps
+        # to 4e-15 relative; the bound is 1e-12.
+        h, steps = 0.01, 100
+        payload = {
+            "name": "fast", "kind": "hamiltonian", "n": 1,
+            "hamiltonian": "0.5*(x1^2 + y1^2)",
+            "initial_state": [1.0, y0],
+            "integrator": {"scheme": "symplectic-euler", "t0": 0.0, "t1": steps * h, "h": h},
+        }
+        path = write_problem(tmp_path, payload)
+        assert main(["integrate", "--problem", path, "--out", str(tmp_path)]) == EXIT_OK
+        rows = np.loadtxt(os.path.join(tmp_path, "fast-trajectory.csv"), delimiter=",",
+                          skiprows=1)[:, 1:]
+        linear_map = np.array([[1.0 - h * h, h], [-h, 1.0]])
+        expected = [np.linalg.matrix_power(linear_map, k) @ [1.0, y0] for k in range(steps + 1)]
+        assert np.max(np.abs(rows - expected)) <= 1e-12 * y0
 
     def test_numeric_blowup_exit_code(self, tmp_path, capsys):
         payload = {

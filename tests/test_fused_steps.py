@@ -3,7 +3,10 @@
 `reference_rk4_step` and `reference_symplectic_euler_step` are the array
 forms the package used before its steps ran on lists of floats.  The
 list forms keep their operation order, so trajectories must be equal to
-the last bit, not merely close.
+the last bit, not merely close.  The symplectic Euler step solves its
+Newton system in the operation order of numpy.linalg.solve on OpenBLAS,
+fused multiply-adds included, so these equalities hold against numpy's
+bundled OpenBLAS.
 """
 
 import numpy as np
@@ -29,6 +32,11 @@ BILINEAR = "x1*y1"
 QUARTIC = "0.5*(y1^2 + y2^2) + 0.1*x1*y1^4 + 0.25*(x1^2 + x2^2)^2 + 0.1*x1*x2*y1*y2"
 COUPLED = "1.3*x1*y1 + 1.4*x2*y2 + 0.05*x1^2*y2 + 0.04*x2*y1"
 NUMERIC = "x1*y1 + 2*x2*y2 + 1.5*x3*y3 + 0.1*x1^2*y2 + 0.05*x3^2"
+# H_x is nonlinear in y at n=1 and at n=3 (the n=3 one non-separable), so
+# Newton iterates; COUPLED's H_x is linear in y, so its one Newton update
+# per step is the solve itself and the solve must equal numpy's to the bit
+NONLINEAR_N1 = "x1*y1 + 0.2*x1^2*y1^4"
+NONSEPARABLE_N3 = "x1*y1 + x2*y2 + x3*y3 + 0.2*y1*y2*y3 + 0.1*x1*y2^2 + 0.3*x3*y1*y3"
 
 
 def reference_rk4_step(f, h):
@@ -128,8 +136,12 @@ def test_rk4_matches_array_reference(system, state0, h, steps):
 
 @pytest.mark.parametrize("source,n,state0,h,steps,iterations", [
     (BILINEAR, 1, [1.0, -0.5], 0.01, 200, 1),
+    (NONLINEAR_N1, 1, [0.5, 0.4], 0.05, 100, 2),
     (QUARTIC, 2, [0.3, -0.2, 0.5, 0.4], 0.05, 100, 2),
-], ids=["bilinear-n1", "quartic-n2"])
+    (COUPLED, 2, [0.48, 0.84, -0.94, -0.07], 0.05, 40, 1),
+    (NONSEPARABLE_N3, 3, [0.3, -0.2, 0.1, 0.5, 0.4, -0.3], 0.05, 60, 2),
+], ids=["bilinear-n1", "nonlinear-n1", "quartic-n2", "coupled-linear-n2",
+        "nonseparable-n3"])
 def test_symplectic_euler_matches_array_reference(source, n, state0, h, steps, iterations):
     H = hamiltonian(source, n)
     hx, hy, hxy = H.compiled_blocks
@@ -155,4 +167,17 @@ def test_steps_match_array_reference_from_any_state(state0):
     assert np.array_equal(rk4, reference_rk4(hamilton_odes(H), state0, h, steps))
     se = integrate_symplectic_euler(H, state0, 0.0, steps * h, h).states
     expected = reference_run(reference_symplectic_euler_step(H, h), state0, steps)
+    assert np.array_equal(se, expected)
+
+
+def test_symplectic_euler_step_calls_no_numpy_solve(monkeypatch):
+    H = hamiltonian(QUARTIC, 2)
+    expected = reference_run(reference_symplectic_euler_step(H, 0.05), [0.3, -0.2, 0.5, 0.4], 20)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy called inside a symplectic Euler step")
+
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    monkeypatch.setattr(np, "eye", forbidden)
+    se = integrate_symplectic_euler(H, [0.3, -0.2, 0.5, 0.4], 0.0, 1.0, 0.05).states
     assert np.array_equal(se, expected)
