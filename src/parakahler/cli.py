@@ -60,6 +60,16 @@ class ProblemFile:
     tol: Optional[float] = None
 
 
+def _check_seed_and_tol(seed, tol):
+    """Raise ProblemError unless seed is a non-negative integer and tol is None
+    or a finite positive number: one rule for problem files and for flags."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ProblemError("seed must be a non-negative integer")
+    if tol is not None and (not isinstance(tol, (int, float)) or isinstance(tol, bool)
+                            or not math.isfinite(tol) or tol <= 0):
+        raise ProblemError(f"tol must be a finite positive number, got {tol!r}")
+
+
 def load_problem(path: str) -> ProblemFile:
     """Load and validate a problem file; raises ProblemError on bad input."""
     try:
@@ -128,14 +138,9 @@ def load_problem(path: str) -> ProblemFile:
             raise ProblemError(f"initial_state must be a list of 2n = {2 * n} finite numbers")
         initial = tuple(float(v) for v in initial)
 
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ProblemError("seed must be a non-negative integer")
-    tol = raw.get("tol")
+    seed, tol = raw.get("seed", 0), raw.get("tol")
+    _check_seed_and_tol(seed, tol)
     if tol is not None:
-        if (not isinstance(tol, (int, float)) or isinstance(tol, bool)
-                or not math.isfinite(tol) or tol <= 0):
-            raise ProblemError(f"tol must be a finite positive number, got {tol!r}")
         tol = float(tol)
 
     return ProblemFile(name=name, kind=kind, n=n, lagrangian=source if kind == "lagrangian" else None,
@@ -504,6 +509,7 @@ def main(argv=None) -> int:
         problem = load_problem(args.problem)
         seed = args.seed if args.seed is not None else problem.seed
         tol = args.tol if args.tol is not None else problem.tol
+        _check_seed_and_tol(seed, tol)
 
         if args.command == "derive":
             code, report, lines = cmd_derive(problem, seed)

@@ -9,9 +9,10 @@ Both are CurvatureTensors: only the entries with a < b and c < d are
 stored, each simplified once as it is built, and the two antisymmetries
 give the rest by sign.
 
-Metric inversion is symbolic (adjugate) for charts with 2n <= 4 and
-numeric per point beyond; constant metrics short-circuit to exact zeros
-at any dimension.
+Christoffel symbols are evaluated per point with a numeric inverse of g
+at any dimension.  The symbolic curvature is a closed form in the first
+and second derivatives of g and its adjugate and determinant, so it
+needs 2n <= 4 unless the metric is constant, when it is exactly zero.
 """
 
 from __future__ import annotations
@@ -87,35 +88,26 @@ def _check_invertible(g: Metric):
 class ChristoffelSymbols:
     """Connection coefficients Gamma^a_{bc}, symmetric in the lower pair.
 
-    symbols[a][b][c] holds the symbolic array when available (constant
-    metrics at any dimension, otherwise 2n <= 4); the numeric evaluator
-    works at any dimension.
+    Evaluated per point at any dimension: the compiled first derivatives
+    of the metric, contracted with a numeric inverse of g.
     """
 
     chart: Chart
-    symbols: Optional[tuple]
     metric: Metric
     metric_derivatives: tuple
 
-    @property
-    def is_symbolic(self) -> bool:
-        return self.symbols is not None
-
     def is_zero(self) -> bool:
-        return self.symbols is not None and all(
-            is_zero(e) for plane in self.symbols for row in plane for e in row)
+        return all(is_zero(e) for plane in self.metric_derivatives
+                   for row in plane for e in row)
 
     @cached_property
     def _compiled(self) -> Compiled:
-        source = self.metric_derivatives if self.symbols is None else self.symbols
-        return Compiled(e for plane in source for row in plane for e in row)
+        return Compiled(e for plane in self.metric_derivatives for row in plane for e in row)
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
         """Numeric Gamma^a_{bc} array at a point."""
         dim = self.chart.dim
         values = np.array(self._compiled.at(point)).reshape(dim, dim, dim)
-        if self.symbols is not None:
-            return values
         gm = self.metric.at(point)
         det = np.linalg.det(gm)
         if abs(det) <= SINGULARITY_TOL:
@@ -128,37 +120,9 @@ class ChristoffelSymbols:
 
 
 def christoffel(g: Metric) -> ChristoffelSymbols:
-    """Levi-Civita connection coefficients of g.
-
-    Constant metrics give exact symbolic zeros at any dimension; otherwise
-    a symbolic adjugate inverse is used for 2n <= 4 and per-point numeric
-    evaluation beyond that.
-    """
-    chart = g.chart
-    dim = chart.dim
+    """Levi-Civita connection coefficients of g, evaluated per point."""
     _check_invertible(g)
-    dg = _metric_derivatives(g)
-    if all(is_zero(e) for plane in dg for row in plane for e in row):
-        zeros = tuple(tuple((ZERO,) * dim for _ in range(dim)) for _ in range(dim))
-        return ChristoffelSymbols(chart, zeros, g, dg)
-
-    if dim > linalg.MAX_SYMBOLIC_DIM:
-        return ChristoffelSymbols(chart, None, g, dg)
-
-    adj, det = linalg.adjugate(g.entries), linalg.determinant(g.entries)
-    symbols = []
-    for a in range(dim):
-        plane = [[ZERO] * dim for _ in range(dim)]
-        for b in range(dim):
-            for c in range(b, dim):
-                acc = ZERO
-                for d in range(dim):
-                    bracket = dg[b][d][c] + dg[c][b][d] - dg[d][b][c]
-                    acc = acc + adj[a][d] * bracket
-                value = simplify(Const(0.5) * acc / det)
-                plane[b][c] = plane[c][b] = value
-        symbols.append(tuple(tuple(row) for row in plane))
-    return ChristoffelSymbols(chart, tuple(symbols), g, dg)
+    return ChristoffelSymbols(g.chart, g, _metric_derivatives(g))
 
 
 # ---------------------------------------------------------------------------
@@ -225,44 +189,50 @@ class CurvatureTensor:
 
 
 def riemann(g: Metric) -> CurvatureTensor:
-    """Riemann (0,4) curvature of g in canonical storage.
+    """Riemann (0,4) curvature of g in canonical storage, in closed form.
 
-    Requires symbolic Christoffel symbols: constant metrics at any
-    dimension (zero curvature), otherwise charts with 2n <= 4.
+    With R^e_{abc} = d_a Gamma^e_{bc} - d_b Gamma^e_{ac} + Gamma^e_{ad}
+    Gamma^d_{bc} - Gamma^e_{bd} Gamma^d_{ac} lowered in the last slot,
+    R_{abcd} = (1/2)(d_a d_c g_{bd} + d_b d_d g_{ac} - d_a d_d g_{bc}
+    - d_b d_c g_{ad}) + sum_{ef} g^{ef} (G_{e,bd} G_{f,ac} - G_{e,ad} G_{f,bc}),
+    where G_{d,bc} = (1/2)(d_b g_{dc} + d_c g_{bd} - d_d g_{bc}) are the
+    lowered symbols and g^{ef} = adj(g)_{ef} / det g.  Constant metrics give
+    the zero tensor at any dimension; otherwise the chart needs 2n <= 4.
     """
     chart = g.chart
     dim = chart.dim
-    gamma = christoffel(g)
-    if gamma.is_zero():
+    _check_invertible(g)
+    dg = _metric_derivatives(g)
+    if all(is_zero(e) for plane in dg for row in plane for e in row):
         return CurvatureTensor.zero(chart)
-    if not gamma.is_symbolic:
+    if dim > linalg.MAX_SYMBOLIC_DIM:
         raise ValueError(
             "symbolic curvature needs 2n <= 4 for a non-constant metric; "
             "use ChristoffelSymbols.at for pointwise work at higher dimension")
 
-    G = gamma.symbols
+    adj, det = linalg.adjugate(g.entries), linalg.determinant(g.entries)
+    low = [[[simplify(Const(0.5) * (dg[b][d][c] + dg[c][b][d] - dg[d][b][c]))
+             for c in range(dim)] for b in range(dim)] for d in range(dim)]
     cache: dict = {}
 
-    def upper(e, a, b, c):
-        # R^e_{abc}
-        key = (e, a, b, c)
-        if key not in cache:
-            acc = differentiate(G[e][b][c], chart.variable(a)) \
-                - differentiate(G[e][a][c], chart.variable(b))
-            for d in range(dim):
-                acc = acc + G[e][a][d] * G[d][b][c] - G[e][b][d] * G[d][a][c]
-            cache[key] = simplify(acc)
-        return cache[key]
+    def second(a, c, b, d):
+        # d_a d_c g_{bd}, symmetric in (a, c) and in (b, d)
+        (a, c), (b, d) = sorted((a, c)), sorted((b, d))
+        if (a, c, b, d) not in cache:
+            cache[a, c, b, d] = differentiate(dg[a][b][d], chart.variable(c))
+        return cache[a, c, b, d]
 
     entries = {}
     for a, b in itertools.combinations(range(dim), 2):
         for c, d in itertools.combinations(range(dim), 2):
-            lowered = ZERO
-            for e in range(dim):
-                if is_zero(g.entries[e][d]):
-                    continue
-                lowered = lowered + upper(e, a, b, c) * g.entries[e][d]
-            value = simplify(lowered)
+            quadratic = ZERO
+            for e, f in itertools.product(range(dim), repeat=2):
+                if not is_zero(adj[e][f]):
+                    quadratic = quadratic + adj[e][f] * (
+                        low[e][b][d] * low[f][a][c] - low[e][a][d] * low[f][b][c])
+            value = simplify(Const(0.5) * (second(a, c, b, d) + second(b, d, a, c)
+                                           - second(a, d, b, c) - second(b, c, a, d))
+                             + quadratic / det)
             if not is_zero(value):
                 entries[(a, b, c, d)] = value
     return CurvatureTensor(chart, entries)

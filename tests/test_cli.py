@@ -280,6 +280,27 @@ class TestCheckCommand:
         compatibility = json.loads(capsys.readouterr().out)["identities"]["compatibility"]
         assert compatibility == {"violation": pytest.approx(2e-8), "pass": True, "tol": 1e-6}
 
+    def test_paper_space_form(self, capsys):
+        problem = os.path.join(PROBLEMS, "space_form.json")
+        assert main(["check", "--problem", problem]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[:-1]] == ["PASS"] * 6
+        assert lines[-1] == "space form: c = -2"
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--tol", "nan"], "tol must be a finite positive number, got nan"),
+        (["--tol", "inf"], "tol must be a finite positive number, got inf"),
+        (["--tol", "-1"], "tol must be a finite positive number, got -1.0"),
+        (["--tol", "0"], "tol must be a finite positive number, got 0.0"),
+        (["--seed", "-3"], "seed must be a non-negative integer"),
+    ], ids=["tol-nan", "tol-inf", "tol-negative", "tol-zero", "seed-negative"])
+    def test_bad_flag_exits_2_with_one_line(self, capsys, flags, message):
+        problem = os.path.join(PROBLEMS, "potential.json")
+        assert main(["check", "--problem", problem, *flags]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_check_requires_metric_kind(self, tmp_path, capsys):
         path = write_problem(tmp_path, lagrangian_payload())
         assert main(["check", "--problem", path]) == EXIT_PARSE

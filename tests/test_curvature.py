@@ -113,11 +113,27 @@ class TestChristoffel:
         phi = parse("x1*y1 + x2*y2 + x3*y3 + 0.1*(x1*y2)^2", chart)
         g = metric_from_potential(phi, chart)
         gamma = christoffel(g)
-        assert not gamma.is_symbolic
         for point in sample_points(chart, 2, seed=9):
             exact = gamma.at(point)
             approx = helpers.fd_christoffel(g, point)
             assert np.max(np.abs(exact - approx)) < 1e-5
+
+    def test_needs_no_symbolic_inverse(self, monkeypatch):
+        """Gamma and nabla J evaluate per point at every n: no adjugate, no determinant."""
+        from parakahler import linalg
+
+        def refuse(*args):
+            raise AssertionError("symbolic inverse used")
+
+        monkeypatch.setattr(linalg, "adjugate", refuse)
+        monkeypatch.setattr(linalg, "determinant", refuse)
+        phi = parse("x1*y1 + x2*y2 + 0.02*(x1*y1)^2 + 0.015*x1*x2*y1*y2", CHART2)
+        g = metric_from_potential(phi, CHART2)
+        gamma = christoffel(g)
+        for point in sample_points(CHART2, 2, seed=7):
+            approx = helpers.fd_christoffel(g, point)
+            assert np.max(np.abs(gamma.at(point) - approx)) < 1e-5
+        assert nabla_J(g, model_product_structure(CHART2)) < 1e-6
 
 
 class TestRiemann:
@@ -164,6 +180,42 @@ class TestRiemann:
         g = metric_from_potential(phi, chart)
         with pytest.raises(ValueError):
             riemann(g)
+
+
+class TestSpaceForm:
+    """The paper's space form: the potential ln(1 + sum x_i y_i) has R = -2 R0.
+
+    (Gadea & Montesinos Amilibia, Pacific J. Math. 136, 1989.)  Each
+    point's check is relative to the largest component of -2 R0 there,
+    since the curvature grows like (1 + sum x_i y_i)^-2 near the pole.
+    """
+
+    REL_TOL = 1e-12
+
+    @staticmethod
+    def space_form(chart):
+        terms = " + ".join(f"x{i}*y{i}" for i in range(1, chart.n + 1))
+        return metric_from_potential(parse(f"ln(1 + {terms})", chart), chart)
+
+    @pytest.mark.parametrize("chart", [CHART1, CHART2], ids=["n1", "n2"])
+    def test_riemann_is_minus_two_r_zero(self, chart):
+        g = self.space_form(chart)
+        R = riemann(g)
+        R0 = r_zero(g, model_product_structure(chart))
+        for point in sample_points(chart, 10, seed=41):
+            expected = -2.0 * R0.at(point)
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(R.at(point) - expected)) <= self.REL_TOL * scale
+
+    def test_matches_finite_difference_oracle_n2(self):
+        g = self.space_form(CHART2)
+        gamma = christoffel(g)
+        R = riemann(g)
+        for point in sample_points(CHART2, 3, seed=43):
+            exact = R.at(point)
+            approx = helpers.fd_riemann_lowered(g, gamma, point)
+            scale = max(1.0, float(np.max(np.abs(exact))))
+            assert np.max(np.abs(exact - approx)) <= 1e-6 * scale
 
 
 class TestSymmetryReport:
