@@ -18,6 +18,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from types import CodeType, FunctionType
 from typing import Iterable, Mapping, Sequence
 
@@ -492,27 +493,33 @@ _FUNCTIONS = ("sin", "cos", "exp", "ln", "sinh", "cosh")
 
 # Operands per line of a long sum or product, and the nesting depth that
 # starts a temporary: the Python compiler rejects deeply nested source.
+# Consecutive expressions share one code object while their distinct nodes
+# number at most _NODES: compile memory grows faster than the source, so a
+# whole curvature tensor is split into several.
 _CHAIN = 32
 _DEPTH = 32
+_NODES = 2000
 
 
 class _Source:
-    """Source of a function of the coordinates in names that returns e.
+    """Source of a function of the coordinates in names that returns exprs' values.
 
-    A node used more than once gets a temporary, keyed on its identity, so
-    a shared subtree is computed once; the rest is inline up to _DEPTH,
-    which compiles in half the memory of one line per node.  Methods, not
-    closures calling each other, whose cycle would hold the source until
-    the garbage collector runs.
+    A node used more than once, within one expression or across them, gets
+    a temporary, keyed on its identity, so a shared subtree is computed
+    once; the rest is inline up to _DEPTH, which compiles in half the
+    memory of one line per node.  Methods, not closures calling each
+    other, whose cycle would hold the source until the garbage collector
+    runs.
     """
 
-    def __init__(self, e: Expression, names: Sequence[str]):
+    def __init__(self, exprs: Sequence[Expression], names: Sequence[str]):
         self.names = names
         self.lines: list[str] = []
         self.temps: dict[int, str] = {}
         self.uses: dict[int, int] = {}
-        self.count(e)
-        self.result = self.operand(e)[0]
+        for e in exprs:
+            self.count(e)
+        self.results = [self.operand(e)[0] for e in exprs]
 
     def count(self, node: Expression):
         self.uses[id(node)] = self.uses.get(id(node), 0) + 1
@@ -558,13 +565,42 @@ class _Source:
         return name, 0
 
 
-def _code(e: Expression, names: Sequence[str]) -> CodeType:
-    """Code of a function of the coordinates in names that returns e."""
-    source = _Source(e, names)
+def _code(exprs: Sequence[Expression], names: Sequence[str]) -> CodeType:
+    """Code of a function of the coordinates in names that returns exprs' values as a list."""
+    source = _Source(exprs, names)
     body = "".join(f"    {line}\n" for line in source.lines)
-    module = compile(f"def f({', '.join(names)}):\n{body}    return {source.result}\n",
+    module = compile(f"def f({', '.join(names)}):\n{body}    return [{', '.join(source.results)}]\n",
                      "<expression>", "exec")
     return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
+def _groups(exprs: Sequence[Expression]) -> list:
+    """exprs in consecutive runs of at most _NODES distinct nodes; a larger one runs alone.
+
+    No expressions make one empty run.
+    """
+    groups: list[list] = [[]]
+    seen: set[int] = set()
+    for e in exprs:
+        fresh = _new_nodes(e, seen)
+        if groups[-1] and len(seen) + len(fresh) > _NODES:
+            groups.append([])
+            seen, fresh = set(), _new_nodes(e, set())
+        groups[-1].append(e)
+        seen |= fresh
+    return groups
+
+
+def _new_nodes(e: Expression, seen: set) -> set:
+    """Identities of the nodes of e that are not in seen."""
+    fresh: set[int] = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and id(node) not in fresh:
+            fresh.add(id(node))
+            stack.extend(_children(node))
+    return fresh
 
 
 def _reason(exc: Exception) -> str:
@@ -583,12 +619,16 @@ def _lookup(values: Mapping, names: Sequence[str]) -> list:
 class Compiled:
     """Expressions compiled once, then evaluated at many points.
 
-    One code object per expression runs on floats with math (a call, or
-    at) or on numpy columns, under the policy in docs/expression-grammar.md.
-    An EvaluationError carries the failing expression's index and label,
-    and for columns the first failing row; exprs keeps the expressions,
-    in order.  names orders a call's arguments; by default they are the
-    variables read.
+    Consecutive expressions share one code object, up to _NODES distinct
+    nodes each (_groups), which computes a subtree they share once;
+    unchecked(*values) runs them on floats with math and returns the list
+    of values, with no checks.  A call, or at, runs it under the policy in
+    docs/expression-grammar.md: an EvaluationError carries the failing
+    expression's index and label.  Each expression's own code object is
+    compiled on first use, by columns (numpy columns, naming also the
+    first failing row) and to name the expression when a call fails.
+    exprs keeps the expressions, in order.  names orders a call's
+    arguments; by default they are the variables read.
     """
 
     def __init__(self, exprs: Iterable[Expression], names: Sequence[str] | None = None,
@@ -598,12 +638,29 @@ class Compiled:
             names = sorted({v.name for e in exprs for v in free_variables(e)})
         self.names = tuple(names)
         self.labels = labels
-        # one code object per expression: a whole tensor as one source
-        # takes several times the memory to compile
-        unique = {id(e): e for e in exprs}
-        codes = {key: _code(e, self.names) for key, e in unique.items()}
-        self._scalar = [FunctionType(codes[id(e)], _SCALAR) for e in exprs]
-        self._vector = [FunctionType(codes[id(e)], _VECTOR) for e in exprs]
+        groups = _groups(exprs)
+        codes = [_code(group, self.names) for group in groups]
+        # an expression alone in its group needs no code of its own
+        self._alone = {id(g[0]): code for g, code in zip(groups, codes) if len(g) == 1}
+        functions = [FunctionType(code, _SCALAR) for code in codes]
+        if len(functions) == 1:
+            self.unchecked = functions[0]
+        else:
+            def unchecked(*values):
+                out = []
+                for f in functions:
+                    out += f(*values)
+                return out
+            self.unchecked = unchecked
+
+    @cached_property
+    def _codes(self) -> list:
+        """One code object per expression, in order."""
+        codes = self._alone
+        for e in self.exprs:
+            if id(e) not in codes:
+                codes[id(e)] = _code((e,), self.names)
+        return [codes[id(e)] for e in self.exprs]
 
     def _error(self, index: int, reason: str, row: int | None = None) -> EvaluationError:
         label = "" if self.labels is None else f"{self.labels[index]}: "
@@ -615,15 +672,23 @@ class Compiled:
         """Values at the coordinates given in the order of names."""
         if isinstance(values, np.ndarray):
             values = values.tolist()   # floats raise where numpy gives inf or nan
-        out = []
         try:
-            for f in self._scalar:
-                out.append(f(*values))
-        except (ArithmeticError, ValueError, EvaluationError) as exc:
-            raise self._error(len(out), _reason(exc)) from exc
+            out = self.unchecked(*values)
+        except (ArithmeticError, ValueError, EvaluationError):
+            out = self._each(values)
         if not all(map(math.isfinite, out)):
             index = next(i for i, v in enumerate(out) if not math.isfinite(v))
             raise self._error(index, f"non-finite value {out[index]}")
+        return out
+
+    def _each(self, values: Sequence[float]) -> list:
+        """The values one expression at a time, so a failure names the first that fails."""
+        out = []
+        try:
+            for code in self._codes:
+                out.append(FunctionType(code, _SCALAR)(*values)[0])
+        except (ArithmeticError, ValueError, EvaluationError) as exc:
+            raise self._error(len(out), _reason(exc)) from exc
         return out
 
     def at(self, point: Mapping[str, float]) -> list:
@@ -635,9 +700,9 @@ class Compiled:
         args = _lookup(columns, self.names)
         out = []
         with np.errstate(all="ignore"):
-            for index, f in enumerate(self._vector):
+            for index, code in enumerate(self._codes):
                 try:
-                    value = np.asarray(f(*args), dtype=float)
+                    value = np.asarray(FunctionType(code, _VECTOR)(*args)[0], dtype=float)
                 except (ArithmeticError, ValueError) as exc:   # fails on every row
                     raise self._error(index, _reason(exc), 0) from exc
                 bad = np.flatnonzero(~np.isfinite(value))

@@ -6,13 +6,16 @@ system on the chart and a symplectic Euler scheme for Hamiltonian systems
 symplecticity reports.  No adaptive step control: the diagnostics want
 uniform grids, so t1 - t0 must be a whole number of steps.
 
-A step works on a list of floats, calling the compiled scalar right-hand
-side directly; its arithmetic follows the array form term by term, so
-trajectories are bit-identical to it.  The symplectic Euler step solves
-its n x n Newton system on floats too, by partial-pivot elimination in
-numpy.linalg.solve's operation order (_solve), with no numpy call inside
-a step; its Newton tolerance has a floor at rounding level for large
-momenta.  Compiled flows are cached per system
+A step works on a list of floats; its arithmetic follows the array form
+term by term, so trajectories are bit-identical to it.  An RK4 step is
+one function generated per dimension (_rk4_function) that calls the
+compiled right-hand side unchecked (Compiled.unchecked) four times, and
+runs again through the checked call only when that raises or leaves a
+non-finite state, so failures read as before.  The symplectic Euler
+step solves its n x n Newton system on floats too, by partial-pivot
+elimination in numpy.linalg.solve's operation order (_solve), with no
+numpy call inside a step; its Newton tolerance has a floor at rounding
+level for large momenta.  Compiled flows are cached per system
 (ODESystem.vector_function, HamiltonianSystem.compiled_blocks), so
 repeated runs on one system compile nothing.
 """
@@ -24,6 +27,7 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
+from types import CodeType, FunctionType
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -195,21 +199,56 @@ def _origin(k: int, t0: float, h: float, names: tuple, state) -> str:
     return f"in step {k}, from t = {t0 + (k - 1) * h:.9g} at {_where(names, state)}"
 
 
-def _rk4_step(f: Callable, h: float) -> Callable:
+@lru_cache(maxsize=16)   # one per dimension
+def _rk4_function(dim: int) -> Callable:
+    """rk4(f, half, h, sixth, s0, ..., s<dim-1>): one RK4 step, generated for dim.
+
+    f maps the coordinates, as arguments, to the list of their
+    derivatives; rk4 returns the new state as a list.
+    """
+    s = [f"s{i}" for i in range(dim)]
+    lines = [f"def rk4(f, half, h, sixth, {', '.join(s)}):"]
+    args = s
+    for k, scale in (("a", "half"), ("b", "half"), ("c", "h"), ("d", None)):
+        lines.append(f"    {''.join(f'{k}{i}, ' for i in range(dim))}= f({', '.join(args)})")
+        args = [f"{x} + {scale} * {k}{i}" for i, x in enumerate(s)]
+    new = [f"{x} + sixth * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})" for i, x in enumerate(s)]
+    lines.append(f"    return [{', '.join(new)}]\n")
+    module = compile("\n".join(lines), "<rk4>", "exec")
+    return FunctionType(next(c for c in module.co_consts if isinstance(c, CodeType)), {})
+
+
+def _rk4_step(f: Callable, h: float, dim: int) -> Callable:
     """One classical fourth-order Runge-Kutta step of size h for xdot = f(x).
 
-    States are lists of floats; the arithmetic is the array form's, term
-    by term, s + (h/6)*(k1 + 2*k2 + 2*k3 + k4), so results are identical.
+    States are lists of floats, and the step is _rk4_function(dim): four
+    calls of f and the array form's arithmetic, term by term,
+    s + (h/6)*(k1 + 2*k2 + 2*k3 + k4), so results are identical.  A
+    Compiled f runs unchecked; when that raises or leaves a non-finite
+    entry, the step runs again through the checked call, which raises
+    what it raises or returns the same state.  A non-finite stage value
+    reaches the new state, so one check at the end finds it.
     """
     half, sixth = 0.5 * h, h / 6.0
+    rk4 = _rk4_function(dim)
+    if not isinstance(f, Compiled):   # an rhs_callable, from a list to a list
+        def rhs(*s):
+            return f(list(s))
+
+        return lambda s: rk4(rhs, half, h, sixth, *s)
+    fast = f.unchecked
+
+    def checked(*s):
+        return f(s)
 
     def step(s):
-        k1 = f(s)
-        k2 = f([x + half * d for x, d in zip(s, k1)])
-        k3 = f([x + half * d for x, d in zip(s, k2)])
-        k4 = f([x + h * d for x, d in zip(s, k3)])
-        return [x + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
-                for x, a, b, c, d in zip(s, k1, k2, k3, k4)]
+        try:
+            new = rk4(fast, half, h, sixth, *s)
+        except (ArithmeticError, ValueError, EvaluationError):
+            return rk4(checked, half, h, sixth, *s)
+        if all(map(math.isfinite, new)):
+            return new
+        return rk4(checked, half, h, sixth, *s)
 
     return step
 
@@ -217,7 +256,8 @@ def _rk4_step(f: Callable, h: float) -> Callable:
 def integrate_rk4(sys: ODESystem, state0: Sequence[float], t0: float, t1: float,
                   h: float) -> Trajectory:
     """Classical fourth-order Runge-Kutta with a fixed step."""
-    return _run(_rk4_step(sys.vector_function, h), state0, t0, t1, h, sys.chart.names())
+    return _run(_rk4_step(sys.vector_function, h, sys.chart.dim), state0, t0, t1, h,
+                sys.chart.names())
 
 
 def _max_abs(r: list) -> float:
@@ -418,7 +458,7 @@ def symplecticity_check(H, scheme: str, state0: Sequence[float], h: float,
         step = _symplectic_euler_step(H, h)
     elif scheme == "rk4":
         from .hamilton import hamilton_odes   # hamilton imports this module
-        step = _rk4_step(hamilton_odes(H).vector_function, h)
+        step = _rk4_step(hamilton_odes(H).vector_function, h, chart.dim)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 

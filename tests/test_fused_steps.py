@@ -3,7 +3,9 @@
 `reference_rk4_step` and `reference_symplectic_euler_step` are the array
 forms the package used before its steps ran on lists of floats.  The
 list forms keep their operation order, so trajectories must be equal to
-the last bit, not merely close.  The symplectic Euler step solves its
+the last bit, not merely close.  An RK4 step is one generated function
+per dimension, fed by the compiled right-hand side unchecked or by an
+rhs_callable.  The symplectic Euler step solves its
 Newton system in the operation order of numpy.linalg.solve on OpenBLAS,
 fused multiply-adds included, so these equalities hold against numpy's
 bundled OpenBLAS.
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parakahler import integrate
 from parakahler.expr import Compiled
 from parakahler.geometry import Chart
 from parakahler.hamilton import HamiltonianSystem, hamilton_odes
@@ -22,8 +25,10 @@ from parakahler.integrate import (
     NEWTON_TOL,
     NewtonConvergenceError,
     NonFiniteStateError,
+    canonical_matrix,
     integrate_rk4,
     integrate_symplectic_euler,
+    symplecticity_check,
 )
 from parakahler.lagrange import LagrangianSystem, euler_lagrange_system
 
@@ -122,16 +127,69 @@ def lagrangian_ode(source, n):
     return euler_lagrange_system(LagrangianSystem.from_source(source, Chart(n))).ode
 
 
-@pytest.mark.parametrize("system,state0,h,steps", [
+RK4_CASES = pytest.mark.parametrize("system,state0,h,steps", [
     (lambda: hamilton_odes(hamiltonian(BILINEAR, 1)), [1.0, -0.5], 0.01, 200),
     (lambda: hamilton_odes(hamiltonian(QUARTIC, 2)), [0.3, -0.2, 0.5, 0.4], 0.01, 200),
     (lambda: lagrangian_ode(COUPLED, 2), [0.1, 0.2, -0.1, 0.05], 0.01, 200),
     (lambda: lagrangian_ode(NUMERIC, 3), [0.1, 0.2, -0.1, 0.05, 0.1, 0.2], 0.01, 50),
 ], ids=["bilinear-n1", "quartic-n2", "coupled-lagrangian-n2", "numeric-semispray-n3"])
+
+
+@RK4_CASES
 def test_rk4_matches_array_reference(system, state0, h, steps):
     system = system()
     fused = integrate_rk4(system, state0, 0.0, steps * h, h).states
     assert np.array_equal(fused, reference_rk4(system, state0, h, steps))
+
+
+@RK4_CASES
+def test_generated_rk4_step_is_the_step_and_matches_reference(system, state0, h, steps,
+                                                              monkeypatch):
+    system = system()
+    dim = system.chart.dim
+    generated = integrate._rk4_function(dim)
+    calls = []
+
+    def recording(d):
+        calls.append(d)
+        return generated
+
+    monkeypatch.setattr(integrate, "_rk4_function", recording)
+    fused = integrate_rk4(system, state0, 0.0, steps * h, h).states
+    assert calls == [dim]   # the rhs_callable of the n=3 semispray included
+    step = reference_rk4_step(lambda s: np.array(system.vector_function(s)), h)
+    rk4 = integrate._rk4_step(system.vector_function, h, dim)
+    for k in range(1, steps + 1):
+        assert np.array_equal(rk4(fused[k - 1].tolist()), step(fused[k - 1], k))
+
+
+def reference_symplecticity(H, state0, h, steps):
+    """symplecticity_check(H, "rk4", ...) with the array-form step."""
+    odes = hamilton_odes(H)
+
+    def flow(s):
+        return reference_rk4(odes, s, h, steps)[-1]
+
+    dim = H.chart.dim
+    base = np.asarray(state0, float)
+    M = np.empty((dim, dim))
+    for j in range(dim):
+        bump = np.zeros(dim)
+        bump[j] = integrate.FD_STEP
+        M[:, j] = (flow(base + bump) - flow(base - bump)) / (2.0 * integrate.FD_STEP)
+    omega = canonical_matrix(H.chart)
+    return float(np.max(np.abs(M.T @ omega @ M - omega)))
+
+
+@pytest.mark.parametrize("source,n,state0", [
+    (BILINEAR, 1, [1.0, 1.0]),
+    (QUARTIC, 2, [0.3, -0.2, 0.5, 0.4]),
+    (NONSEPARABLE_N3, 3, [0.3, -0.2, 0.1, 0.5, 0.4, -0.3]),
+], ids=["bilinear-n1", "quartic-n2", "nonseparable-n3"])
+def test_rk4_symplecticity_check_matches_array_reference(source, n, state0):
+    H = hamiltonian(source, n)
+    assert symplecticity_check(H, "rk4", state0, 0.05, 20) == \
+        reference_symplecticity(H, state0, 0.05, 20)
 
 
 @pytest.mark.parametrize("source,n,state0,h,steps,iterations", [
