@@ -77,6 +77,11 @@ class HamiltonianSystem:
                          [f"d2H/d{u}d{v}" for u in names[:n] for v in names[n:]]))
 
     @cached_property
+    def separable(self) -> bool:
+        """Whether H_x reads no momentum, H = T(y) + V(x), so H_xy is 0: decided once."""
+        return all(v.kind == "x" for e in self.gradient[:self.chart.n] for v in free_variables(e))
+
+    @cached_property
     def odes(self) -> ODESystem:
         """The flow of Z_H, built once; hamilton_odes returns it."""
         return ODESystem(self.chart, rhs=hamiltonian_vector_field(self).components)

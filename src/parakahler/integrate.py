@@ -6,18 +6,22 @@ system on the chart and a symplectic Euler scheme for Hamiltonian systems
 symplecticity reports.  No adaptive step control: the diagnostics want
 uniform grids, so t1 - t0 must be a whole number of steps.
 
-A step works on a list of floats; its arithmetic follows the array form
-term by term, so trajectories are bit-identical to it.  An RK4 step is
-one function generated per dimension (_rk4_function) that calls the
-compiled right-hand side unchecked (Compiled.unchecked) four times, and
-runs again through the checked call only when that raises or leaves a
-non-finite state, so failures read as before.  The symplectic Euler
-step solves its n x n Newton system on floats too, by partial-pivot
-elimination in numpy.linalg.solve's operation order (_solve), with no
-numpy call inside a step; its Newton tolerance has a floor at rounding
-level for large momenta.  Compiled flows are cached per system
-(ODESystem.vector_function, HamiltonianSystem.compiled_blocks), so
-repeated runs on one system compile nothing.
+A step works on floats; its arithmetic follows the array form term by
+term, so trajectories are bit-identical to it.  Each scheme's step is one
+function generated per dimension: _rk4_function(dim), and
+_symplectic_euler_function(n, separable), whose Newton iterate and
+residual are locals.  Both call the compiled flows unchecked
+(Compiled.unchecked) and run again through the checked calls only when
+that raises or leaves a non-finite value, so failures read as before
+(_rerun_checked).  The symplectic Euler step solves its n x n Newton
+system on floats, by partial-pivot elimination in numpy.linalg.solve's
+operation order (_solve), with no numpy call inside a step; its Newton
+tolerance has a floor at rounding level for large momenta.  For a
+separable H = T(y) + V(x) (HamiltonianSystem.separable) the step
+evaluates H_x once and never H_xy: its Newton Jacobian is the identity.
+Compiled flows are cached per system (ODESystem.vector_function,
+HamiltonianSystem.compiled_blocks), so repeated runs on one system
+compile nothing, and _run appends the states to one buffer of doubles.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from array import array
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from types import CodeType, FunctionType
@@ -170,15 +175,16 @@ def _run(step: Callable, state0: Sequence[float], t0: float, t1: float, h: float
     """Apply step(state) for steps 1..steps from state0, states as lists of floats.
 
     A failed evaluation becomes a NonFiniteStateError, and every failure
-    names the step and the t and state it started from.
+    names the step and the t and state it started from.  The states are
+    appended to one flat buffer of doubles, viewed as the (steps + 1) x
+    len(names) array at the end.
     """
     steps = _step_count(t0, t1, h)
     state = np.asarray(state0, float)
     if state.shape != (len(names),):
         raise ValueError(f"initial state must have length {len(names)}")
-    out = np.empty((steps + 1, len(names)))
-    out[0] = state
     state = state.tolist()
+    out = array("d", state)
     with np.errstate(all="ignore"):
         for k in range(1, steps + 1):
             try:
@@ -191,8 +197,9 @@ def _run(step: Callable, state0: Sequence[float], t0: float, t1: float, h: float
             if not all(map(math.isfinite, new)):
                 raise NonFiniteStateError(
                     k, f"non-finite state {_origin(k, t0, h, names, state)}")
-            out[k] = state = new
-    return Trajectory(t0, h, out, names)
+            out.extend(new)
+            state = new
+    return Trajectory(t0, h, np.frombuffer(out).reshape(steps + 1, len(names)), names)
 
 
 def _origin(k: int, t0: float, h: float, names: tuple, state) -> str:
@@ -236,19 +243,25 @@ def _rk4_step(f: Callable, h: float, dim: int) -> Callable:
             return f(list(s))
 
         return lambda s: rk4(rhs, half, h, sixth, *s)
-    fast = f.unchecked
+    return _rerun_checked(rk4, (f.unchecked, half, h, sixth), (lambda *s: f(s), half, h, sixth))
 
-    def checked(*s):
-        return f(s)
 
+def _rerun_checked(kernel: Callable, fast: tuple, checked: tuple) -> Callable:
+    """step(s) = kernel(*fast, *s), run again as kernel(*checked, *s) when that fails.
+
+    fast passes unchecked evaluators and checked the calls that check
+    every value, so a kernel that raises, or leaves a non-finite entry,
+    on the fast ones runs again on the checked ones, which raise what
+    they raise or return the same state.
+    """
     def step(s):
         try:
-            new = rk4(fast, half, h, sixth, *s)
-        except (ArithmeticError, ValueError, EvaluationError):
-            return rk4(checked, half, h, sixth, *s)
+            new = kernel(*fast, *s)
+        except (ArithmeticError, ValueError, EvaluationError, _StepFailure):
+            return kernel(*checked, *s)
         if all(map(math.isfinite, new)):
             return new
-        return rk4(checked, half, h, sixth, *s)
+        return kernel(*checked, *s)
 
     return step
 
@@ -258,11 +271,6 @@ def integrate_rk4(sys: ODESystem, state0: Sequence[float], t0: float, t1: float,
     """Classical fourth-order Runge-Kutta with a fixed step."""
     return _run(_rk4_step(sys.vector_function, h, sys.chart.dim), state0, t0, t1, h,
                 sys.chart.names())
-
-
-def _max_abs(r: list) -> float:
-    """max |r_i|, or inf when an entry is not finite."""
-    return max(map(abs, r)) if all(map(math.isfinite, r)) else math.inf
 
 
 def _fma(a: float, b: float, c: float) -> float:
@@ -336,44 +344,88 @@ def _newton_floor(y: list, yv: list) -> float:
     return 4.0 * math.ulp(max(max(map(abs, y)), max(map(abs, yv))))
 
 
+@lru_cache(maxsize=16)   # one per (n, separable)
+def _symplectic_euler_function(n: int, separable: bool) -> Callable:
+    """se(hx, hy, hxy, h, x1.., y1..): one symplectic Euler step, generated for n.
+
+    hx, hy and hxy map the coordinates, as arguments, to the lists of
+    H_x, H_y and H_xy by rows; se returns the new state as a list.  The
+    Newton iterate y', its residual and update are locals, and the
+    arithmetic is the array form's, term by term: the residual
+    (y' - y) + h*H_x, the Jacobian I + h*H_xy solved by _solve, the
+    candidates y' - scale*delta, and the stop rule max |residual| <=
+    max(NEWTON_TOL, _newton_floor(y, y')), inlined.  A separable step (H_x reads
+    no momentum, so H_xy is 0) evaluates h*H_x once and never H_xy, and
+    takes as its update what _solve returns on the identity: r_i + 0.0
+    (its fused multiply-adds turn -0.0 into +0.0), and r_1 itself when
+    n = 1.  Since a checked H_x never returns a non-finite value, only
+    an unchecked run can meet one in a candidate's H_x; it raises there,
+    and the checked re-run names the failure.
+    """
+    def each(template: str, count: int = n, sep: str = ", ") -> str:
+        return sep.join(template.format(i=i) for i in range(count))
+
+    def largest(*templates: str) -> str:   # max |v| over the named floats
+        terms = [f"abs({t.format(i=i)})" for t in templates for i in range(n)]
+        return f"max({', '.join(terms)})" if len(terms) > 1 else terms[0]
+
+    def finite(template: str, count: int = n) -> str:   # v - v is 0.0 exactly when v is finite
+        return each(f"{template} - {template} == 0.0", count, " and ")
+
+    hg = "g{i}" if separable else "h * g{i}"   # h*H_x: once per step, or per evaluation
+    lines = [f"def se(hx, hy, hxy, h, {each('x{i}')}, {each('y{i}')}):",
+             f"    {each('v{i}')}, = {each('y{i}')},",
+             f"    {each('g{i}')}, = hx({each('x{i}')}, {each('v{i}')})"]
+    if separable:
+        lines += [f"    g{i} = h * g{i}" for i in range(n)]
+    lines += [f"    r{i} = (v{i} - y{i}) + {hg.format(i=i)}" for i in range(n)]
+    lines += [f"    for iteration in range({NEWTON_MAX_ITERS + 1}):",
+              f"        if not ({finite('r{i}')}):",
+              "            raise _StepFailure(NonFiniteStateError, 'non-finite Newton residual')",
+              f"        norm = {largest('r{i}')}",
+              f"        if norm <= {NEWTON_TOL!r} or "
+              f"norm <= 4.0 * math.ulp({largest('y{i}', 'v{i}')}):",
+              "            break",
+              f"        if iteration == {NEWTON_MAX_ITERS}:",
+              "            raise _StepFailure(NewtonConvergenceError, 'Newton iteration failed "
+              f"after {NEWTON_MAX_ITERS} iterations')"]
+    if separable:
+        lines += [f"        d{i} = r{i}" + (" + 0.0" if n > 1 else "") for i in range(n)]
+    else:
+        rows = ", ".join(f"[{', '.join(f'j{i + k}' for k in range(n))}]" for i in range(0, n * n, n))
+        lines += [f"        {each('j{i}', n * n)}, = hxy({each('x{i}')}, {each('v{i}')})",
+                  *(f"        j{i} = {float(i % (n + 1) == 0)} + h * j{i}" for i in range(n * n)),
+                  f"        if not ({finite('j{i}', n * n)}):",
+                  "            raise _StepFailure(NonFiniteStateError, 'non-finite Newton Jacobian')",
+                  f"        {each('d{i}')}, = _solve([{rows}], [{each('r{i}')}])"]
+    # the last, smallest scale is taken regardless
+    lines += [f"        for scale in {BACKTRACK!r}:",
+              *(f"            c{i} = v{i} - scale * d{i}" for i in range(n))]
+    if not separable:
+        lines += [f"            {each('g{i}')}, = hx({each('x{i}')}, {each('c{i}')})",
+                  f"            if not ({finite('g{i}')}):",
+                  "                raise _StepFailure(NonFiniteStateError, 'non-finite H_x')"]
+    lines += [*(f"            q{i} = (c{i} - y{i}) + {hg.format(i=i)}" for i in range(n)),
+              f"            if {finite('q{i}')} and {largest('q{i}')} < norm:",
+              "                break",
+              f"        {each('v{i}')}, {each('r{i}')}, = {each('c{i}')}, {each('q{i}')},",
+              f"    {each('a{i}')}, = hy({each('x{i}')}, {each('v{i}')})",
+              f"    return [{each('x{i} + h * a{i}')}, {each('v{i}')}]\n"]
+    module = compile("\n".join(lines), "<symplectic euler>", "exec")
+    return FunctionType(next(k for k in module.co_consts if isinstance(k, CodeType)), globals())
+
+
 def _symplectic_euler_step(H, h: float) -> Callable:
-    """One symplectic Euler step of size h, from H's compiled derivative blocks."""
-    n = H.chart.n
+    """One symplectic Euler step of size h, from H's compiled derivative blocks.
+
+    The step is _symplectic_euler_function(n, H.separable), run on the
+    blocks' unchecked calls and, as an RK4 step does, once more through
+    the checked calls when that raises or leaves a non-finite entry.
+    """
     hx, hy, hxy = H.compiled_blocks
-    identity = [1.0 if i % (n + 1) == 0 else 0.0 for i in range(n * n)]   # flat, by rows
-    starts = range(0, n * n, n)
-
-    def step(s):
-        x, y = s[:n], s[n:]
-
-        def residual(yv):
-            return [(a - b) + h * g for a, b, g in zip(yv, y, hx(x + yv))]
-
-        ynew = y
-        r = residual(ynew)
-        for iteration in range(NEWTON_MAX_ITERS + 1):
-            norm = _max_abs(r)
-            if norm == math.inf:
-                raise _StepFailure(NonFiniteStateError, "non-finite Newton residual")
-            if norm <= NEWTON_TOL or norm <= _newton_floor(y, ynew):
-                break
-            if iteration == NEWTON_MAX_ITERS:
-                raise _StepFailure(NewtonConvergenceError,
-                                   f"Newton iteration failed after {NEWTON_MAX_ITERS} iterations")
-            jac = [e + h * v for e, v in zip(identity, hxy(x + ynew))]
-            if not all(map(math.isfinite, jac)):
-                raise _StepFailure(NonFiniteStateError, "non-finite Newton Jacobian")
-            delta = _solve([jac[i:i + n] for i in starts], r)   # the Newton step is -delta
-            for scale in BACKTRACK:   # the last, smallest scale is taken regardless
-                candidate = [a - scale * d for a, d in zip(ynew, delta)]
-                rc = residual(candidate)
-                if _max_abs(rc) < norm:
-                    break
-            ynew, r = candidate, rc
-
-        return [a + h * g for a, g in zip(x, hy(x + ynew))] + ynew
-
-    return step
+    return _rerun_checked(_symplectic_euler_function(H.chart.n, H.separable),
+                          (hx.unchecked, hy.unchecked, hxy.unchecked, h),
+                          (lambda *s: hx(s), lambda *s: hy(s), lambda *s: hxy(s), h))
 
 
 def integrate_symplectic_euler(H, state0: Sequence[float], t0: float, t1: float,
@@ -392,7 +444,10 @@ def integrate_symplectic_euler(H, state0: Sequence[float], t0: float, t1: float,
     is below 2048 in magnitude the floor is at most 9.1e-13 and the
     tolerance is 1e-12.  H is a HamiltonianSystem: its derivative blocks
     are derived and compiled once per system, so repeated runs on one
-    system differentiate and compile nothing.
+    system differentiate and compile nothing.  When H is separable, H_x
+    reads no momentum and H_xy is 0: each step evaluates H_x once and
+    H_y once, and takes the solve of the identity Jacobian as its
+    Newton update, which is exactly the update the general loop takes.
     """
     return _run(_symplectic_euler_step(H, h), state0, t0, t1, h, H.chart.names())
 

@@ -8,8 +8,13 @@ per dimension, fed by the compiled right-hand side unchecked or by an
 rhs_callable.  The symplectic Euler step solves its
 Newton system in the operation order of numpy.linalg.solve on OpenBLAS,
 fused multiply-adds included, so these equalities hold against numpy's
-bundled OpenBLAS.
+bundled OpenBLAS.  On a separable H it evaluates H_x once per step and
+skips H_xy, and must still give the general Newton loop's trajectory bit
+for bit, signs of zero included.
 """
+
+import itertools
+import random
 
 import numpy as np
 import pytest
@@ -209,6 +214,7 @@ def test_symplectic_euler_matches_array_reference(source, n, state0, h, steps, i
         jacobians.append(values)
         return hxy(values)
 
+    counting.unchecked = lambda *values: counting(values)   # the step's fast call
     vars(H)["compiled_blocks"] = (hx, hy, counting)   # one Jacobian per Newton iteration
     fused = integrate_symplectic_euler(H, state0, 0.0, steps * h, h).states
     assert len(jacobians) >= iterations * steps
@@ -239,3 +245,114 @@ def test_symplectic_euler_step_calls_no_numpy_solve(monkeypatch):
     monkeypatch.setattr(np, "eye", forbidden)
     se = integrate_symplectic_euler(H, [0.3, -0.2, 0.5, 0.4], 0.0, 1.0, 0.05).states
     assert np.array_equal(se, expected)
+
+
+# ---------------------------------------------------------------------------
+# separable H = T(y) + V(x): H_x reads no momentum, so the step evaluates
+# h*H_x once and takes _solve's answer on the identity Jacobian as its update
+# ---------------------------------------------------------------------------
+
+# the shape of the benchmark's quartic, and two more separable systems
+BENCH_QUARTIC = ("0.5*(y1^2 + y2^2) + 0.5*(1.43*x1^2 + 0.71*x2^2) + 0.11*(x1^4 + x2^4)"
+                 " + 0.05*x1^2*x2^2")
+OSCILLATOR = "0.5*(x1^2 + y1^2)"
+SEPARABLE_N3 = "0.5*(y1^2 + y2^2 + y3^2) + 0.1*y1^4 + 0.5*(x1^2 + x2^2 + x3^2) + 0.2*x1*x2*x3"
+
+
+def general_symplectic_euler(source, n, state0, h, steps):
+    """The trajectory of the Newton loop that evaluates H_x per iterate and H_xy, on any H."""
+    H = hamiltonian(source, n)
+    vars(H)["separable"] = False
+    return integrate_symplectic_euler(H, state0, 0.0, steps * h, h).states
+
+
+@pytest.mark.parametrize("source,n,state0,h,steps", [
+    (BENCH_QUARTIC, 2, [0.31, -0.22, 0.4, 0.13], 5e-4, 400),
+    (BENCH_QUARTIC, 2, [0.3, -0.2, 0.5, 0.4], 0.05, 100),
+    (OSCILLATOR, 1, [1.0, -0.5], 0.01, 200),
+    (SEPARABLE_N3, 3, [0.3, -0.2, 0.1, 0.5, 0.4, -0.3], 0.05, 60),
+    (BENCH_QUARTIC, 2, [0.3, -0.2, -0.0, -0.0], 0.05, 40),
+    (OSCILLATOR, 1, [0.0, -0.0], 0.01, 10),
+    # |h*H_x| <= 1e-12 and y = 0: each step keeps y, signs of zero included
+    (BENCH_QUARTIC, 2, [1e-11, -1e-11, 0.0, -0.0], 0.05, 10),
+    # momenta of 2048 and more, where the floor of 4 ulp decides
+    (OSCILLATOR, 1, [1.0, 3e4], 0.01, 50),
+    (BENCH_QUARTIC, 2, [0.5, -0.5, 2048.0, -5000.0], 1e-3, 50),
+    (SEPARABLE_N3, 3, [0.1, 0.2, -0.3, 2048.0, -1e5, 4096.5], 1e-4, 20),
+], ids=["bench-quartic-n2", "bench-quartic-n2-h0.05", "oscillator-n1", "separable-n3",
+        "negative-zero-momenta", "oscillator-at-rest", "equilibrium-keeps-y",
+        "oscillator-large-momentum", "quartic-large-momentum", "separable-n3-large-momentum"])
+def test_separable_symplectic_euler_matches_references(source, n, state0, h, steps):
+    H = hamiltonian(source, n)
+    assert H.separable
+    fused = integrate_symplectic_euler(H, state0, 0.0, steps * h, h).states
+    # bit for bit, signs of zero included, the general Newton loop's trajectory
+    assert fused.tobytes() == general_symplectic_euler(source, n, state0, h, steps).tobytes()
+    if max(map(abs, state0[n:])) < 2048.0:   # the array form has no floor
+        expected = reference_run(reference_symplectic_euler_step(H, h), state0, steps)
+        assert np.array_equal(fused, expected)
+
+
+def test_equilibrium_step_keeps_the_state():
+    state0 = [1e-11, -1e-11, 0.0, -0.0]
+    H = hamiltonian(BENCH_QUARTIC, 2)
+    states = integrate_symplectic_euler(H, state0, 0.0, 0.5, 0.05).states
+    assert all(row.tobytes() == np.array(state0).tobytes() for row in states)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=4, max_size=4))
+def test_separable_steps_match_references_from_any_state(state0):
+    H = hamiltonian(BENCH_QUARTIC, 2)
+    h, steps = 0.02, 25
+    se = integrate_symplectic_euler(H, state0, 0.0, steps * h, h).states
+    assert se.tobytes() == general_symplectic_euler(BENCH_QUARTIC, 2, state0, h, steps).tobytes()
+    expected = reference_run(reference_symplectic_euler_step(H, h), state0, steps)
+    assert np.array_equal(se, expected)
+
+
+class Counted:
+    """A compiled block whose calls, checked or unchecked, are counted by name."""
+
+    def __init__(self, block, name, calls):
+        self.block, self.name, self.calls = block, name, calls
+
+    def __call__(self, values):
+        self.calls[self.name] += 1
+        return self.block(values)
+
+    def unchecked(self, *values):
+        self.calls[self.name] += 1
+        return self.block.unchecked(*values)
+
+
+@pytest.mark.parametrize("source,n,state0", [
+    (BENCH_QUARTIC, 2, [0.31, -0.22, 0.4, 0.13]),
+    (OSCILLATOR, 1, [1.0, -0.5]),
+], ids=["bench-quartic-n2", "oscillator-n1"])
+def test_separable_step_evaluates_the_force_once(source, n, state0):
+    H = hamiltonian(source, n)
+    expected = integrate_symplectic_euler(H, state0, 0.0, 1.0, 0.01).states
+    calls = dict.fromkeys(["H_x", "H_y", "H_xy"], 0)
+    vars(H)["compiled_blocks"] = tuple(
+        Counted(block, name, calls) for block, name in zip(H.compiled_blocks, calls))
+    assert np.array_equal(integrate_symplectic_euler(H, state0, 0.0, 1.0, 0.01).states, expected)
+    assert calls == {"H_x": 100, "H_y": 100, "H_xy": 0}
+
+
+SIGNED = [0.0, -0.0, 5e-324, -5e-324, 1.5, -2.25, 1e300, -1e300]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_solve_on_the_identity_is_the_separable_update(n):
+    # the separable step's update: r itself at n = 1; r_i + 0.0 at n >= 2,
+    # where _solve's fused multiply-adds turn -0.0 into +0.0
+    if n <= 4:
+        vectors = itertools.product(SIGNED, repeat=n)
+    else:
+        rng = random.Random(5)
+        vectors = [[rng.choice(SIGNED) for _ in range(n)] for _ in range(2000)]
+    for r in vectors:
+        identity = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+        update = list(r) if n == 1 else [v + 0.0 for v in r]
+        assert [v.hex() for v in integrate._solve(identity, list(r))] == [v.hex() for v in update]

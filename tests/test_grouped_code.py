@@ -4,9 +4,10 @@ A `Compiled` runs consecutive expressions through one generated function
 (`Compiled.unchecked`), which computes a subtree they share once.  Its
 values must equal each expression compiled on its own, bit for bit, and
 a failure must still name the expression that fails first in order, with
-its index, label and reason.  The RK4 step runs the unchecked function
-and re-runs through the checked call when that fails; the messages
-below were recorded from the per-expression evaluator this replaced.
+its index, label and reason.  The RK4 and symplectic Euler steps run the
+unchecked function and re-run through the checked calls when that fails;
+the messages below were recorded from the per-expression evaluator and
+the symplectic Euler closure these replaced.
 """
 
 import math
@@ -30,7 +31,13 @@ from parakahler.expr import (
 )
 from parakahler.geometry import Chart
 from parakahler.hamilton import HamiltonianSystem, hamilton_odes
-from parakahler.integrate import NonFiniteStateError, ODESystem, integrate_rk4
+from parakahler.integrate import (
+    NewtonConvergenceError,
+    NonFiniteStateError,
+    ODESystem,
+    integrate_rk4,
+    integrate_symplectic_euler,
+)
 
 from test_simplify_memo import shared_trees
 
@@ -140,6 +147,77 @@ def test_rk4_failure_reported_as_before(case):
         (NonFiniteStateError, 1, message)
     if info.value.__cause__ is not None:   # the failing right-hand side keeps its index
         assert info.value.__cause__.index == (1 if "dy1/dt" in message else 0)
+
+
+# symplectic Euler failures: the generated step runs unchecked and re-runs
+# checked; type, step and message were recorded from the closure it replaced
+SE_FAILURES = {
+    # H_x = ln(x1) + 1 fails once x1 < 0, on the separable and the general step
+    "hx-fails-separable": ("0.5*y1^2 + x1*ln(x1)", [0.055, -1.0], 0.01, NonFiniteStateError, 7,
+                           "evaluation failed in step 7, from t = 0.06 at x1 = -9.23445465e-05, "
+                           "y1 = -0.841698719: dH/dx1: ln of non-positive value "
+                           "-9.23445465330578e-05"),
+    "hx-fails-general": ("0.5*y1^2 + x1*ln(x1) + 0.01*x1*y1^2", [0.055, -1.0], 0.01,
+                         NonFiniteStateError, 7,
+                         "evaluation failed in step 7, from t = 0.06 at x1 = -0.000144519355, "
+                         "y1 = -0.842105762: dH/dx1: ln of non-positive value "
+                         "-0.00014451935514118996"),
+    "hx-fails-n2-separable": ("0.5*(y1^2 + y2^2) + x1*ln(x1) + x2^2", [0.055, 0.3, -1.0, 0.2],
+                              0.01, NonFiniteStateError, 7,
+                              "evaluation failed in step 7, from t = 0.06 at "
+                              "x1 = -9.23445465e-05, x2 = 0.310726844, y1 = -0.841698719, "
+                              "y2 = 0.163442267: dH/dx1: ln of non-positive value "
+                              "-9.23445465330578e-05"),
+    # H_y = 2e300*y1 overflows to inf, without raising, in step 2
+    "hy-non-finite-separable": ("0.5*x1^2 + 1e300*y1^2", [1.0, 1e-10], 0.01,
+                                NonFiniteStateError, 2,
+                                "evaluation failed in step 2, from t = 0.01 at "
+                                "x1 = -1.99999998e+296, y1 = -0.0099999999: "
+                                "dH/dy1: non-finite value inf"),
+    "hy-non-finite-general": ("0.5*x1^2 + 1e300*y1^2 + 0.001*x1*sin(y1)", [1.0, 1e-10], 0.01,
+                              NonFiniteStateError, 2,
+                              "evaluation failed in step 2, from t = 0.01 at "
+                              "x1 = -1.99997998e+296, y1 = -0.0099998999: "
+                              "dH/dy1: non-finite value inf"),
+    "hy-non-finite-n2-separable": ("0.5*(x1^2 + x2^2) + 1e300*y1^2 + y2^2",
+                                   [1.0, 0.5, 1e-10, 0.1], 0.01, NonFiniteStateError, 2,
+                                   "evaluation failed in step 2, from t = 0.01 at "
+                                   "x1 = -1.99999998e+296, x2 = 0.5019, y1 = -0.0099999999, "
+                                   "y2 = 0.095: dH/dy1: non-finite value inf"),
+    # the first Newton candidate, y1 = 709.4, overflows H_x to inf without
+    # raising; a smaller backtracking scale would give a finite residual
+    "hx-non-finite-in-backtracking": ("x1*(-10*y1 + 0.0025947*y1*exp(y1))", [0.3, 1.0], 0.1,
+                                      NonFiniteStateError, 1,
+                                      "evaluation failed in step 1, from t = 0 at x1 = 0.3, "
+                                      "y1 = 1: dH/dx1: non-finite value inf"),
+    # every value is finite; x1 + h*H_y is not
+    "final-state-separable": ("1e308*y1 + 0.5*x1^2", [1e308, 0.0], 1.0, NonFiniteStateError, 1,
+                              "non-finite state in step 1, from t = 0 at x1 = 1e+308, y1 = 0"),
+    "final-state-general": ("1e308*y1 + 0.001*x1*sin(y1)", [1e308, 0.0], 1.0,
+                            NonFiniteStateError, 1,
+                            "non-finite state in step 1, from t = 0 at x1 = 1e+308, y1 = 0"),
+    # y1 - 0.3 + 0.1*(-10*y1 + 5 + y1^2) = 0.2 + 0.1*y1^2 has no root
+    "newton-fails": ("x1*(-10*y1 + 5 + y1^2)", [0.3, 0.3], 0.1, NewtonConvergenceError, 1,
+                     "Newton iteration failed after 25 iterations in step 1, "
+                     "from t = 0 at x1 = 0.3, y1 = 0.3"),
+    # I + h*H_xy = 1 + 0.5*(-2) = 0, and I + 1.0*(-I) = 0 at n = 2
+    "singular": ("-2*x1*y1", [0.3, 0.4], 0.5, NewtonConvergenceError, 1,
+                 "singular Newton system in step 1, from t = 0 at x1 = 0.3, y1 = 0.4"),
+    "singular-n2": ("x1*y1 + x2*y2 - 2*x1*y1 - 2*x2*y2", [0.3, 0.4, 0.1, 0.2], 1.0,
+                    NewtonConvergenceError, 1,
+                    "singular Newton system in step 1, from t = 0 at x1 = 0.3, x2 = 0.4, "
+                    "y1 = 0.1, y2 = 0.2"),
+}
+
+
+@pytest.mark.parametrize("case", list(SE_FAILURES))
+def test_symplectic_euler_failure_reported_as_before(case):
+    source, state0, h, error, step, message = SE_FAILURES[case]
+    H = HamiltonianSystem.from_source(source, Chart(len(state0) // 2))
+    assert H.separable == case.endswith("-separable")
+    with pytest.raises(error) as info:
+        integrate_symplectic_euler(H, state0, 0.0, 20 * h, h)
+    assert (type(info.value), info.value.step, str(info.value)) == (error, step, message)
 
 
 # ---------------------------------------------------------------------------

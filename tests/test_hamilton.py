@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from parakahler.expr import (
     Const,
+    EvaluationError,
+    Var,
     differentiate,
     equal_on_samples,
     evaluate,
@@ -38,6 +40,7 @@ from parakahler.hamilton import (
 )
 
 import helpers
+from test_simplify_memo import shared_trees
 
 CHART1 = Chart(1)
 CHART2 = Chart(2)
@@ -187,3 +190,30 @@ class TestHamiltonianSystemValidation:
     def test_foreign_variable_rejected(self):
         with pytest.raises(ValueError):
             HamiltonianSystem(CHART1, parse("x2", CHART2))
+
+
+class TestSeparable:
+    """H.separable: H_x reads no momentum, so the symplectic Euler step may skip H_xy."""
+
+    @pytest.mark.parametrize("source,chart,separable", [
+        ("0.5*(x1^2 + y1^2)", CHART1, True),
+        ("0", CHART1, True),
+        ("exp(y1)*cosh(y2) + ln(x1*x2)/(x1 - x2) + x2^0.5", CHART2, True),
+        ("0.5*y1^2 + 0*x1*y1", CHART1, True),   # simplify drops the coupling
+        ("x1*y1", CHART1, False),
+        ("0.5*(y1^2 + y2^2) + x1*y2", CHART2, False),
+    ])
+    def test_flag_and_a_zero_mixed_block(self, source, chart, separable):
+        H = system(source, chart)
+        assert H.separable is separable
+        if separable:   # what the step that skips H_xy relies on
+            assert all(e == Const(0.0) for row in H.mixed_hessian for e in row)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_trees())
+    def test_derivative_in_an_absent_momentum_is_zero(self, e):
+        # the trees read x1, x2 and y1 only; a quotient by an exact zero keeps
+        # 0/0, where e itself fails, so the step fails at H_x before any H_xy
+        if differentiate(e, Var("y", 2)) != Const(0.0):
+            with pytest.raises(EvaluationError):
+                evaluate(e, {"x1": 0.3, "x2": 0.7, "y1": -0.4})
