@@ -24,6 +24,7 @@ RUNS = [
     ("potential.json", "check"),
     ("lagrangian_xy.json", "integrate"),
     ("oscillator.json", "integrate"),
+    ("lagrangian_n3.json", "integrate"),
 ]
 
 

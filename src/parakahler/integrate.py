@@ -10,10 +10,12 @@ A step works on floats; its arithmetic follows the array form term by
 term, so trajectories are bit-identical to it.  Each scheme's step is one
 function generated per dimension: _rk4_function(dim), and
 _symplectic_euler_function(n, separable), whose Newton iterate and
-residual are locals.  Both call the compiled flows unchecked
-(Compiled.unchecked) and run again through the checked calls only when
-that raises or leaves a non-finite value, so failures read as before
-(_rerun_checked).  The symplectic Euler step solves its n x n Newton
+residual are locals.  Both call the flows unchecked (Compiled.unchecked,
+and the unchecked form of an rhs_callable that has one, as the numeric
+semispray of a Lagrangian with 2n > 4 does) and run again through the
+checked calls only when that raises (_rerun_checked) or leaves a
+non-finite value, which _run's one check of each new state finds, so
+failures read as before.  The symplectic Euler step solves its n x n Newton
 system on floats, by partial-pivot elimination in numpy.linalg.solve's
 operation order (_solve), with no numpy call inside a step; its Newton
 tolerance has a floor at rounding level for large momenta.  For a
@@ -71,7 +73,9 @@ class ODESystem:
     Exactly one of rhs (a tuple of 2n Expressions) or rhs_callable (a map
     from a state, a list of floats, to its derivative, a list of floats)
     must be provided; the callable form exists for systems whose symbolic
-    solve is infeasible.
+    solve is infeasible, as lagrange.NumericSemispray for 2n > 4.  An
+    rhs_callable with an unchecked(*state) form, as that one has, is
+    run unchecked by RK4 and called only when that fails.
     """
 
     chart: Chart
@@ -163,9 +167,13 @@ def _step_count(t0: float, t1: float, h: float) -> int:
 
 
 class _StepFailure(Exception):
-    """Raised inside a step; _run re-raises it as error, naming the step, t and state."""
+    """Raised inside a step; _run re-raises it as error, naming the step, t and state.
 
-    def __init__(self, error: type, reason: str):
+    error(step, message) builds what _run raises: a class such as
+    NonFiniteStateError, or a partial of one.
+    """
+
+    def __init__(self, error: Callable, reason: str):
         super().__init__(reason)
         self.error = error
 
@@ -174,10 +182,13 @@ def _run(step: Callable, state0: Sequence[float], t0: float, t1: float, h: float
          names: tuple) -> Trajectory:
     """Apply step(state) for steps 1..steps from state0, states as lists of floats.
 
-    A failed evaluation becomes a NonFiniteStateError, and every failure
-    names the step and the t and state it started from.  The states are
-    appended to one flat buffer of doubles, viewed as the (steps + 1) x
-    len(names) array at the end.
+    _run owns the one finiteness check of each new state: when it
+    fails, the step runs again as step.checked(state), which raises what
+    the checked calls raise or returns the same state, and a state still
+    not finite is a NonFiniteStateError.  A failed evaluation becomes a
+    NonFiniteStateError, and every failure names the step and the t and
+    state it started from.  The states are appended to one flat buffer
+    of doubles, viewed as the (steps + 1) x len(names) array at the end.
     """
     steps = _step_count(t0, t1, h)
     state = np.asarray(state0, float)
@@ -185,18 +196,21 @@ def _run(step: Callable, state0: Sequence[float], t0: float, t1: float, h: float
         raise ValueError(f"initial state must have length {len(names)}")
     state = state.tolist()
     out = array("d", state)
+    checked = step.checked
     with np.errstate(all="ignore"):
         for k in range(1, steps + 1):
             try:
                 new = step(state)
+                if not all(map(math.isfinite, new)):
+                    new = checked(state)
+                    if not all(map(math.isfinite, new)):
+                        raise NonFiniteStateError(
+                            k, f"non-finite state {_origin(k, t0, h, names, state)}")
             except EvaluationError as exc:
                 raise NonFiniteStateError(
                     k, f"evaluation failed {_origin(k, t0, h, names, state)}: {exc}") from exc
             except _StepFailure as exc:
                 raise exc.error(k, f"{exc} {_origin(k, t0, h, names, state)}") from None
-            if not all(map(math.isfinite, new)):
-                raise NonFiniteStateError(
-                    k, f"non-finite state {_origin(k, t0, h, names, state)}")
             out.extend(new)
             state = new
     return Trajectory(t0, h, np.frombuffer(out).reshape(steps + 1, len(names)), names)
@@ -230,39 +244,39 @@ def _rk4_step(f: Callable, h: float, dim: int) -> Callable:
 
     States are lists of floats, and the step is _rk4_function(dim): four
     calls of f and the array form's arithmetic, term by term,
-    s + (h/6)*(k1 + 2*k2 + 2*k3 + k4), so results are identical.  A
-    Compiled f runs unchecked; when that raises or leaves a non-finite
-    entry, the step runs again through the checked call, which raises
-    what it raises or returns the same state.  A non-finite stage value
-    reaches the new state, so one check at the end finds it.
+    s + (h/6)*(k1 + 2*k2 + 2*k3 + k4), so results are identical.  An f
+    with an unchecked form (a Compiled flow, or the NumericSemispray of
+    a Lagrangian beyond the symbolic solve) runs unchecked; when that
+    raises or leaves a non-finite entry, the step runs again through the
+    checked call, which raises what it raises or returns the same state.
+    A non-finite stage value reaches the new state, so one check at the
+    end finds it.  Any other f maps a list to a list, and runs checked.
     """
     half, sixth = 0.5 * h, h / 6.0
     rk4 = _rk4_function(dim)
-    if not isinstance(f, Compiled):   # an rhs_callable, from a list to a list
-        def rhs(*s):
-            return f(list(s))
-
-        return lambda s: rk4(rhs, half, h, sixth, *s)
-    return _rerun_checked(rk4, (f.unchecked, half, h, sixth), (lambda *s: f(s), half, h, sixth))
+    checked = (lambda *s: f(list(s)), half, h, sixth)
+    unchecked = getattr(f, "unchecked", None)
+    if unchecked is None:
+        return _rerun_checked(rk4, checked, checked)
+    return _rerun_checked(rk4, (unchecked, half, h, sixth), checked)
 
 
 def _rerun_checked(kernel: Callable, fast: tuple, checked: tuple) -> Callable:
-    """step(s) = kernel(*fast, *s), run again as kernel(*checked, *s) when that fails.
+    """step(s) = kernel(*fast, *s), run again as kernel(*checked, *s) when that raises.
 
     fast passes unchecked evaluators and checked the calls that check
-    every value, so a kernel that raises, or leaves a non-finite entry,
-    on the fast ones runs again on the checked ones, which raise what
-    they raise or return the same state.
+    every value, so a kernel that raises on the fast ones runs again on
+    the checked ones, which raise what they raise or return the same
+    state.  A non-finite entry in a state step returns is _run's to
+    find: it runs step.checked(s) then.
     """
     def step(s):
         try:
-            new = kernel(*fast, *s)
+            return kernel(*fast, *s)
         except (ArithmeticError, ValueError, EvaluationError, _StepFailure):
             return kernel(*checked, *s)
-        if all(map(math.isfinite, new)):
-            return new
-        return kernel(*checked, *s)
 
+    step.checked = lambda s: kernel(*checked, *s)
     return step
 
 

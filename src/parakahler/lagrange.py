@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,20 +44,27 @@ from .geometry import (
     make_form,
     vertical_derivative,
 )
-from .integrate import ODESystem, Trajectory
+from .integrate import ODESystem, Trajectory, _StepFailure
 
 REGULARITY_PROBES = 5
 REGULARITY_TOL = 1e-9
 
 
 class DegenerateLagrangianError(Exception):
-    """The Hessian system is singular; carries the numeric rank found."""
+    """The Hessian system is singular; carries the numeric rank found.
 
-    def __init__(self, rank: int, size: int):
-        super().__init__(
-            f"degenerate Lagrangian: Hessian rank {rank} of {size} at probe points")
+    step is None when the probe points of the derivation found it, and
+    otherwise the integration step whose flow reached a state where the
+    Hessian is exactly singular; where then names that step, its t and
+    its state.
+    """
+
+    def __init__(self, rank: int, size: int, step: Optional[int] = None,
+                 where: str = "at probe points"):
+        super().__init__(f"degenerate Lagrangian: Hessian rank {rank} of {size} {where}")
         self.rank = rank
         self.size = size
+        self.step = step
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,8 @@ class Semispray:
     """Solved vector field components (X_1..X_n, Y_1..Y_n).
 
     components is None for charts beyond the symbolic-solve size, in which
-    case numeric(state) solves the Hessian system per point.
+    case numeric, a NumericSemispray, solves the Hessian system per point
+    on floats.
     """
 
     chart: Chart
@@ -178,11 +186,47 @@ def _numeric_rank(L: LagrangianSystem, seed: int = 20240502) -> int:
     return rank
 
 
+class NumericSemispray:
+    """The semispray at a state: Hess(L) (X, Y) = (L_x, -L_y) solved on floats.
+
+    system is the Compiled Hessian, row by row, followed by the right-hand
+    side; the solve is linalg.elimination_function(dim), so no numpy call
+    runs per evaluation.  unchecked(*state) feeds system.unchecked into
+    the solve and checks nothing: it may raise, or return a non-finite
+    component where an entry was not finite.  A call, on a list of
+    floats, checks every entry first, so a non-finite one raises
+    system's EvaluationError, and an exactly singular Hessian raises the
+    step failure that becomes DegenerateLagrangianError, naming its rank
+    (the one numpy call, on that path only), step, t and state.
+    Integrators run unchecked and call again only when that fails, as
+    they do for a Compiled flow.
+    """
+
+    def __init__(self, system: Compiled, dim: int):
+        self.system = system
+        self.dim = dim
+        self.solve = solve = linalg.elimination_function(dim)
+        evaluate = system.unchecked
+        self.unchecked = lambda *state: solve(*evaluate(*state))
+
+    def __call__(self, state) -> list:
+        values = self.system(state)
+        try:
+            return self.solve(*values)
+        except ZeroDivisionError:   # an exact zero pivot
+            dim = self.dim
+            matrix = np.array(values[:dim * dim]).reshape(dim, dim)
+            rank = int(np.linalg.matrix_rank(matrix))
+            raise _StepFailure(partial(DegenerateLagrangianError, rank, dim), "reached") from None
+
+
 def solve_semispray(L: LagrangianSystem) -> Semispray:
     """Solve Hess(L) (X, Y) = (dL/dx, -dL/dy) for the semispray.
 
-    Symbolic Cramer solve for 2n <= 4, per-point numeric solve beyond.
-    Raises DegenerateLagrangianError, naming the numeric rank, when the
+    Symbolic Cramer solve for 2n <= 4.  Beyond, a NumericSemispray solves
+    it per point by float elimination, whose rounding differs from
+    numpy.linalg.solve's in the last bits.  Raises
+    DegenerateLagrangianError, naming the numeric rank, when the
     Hessian is singular at every probe point.
     """
     chart = L.chart
@@ -204,18 +248,7 @@ def solve_semispray(L: LagrangianSystem) -> Semispray:
         return Semispray(chart, tuple(solution))
 
     system = Compiled([*(e for row in hess for e in row), *rhs], chart.names())
-
-    def numeric(state):
-        values = system(state)
-        matrix = np.array(values[:dim * dim]).reshape(dim, dim)
-        vector = np.array(values[dim * dim:])
-        try:
-            return np.linalg.solve(matrix, vector).tolist()
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateLagrangianError(
-                int(np.linalg.matrix_rank(matrix)), dim) from exc
-
-    return Semispray(chart, None, numeric)
+    return Semispray(chart, None, NumericSemispray(system, dim))
 
 
 @dataclass(frozen=True)

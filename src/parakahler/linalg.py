@@ -1,10 +1,16 @@
-"""Exact linear algebra over Expression matrices, sized for small charts.
+"""Linear algebra for the semispray solve: exact for small charts, on floats beyond.
 
-Laplace expansion only; intended for matrices up to 4x4 (charts with
-2n <= 4).  Larger systems are solved numerically per point elsewhere.
+Exact algebra over Expression matrices is Laplace expansion only,
+intended for matrices up to 4x4 (charts with 2n <= 4).  Larger systems
+are solved per point on floats by elimination_function(dim), one
+generated partial-pivot elimination per dimension.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from types import CodeType, FunctionType
+from typing import Callable
 
 from .expr import Expression, Product, Quotient, Sum, as_expression, simplify
 
@@ -76,3 +82,49 @@ def cramer_solve(m, rhs):
                          for i in range(size))
         solution.append(simplify(Quotient(determinant(replaced), det)))
     return tuple(solution)
+
+
+@lru_cache(maxsize=16)   # one per dimension
+def elimination_function(dim: int) -> Callable:
+    """solve(a0_0, a0_1, .., a<dim-1>_<dim-1>, b0, .., b<dim-1>): x with a x = b.
+
+    Generated for dim: the matrix entries, row by row, and then the
+    right-hand side are scalar locals.  Gaussian elimination with partial
+    pivoting and LAPACK's tie rule (the first row with the largest
+    |entry| swaps with the pivot row), multipliers entry * (1/pivot), a
+    row update skipped when its multiplier is 0, and back substitution
+    dividing by each pivot.  Partial-pivot elimination is backward stable
+    whatever its operation order (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, section 9.3), so this agrees with
+    numpy.linalg.solve to rounding, not to the bit.  An exact zero pivot
+    means a singular matrix and raises ZeroDivisionError.  A non-finite
+    entry gives a non-finite component: nan and inf spread through the
+    updates and the back substitution, and a pivot of inf, whose
+    reciprocal 0 would hide it, makes every component nan.
+    """
+    a = [[f"a{i}_{j}" for j in range(dim)] for i in range(dim)]
+    b = [f"b{i}" for i in range(dim)]
+    lines = [f"def solve({', '.join([e for row in a for e in row] + b)}):"]
+    for k in range(dim):
+        if k < dim - 1:   # a pivot row p > k swaps with row k, the columns from k on
+            lines += [f"    m = abs({a[k][k]})", "    p = 0"]
+            for i in range(k + 1, dim):
+                lines += [f"    t = abs({a[i][k]})", "    if t > m:", f"        m, p = t, {i}"]
+            for i in range(k + 1, dim):
+                rows = ([*a[k][k:], b[k], *a[i][k:], b[i]], [*a[i][k:], b[i], *a[k][k:], b[k]])
+                lines += [f"    {'if' if i == k + 1 else 'elif'} p == {i}:",
+                          f"        {', '.join(rows[0])} = {', '.join(rows[1])}"]
+        lines.append(f"    v{k} = 1.0 / {a[k][k]}")
+        for i in range(k + 1, dim):
+            lines += [f"    f = {a[i][k]} * v{k}", "    if f:",
+                      *(f"        {a[i][j]} = {a[i][j]} - f * {a[k][j]}" for j in range(k + 1, dim)),
+                      f"        {b[i]} = {b[i]} - f * {b[k]}"]
+    for k in range(dim - 1, -1, -1):
+        terms = "".join(f" - {a[k][j]} * x{j}" for j in range(k + 1, dim))
+        lines.append(f"    x{k} = ({b[k]}{terms}) / {a[k][k]}")
+    lines += [f"    if {' and '.join(f'v{k}' for k in range(dim))}:",   # no pivot was inf
+              f"        return [{', '.join(f'x{k}' for k in range(dim))}]",
+              f"    return [{', '.join(['nan'] * dim)}]\n"]
+    module = compile("\n".join(lines), "<elimination>", "exec")
+    return FunctionType(next(c for c in module.co_consts if isinstance(c, CodeType)),
+                        {"nan": float("nan")})

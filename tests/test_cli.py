@@ -405,6 +405,25 @@ class TestIntegrateCommand:
                      "--out", str(tmp_path)]) == EXIT_NUMERIC
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_singular_hessian_in_step_names_it(self, tmp_path, capsys):
+        # n = 3 solves the Hessian system per point; its (x1, y1) block
+        # [[y1, x1], [x1, 0]] is singular on x1 = 0, where the flow starts,
+        # while the probe points of the derivation find it regular
+        payload = {
+            "name": "singular", "kind": "lagrangian", "n": 3,
+            "lagrangian": "0.5*x1^2*y1 + x2*y2 + x3*y3",
+            "initial_state": [0, 0.1, 0.2, 0.3, 0.4, 0.5],
+            "integrator": {"scheme": "rk4", "t0": 0.0, "t1": 1.0, "h": 0.01},
+        }
+        path = write_problem(tmp_path, payload)
+        assert main(["derive", "--problem", path]) == EXIT_OK
+        assert "Phi_L degenerate: no" in capsys.readouterr().out
+        assert main(["integrate", "--problem", path,
+                     "--out", str(tmp_path)]) == EXIT_DEGENERATE
+        assert capsys.readouterr().err == (
+            "error: degenerate Lagrangian: Hessian rank 5 of 6 reached in step 1, from t = 0 "
+            "at x1 = 0, x2 = 0.1, x3 = 0.2, y1 = 0.3, y2 = 0.4, y3 = 0.5\n")
+
     def test_non_finite_conserved_quantity_names_step(self, tmp_path, capsys):
         payload = {
             "name": "pole", "kind": "hamiltonian", "n": 1,
@@ -468,6 +487,7 @@ class TestBundledProblems:
         ("potential.json", "check"),
         ("lagrangian_xy.json", "integrate"),
         ("oscillator.json", "integrate"),
+        ("lagrangian_n3.json", "integrate"),
     ])
     def test_bundled_problem_runs_clean(self, name, command, tmp_path, capsys):
         problem = os.path.join(PROBLEMS, name)
