@@ -329,33 +329,19 @@ def cmd_check(problem: ProblemFile, seed: int, tol: Optional[float]):
         "tol": curvature_tol,
     }
 
-    space_form = {"is_space_form": None, "c": None}
-    curvature_available = True
-    try:
-        R = curvature_mod.riemann(g)
-    except ValueError as exc:
-        curvature_available = False
-        identities["curvature-symmetries"] = {
-            "violation": None, "pass": None, "tol": curvature_tol,
-            "note": str(exc),
+    R = curvature_mod.riemann(g)
+    rep = curvature_mod.symmetry_report(R, J, trials=CHECK_TRIALS, seed=seed)
+    for (name, value), relative in zip(rep.as_dict().items(), rep.relative):
+        identities[name.replace("_", "-")] = {
+            "violation": value,
+            "pass": bool(relative < curvature_tol),
+            "tol": curvature_tol,
         }
-    if curvature_available:
-        rep = curvature_mod.symmetry_report(R, J, trials=CHECK_TRIALS, seed=seed)
-        for label, value in (
-                ("antisymmetry-first-pair", rep.antisymmetry_first_pair),
-                ("antisymmetry-second-pair", rep.antisymmetry_second_pair),
-                ("first-bianchi", rep.first_bianchi),
-                ("j-invariance", rep.j_invariance)):
-            identities[label] = {
-                "violation": value,
-                "pass": bool(value < curvature_tol),
-                "tol": curvature_tol,
-            }
-        R0 = curvature_mod.r_zero(g, J)
-        c = curvature_mod.constant_c_test(R, R0, trials=CHECK_TRIALS, seed=seed)
-        space_form = {"is_space_form": c is not None, "c": c}
+    R0 = curvature_mod.r_zero(g, J)
+    c = curvature_mod.constant_c_test(R, R0, trials=CHECK_TRIALS, seed=seed)
+    space_form = {"is_space_form": c is not None, "c": c}
 
-    failing = [name for name, row in identities.items() if row["pass"] is False]
+    failing = [name for name, row in identities.items() if not row["pass"]]
     report = {
         "kind": "metric",
         "problem": problem.name,
@@ -367,16 +353,9 @@ def cmd_check(problem: ProblemFile, seed: int, tol: Optional[float]):
         "all_identities_pass": not failing,
     }
 
-    lines = []
-    for name, row in identities.items():
-        if row["pass"] is None:
-            lines.append(f"SKIP {name}: {row.get('note', 'unavailable')}")
-        else:
-            verdict = "PASS" if row["pass"] else "FAIL"
-            lines.append(f"{verdict} {name} (max violation {row['violation']:.3e})")
-    if space_form["is_space_form"] is None:
-        lines.append("space form test skipped")
-    elif space_form["is_space_form"]:
+    lines = [f"{'PASS' if row['pass'] else 'FAIL'} {name} (max violation {row['violation']:.3e})"
+             for name, row in identities.items()]
+    if space_form["is_space_form"]:
         lines.append(f"space form: c = {space_form['c']:g}")
     else:
         lines.append("not a space form")

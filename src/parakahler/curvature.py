@@ -9,10 +9,11 @@ Both are CurvatureTensors: only the entries with a < b and c < d are
 stored, each simplified once as it is built, and the two antisymmetries
 give the rest by sign.
 
-Christoffel symbols are evaluated per point with a numeric inverse of g
-at any dimension.  The symbolic curvature is a closed form in the first
-and second derivatives of g and its adjugate and determinant, so it
-needs 2n <= 4 unless the metric is constant, when it is exactly zero.
+Christoffel symbols and the curvature are evaluated per point with a
+numeric inverse of g, at any dimension.  The curvature stores its part
+linear in the second derivatives of g symbolically and adds its part
+quadratic in the first derivatives at each point; a constant metric
+gives exactly the zero tensor.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from . import linalg
 from .expr import (
     ZERO,
     Compiled,
@@ -84,6 +84,14 @@ def _check_invertible(g: Metric):
     raise SingularMetricError("metric is singular at every probe point")
 
 
+def _inverse_at(g: Metric, point: Mapping[str, float]) -> np.ndarray:
+    """Numeric inverse of g at a point, unless |det g| <= SINGULARITY_TOL there."""
+    gm = g.at(point)
+    if abs(np.linalg.det(gm)) <= SINGULARITY_TOL:
+        raise SingularMetricError(f"metric singular at {point}")
+    return np.linalg.inv(gm)
+
+
 @dataclass(frozen=True)
 class ChristoffelSymbols:
     """Connection coefficients Gamma^a_{bc}, symmetric in the lower pair.
@@ -108,11 +116,7 @@ class ChristoffelSymbols:
         """Numeric Gamma^a_{bc} array at a point."""
         dim = self.chart.dim
         values = np.array(self._compiled.at(point)).reshape(dim, dim, dim)
-        gm = self.metric.at(point)
-        det = np.linalg.det(gm)
-        if abs(det) <= SINGULARITY_TOL:
-            raise SingularMetricError(f"metric singular at {point}")
-        inv = np.linalg.inv(gm)
+        inv = _inverse_at(self.metric, point)
         # values[a, b, c] = d_a g_{bc}; T[d, b, c] = d_b g_{dc} + d_c g_{bd} - d_d g_{bc}
         T = (np.einsum('bdc->dbc', values) + np.einsum('cbd->dbc', values)
              - np.einsum('dbc->dbc', values))
@@ -134,18 +138,29 @@ class CurvatureTensor:
     """(0,4)-tensor R_{abcd} in canonical storage.
 
     canonical maps keys (a, b, c, d) with a < b and c < d to simplified,
-    nonzero entries; every other component follows from the two
-    antisymmetries by sign, so they hold exactly.
+    nonzero entries.  When metric is set, they are only the linear part:
+    at() adds to each key g^{ef} (G_{e,bd} G_{f,ac} - G_{e,ad} G_{f,bc})
+    from the lowered symbols G_{d,bc} in lowered (nested d, b, c) and a
+    numeric inverse of g, and component and scaled refuse the tensor.
+    Every other component follows from the two antisymmetries by sign,
+    so they hold exactly.
     """
 
     chart: Chart
     canonical: dict
+    metric: Optional[Metric] = None
+    lowered: tuple = ()
 
     @staticmethod
     def zero(chart: Chart) -> "CurvatureTensor":
         return CurvatureTensor(chart, {})
 
+    def _require_symbolic(self, name: str):
+        if self.metric is not None:
+            raise ValueError(f"{name} needs a symbolic tensor; evaluate this one with at()")
+
     def component(self, a: int, b: int, c: int, d: int) -> Expression:
+        self._require_symbolic("component")
         if a == b or c == d:
             return ZERO
         sign = 1
@@ -157,9 +172,11 @@ class CurvatureTensor:
         return value if sign == 1 else simplify(-value)
 
     def is_zero(self) -> bool:
-        return not self.canonical
+        """Whether the tensor is zero by construction."""
+        return not self.canonical and self.metric is None
 
     def scaled(self, factor: float) -> "CurvatureTensor":
+        self._require_symbolic("scaled")
         entries = {}
         for key, value in self.canonical.items():
             value = simplify(Const(factor) * value)
@@ -169,18 +186,29 @@ class CurvatureTensor:
 
     @cached_property
     def _compiled(self) -> Compiled:
-        return Compiled(self.canonical.values())
+        return Compiled([*self.canonical.values(),
+                         *(e for plane in self.lowered for row in plane for e in row)])
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        upper = ~np.tri(self.chart.dim, dtype=bool)
+        return np.multiply.outer(upper, upper)   # True where a < b and c < d
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
         """Dense numeric component array at a point."""
         dim = self.chart.dim
+        values = self._compiled.at(point)
         out = np.zeros((dim, dim, dim, dim))
-        for (a, b, c, d), v in zip(self.canonical, self._compiled.at(point)):
+        for (a, b, c, d), v in zip(self.canonical, values):
             out[a, b, c, d] = v
-            out[b, a, c, d] = -v
-            out[a, b, d, c] = -v
-            out[b, a, d, c] = v
-        return out
+        if self.metric is not None:
+            low = np.array(values[len(self.canonical):]).reshape(dim, dim * dim)
+            # P[a, b, c, d] = g^{ef} G_{e,bd} G_{f,ac}, from the matrix [(a, c), (b, d)]
+            P = (low.T @ (_inverse_at(self.metric, point) @ low)).reshape((dim,) * 4)
+            P = P.transpose(0, 2, 1, 3)
+            out = np.where(self._keys, out + (P - P.transpose(1, 0, 2, 3)), 0.0)
+        out = out - out.transpose(1, 0, 2, 3)   # by sign from the keys
+        return out - out.transpose(0, 1, 3, 2)
 
     def apply(self, u, v, z, w, point: Mapping[str, float]) -> float:
         return float(np.einsum('abcd,a,b,c,d->', self.at(point),
@@ -189,15 +217,17 @@ class CurvatureTensor:
 
 
 def riemann(g: Metric) -> CurvatureTensor:
-    """Riemann (0,4) curvature of g in canonical storage, in closed form.
+    """Riemann (0,4) curvature of g in canonical storage, evaluated per point.
 
     With R^e_{abc} = d_a Gamma^e_{bc} - d_b Gamma^e_{ac} + Gamma^e_{ad}
     Gamma^d_{bc} - Gamma^e_{bd} Gamma^d_{ac} lowered in the last slot,
     R_{abcd} = (1/2)(d_a d_c g_{bd} + d_b d_d g_{ac} - d_a d_d g_{bc}
     - d_b d_c g_{ad}) + sum_{ef} g^{ef} (G_{e,bd} G_{f,ac} - G_{e,ad} G_{f,bc}),
     where G_{d,bc} = (1/2)(d_b g_{dc} + d_c g_{bd} - d_d g_{bc}) are the
-    lowered symbols and g^{ef} = adj(g)_{ef} / det g.  Constant metrics give
-    the zero tensor at any dimension; otherwise the chart needs 2n <= 4.
+    lowered symbols.  The linear part is stored and the lowered symbols
+    are kept, both simplified; CurvatureTensor.at adds the quadratic part
+    with a numeric inverse of g, at any dimension.  A constant metric
+    gives the zero tensor.
     """
     chart = g.chart
     dim = chart.dim
@@ -205,14 +235,7 @@ def riemann(g: Metric) -> CurvatureTensor:
     dg = _metric_derivatives(g)
     if all(is_zero(e) for plane in dg for row in plane for e in row):
         return CurvatureTensor.zero(chart)
-    if dim > linalg.MAX_SYMBOLIC_DIM:
-        raise ValueError(
-            "symbolic curvature needs 2n <= 4 for a non-constant metric; "
-            "use ChristoffelSymbols.at for pointwise work at higher dimension")
 
-    adj, det = linalg.adjugate(g.entries), linalg.determinant(g.entries)
-    low = [[[simplify(Const(0.5) * (dg[b][d][c] + dg[c][b][d] - dg[d][b][c]))
-             for c in range(dim)] for b in range(dim)] for d in range(dim)]
     cache: dict = {}
 
     def second(a, c, b, d):
@@ -225,17 +248,13 @@ def riemann(g: Metric) -> CurvatureTensor:
     entries = {}
     for a, b in itertools.combinations(range(dim), 2):
         for c, d in itertools.combinations(range(dim), 2):
-            quadratic = ZERO
-            for e, f in itertools.product(range(dim), repeat=2):
-                if not is_zero(adj[e][f]):
-                    quadratic = quadratic + adj[e][f] * (
-                        low[e][b][d] * low[f][a][c] - low[e][a][d] * low[f][b][c])
             value = simplify(Const(0.5) * (second(a, c, b, d) + second(b, d, a, c)
-                                           - second(a, d, b, c) - second(b, c, a, d))
-                             + quadratic / det)
+                                           - second(a, d, b, c) - second(b, c, a, d)))
             if not is_zero(value):
                 entries[(a, b, c, d)] = value
-    return CurvatureTensor(chart, entries)
+    low = tuple(tuple(tuple(simplify(Const(0.5) * (dg[b][d][c] + dg[c][b][d] - dg[d][b][c]))
+                            for c in range(dim)) for b in range(dim)) for d in range(dim))
+    return CurvatureTensor(chart, entries, g, low)
 
 
 def r_zero(g: Metric, J: ProductStructure) -> CurvatureTensor:
@@ -267,31 +286,39 @@ def r_zero(g: Metric, J: ProductStructure) -> CurvatureTensor:
 # symmetry diagnostics
 # ---------------------------------------------------------------------------
 
+def _scale(D: np.ndarray) -> np.ndarray:
+    """max(1, max |R|) per sample of D[sample, a, b, c, d]: near a pole of g, |R| grows."""
+    return np.maximum(1.0, np.abs(D).reshape(len(D), -1).max(axis=1))
+
+
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Max absolute violations of the curvature identities.
+    """Max violations of the curvature identities over sampled points.
 
-    Violations are evaluated componentwise on coordinate quadruples at
-    sampled points; multilinearity extends the bound to arbitrary constant
-    arguments from the unit box.  The J-invariance row is meaningful only
-    for para-Kahler data and is reported separately from the metric-only
-    identities.
+    The four named fields are max absolute violations, evaluated
+    componentwise on coordinate quadruples; multilinearity extends the
+    bound to arbitrary constant arguments from the unit box.  relative
+    holds, in that order, the largest violation / _scale of R at its
+    sample, and passes decides on it.  The J-invariance row is meaningful
+    only for para-Kahler data.
     """
 
     antisymmetry_first_pair: float
     antisymmetry_second_pair: float
     first_bianchi: float
     j_invariance: float
+    relative: tuple
 
     def metric_identities_max(self) -> float:
         return max(self.antisymmetry_first_pair, self.antisymmetry_second_pair,
                    self.first_bianchi)
 
     def passes(self, tol: float) -> bool:
-        return max(self.metric_identities_max(), self.j_invariance) < tol
+        return max(self.relative) < tol
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The absolute violations by identity name."""
+        return {k: v for k, v in asdict(self).items() if k != "relative"}
 
 
 def symmetry_report(R: CurvatureTensor, J: ProductStructure, trials: int = 10,
@@ -304,18 +331,15 @@ def symmetry_report(R: CurvatureTensor, J: ProductStructure, trials: int = 10,
     para-Kahler curvature satisfy.
     """
     rng = random.Random(seed)
-    v1 = v2 = v3 = v4 = 0.0
-    for _ in range(max(1, trials)):
-        point = R.chart.sample_point(rng)
-        D = R.at(point)
-        Jm = J.at(point)
-        v1 = max(v1, float(np.max(np.abs(D + D.transpose(1, 0, 2, 3)))))
-        v2 = max(v2, float(np.max(np.abs(D + D.transpose(0, 1, 3, 2)))))
-        bianchi = D + D.transpose(1, 2, 0, 3) + D.transpose(2, 0, 1, 3)
-        v3 = max(v3, float(np.max(np.abs(bianchi))))
-        twisted = np.einsum('pa,qb,pqcd->abcd', Jm, Jm, D)
-        v4 = max(v4, float(np.max(np.abs(twisted + D))))
-    return SymmetryReport(v1, v2, v3, v4)
+    points = [R.chart.sample_point(rng) for _ in range(max(1, trials))]
+    D = np.array([R.at(point) for point in points])
+    Jm = np.array([J.at(point) for point in points])
+    twisted = np.einsum('spa,sqb,spqcd->sabcd', Jm, Jm, D)
+    excess = np.abs([D + D.transpose(0, 2, 1, 3, 4), D + D.transpose(0, 1, 2, 4, 3),
+                     D + D.transpose(0, 2, 3, 1, 4) + D.transpose(0, 3, 1, 2, 4),
+                     twisted + D]).reshape(4, len(D), -1).max(axis=2)   # [identity, sample]
+    return SymmetryReport(*map(float, excess.max(axis=1)),
+                          relative=tuple(map(float, (excess / _scale(D)).max(axis=1))))
 
 
 def nabla_J(g: Metric, J: ProductStructure, trials: int = 10, seed: int = 0) -> float:
@@ -389,19 +413,18 @@ def constant_c_test(R: CurvatureTensor, R0: CurvatureTensor, trials: int = 10,
                     seed: int = 0) -> Optional[float]:
     """Least-squares fit of R = c * R0 over all components at sampled points.
 
-    Returns the fitted c when the max residual stays below 1e-6, the exact
-    0.0 when R itself vanishes numerically, and None otherwise ("not a
-    space form").
+    Each sample's components of R and R0 are divided by _scale of R
+    there, the basis symmetry_report decides on.  Returns the fitted c
+    when the max residual on that basis stays below SPACE_FORM_TOL, the
+    exact 0.0 when R itself vanishes numerically, and None otherwise
+    ("not a space form").
     """
     rng = random.Random(seed)
-    samples_R = []
-    samples_R0 = []
-    for _ in range(max(1, trials)):
-        point = R.chart.sample_point(rng)
-        samples_R.append(R.at(point).ravel())
-        samples_R0.append(R0.at(point).ravel())
-    A = np.concatenate(samples_R)
-    B = np.concatenate(samples_R0)
+    points = [R.chart.sample_point(rng) for _ in range(max(1, trials))]
+    D = np.array([R.at(point) for point in points])
+    scale = _scale(D)[:, None]
+    A = (D.reshape(len(D), -1) / scale).ravel()
+    B = (np.array([R0.at(point) for point in points]).reshape(len(D), -1) / scale).ravel()
     if float(np.max(np.abs(A))) < ZERO_TENSOR_TOL:
         return 0.0
     denom = float(B @ B)

@@ -25,6 +25,7 @@ from . import linalg
 from .expr import (
     ZERO,
     Compiled,
+    EvaluationError,
     Expression,
     as_expression,
     differentiate,
@@ -175,13 +176,24 @@ def energy_differential(L: LagrangianSystem, xi: Semispray) -> DifferentialForm:
     return make_form(L.chart, 1, terms)
 
 
-def _numeric_rank(L: LagrangianSystem, seed: int = 20240502) -> int:
+def _numeric_rank(chart: Chart, entries: Compiled, seed: int = 20240502) -> int:
+    """Largest rank at the probe points of the Hessian, the first dim * dim entries.
+
+    A probe where only a later entry fails (a gradient may, where the
+    Hessian does not) evaluates the Hessian alone.
+    """
     rng = random.Random(seed)
-    dim = L.chart.dim
-    entries = Compiled(e for row in L.hessian for e in row)
+    dim = chart.dim
     rank = 0
     for _ in range(REGULARITY_PROBES):
-        matrix = np.array(entries.at(L.chart.sample_point(rng))).reshape(dim, dim)
+        point = chart.sample_point(rng)
+        try:
+            values = entries.at(point)
+        except EvaluationError as exc:
+            if exc.index < dim * dim:
+                raise
+            values = Compiled(entries.exprs[:dim * dim]).at(point)
+        matrix = np.array(values[:dim * dim]).reshape(dim, dim)
         rank = max(rank, int(np.linalg.matrix_rank(matrix, tol=REGULARITY_TOL)))
     return rank
 
@@ -189,9 +201,10 @@ def _numeric_rank(L: LagrangianSystem, seed: int = 20240502) -> int:
 class NumericSemispray:
     """The semispray at a state: Hess(L) (X, Y) = (L_x, -L_y) solved on floats.
 
-    system is the Compiled Hessian, row by row, followed by the right-hand
-    side; the solve is linalg.elimination_function(dim), so no numpy call
-    runs per evaluation.  unchecked(*state) feeds system.unchecked into
+    system compiles entries, the Hessian row by row and then the right-hand
+    side, labelled d2L/dx1dy1 and dL/dx1 or -dL/dy1 so a failing entry
+    names itself; the solve is linalg.elimination_function(dim), so no
+    numpy call runs per evaluation.  unchecked(*state) feeds system.unchecked into
     the solve and checks nothing: it may raise, or return a non-finite
     component where an entry was not finite.  A call, on a list of
     floats, checks every entry first, so a non-finite one raises
@@ -202,9 +215,12 @@ class NumericSemispray:
     they do for a Compiled flow.
     """
 
-    def __init__(self, system: Compiled, dim: int):
-        self.system = system
-        self.dim = dim
+    def __init__(self, chart: Chart, entries):
+        names = chart.names()
+        labels = ([f"d2L/d{p}d{q}" for p in names for q in names]
+                  + [f"{'' if a < chart.n else '-'}dL/d{p}" for a, p in enumerate(names)])
+        self.system = system = Compiled(entries, names, labels)
+        self.dim = dim = chart.dim
         self.solve = solve = linalg.elimination_function(dim)
         evaluate = system.unchecked
         self.unchecked = lambda *state: solve(*evaluate(*state))
@@ -234,21 +250,17 @@ def solve_semispray(L: LagrangianSystem) -> Semispray:
     hess = L.hessian
     rhs = [g if a < n else simplify(-g) for a, g in enumerate(L.gradient)]   # (L_x, -L_y)
 
-    rank = _numeric_rank(L)
+    hessian = [e for row in hess for e in row]
+    numeric = None if dim <= linalg.MAX_SYMBOLIC_DIM else NumericSemispray(chart, [*hessian, *rhs])
+    rank = _numeric_rank(chart, Compiled(hessian) if numeric is None else numeric.system)
     if rank < dim:
-        det_ok = False
-        if dim <= linalg.MAX_SYMBOLIC_DIM:
-            det = linalg.determinant(hess)
-            det_ok = not is_zero(det) and not equal_on_samples(det, ZERO, trials=20, seed=3)
-        if not det_ok:
+        det = linalg.determinant(hess) if numeric is None else None
+        if det is None or is_zero(det) or equal_on_samples(det, ZERO, trials=20, seed=3):
             raise DegenerateLagrangianError(rank, dim)
 
-    if dim <= linalg.MAX_SYMBOLIC_DIM:
-        solution = linalg.cramer_solve(hess, rhs)
-        return Semispray(chart, tuple(solution))
-
-    system = Compiled([*(e for row in hess for e in row), *rhs], chart.names())
-    return Semispray(chart, None, NumericSemispray(system, dim))
+    if numeric is None:
+        return Semispray(chart, linalg.cramer_solve(hess, rhs))
+    return Semispray(chart, None, numeric)
 
 
 @dataclass(frozen=True)

@@ -49,22 +49,6 @@ def determinant(m) -> Expression:
     return simplify(_det(m))
 
 
-def adjugate(m):
-    """Adjugate matrix: adj(m)[i][j] is the (j,i) cofactor."""
-    size = _check_square(m)
-    if size == 1:
-        from .expr import ONE
-        return ((ONE,),)
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            cof = simplify(_det(_minor(m, j, i)))
-            row.append(cof if (i + j) % 2 == 0 else simplify(-cof))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def cramer_solve(m, rhs):
     """Solve m @ z = rhs symbolically via Cramer's rule.
 

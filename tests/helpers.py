@@ -1,11 +1,14 @@
 """Shared generators and finite-difference oracles for the test suite."""
 
+import itertools
 import random
 
 import numpy as np
 
-from parakahler.expr import Const, Product, Sum, Var, simplify
+from parakahler.curvature import CurvatureTensor, _metric_derivatives
+from parakahler.expr import ZERO, Const, Product, Sum, Var, differentiate, is_zero, simplify
 from parakahler.geometry import Chart
+from parakahler.linalg import determinant
 
 
 def random_point(rng: random.Random, chart: Chart, box: float = 2.0) -> dict:
@@ -95,3 +98,45 @@ def fd_riemann_lowered(g, gamma, point: dict, h: float = 1e-5) -> np.ndarray:
              + np.einsum("ead,dbc->eabc", gm, gm)
              - np.einsum("ebd,dac->eabc", gm, gm))
     return np.einsum("eabc,ed->abcd", upper, g.at(point))
+
+
+def symbolic_riemann(g) -> CurvatureTensor:
+    """The Riemann tensor of g in closed form, every entry symbolic: an oracle for 2n <= 4.
+
+    R_{abcd} = (1/2)(d_a d_c g_{bd} + d_b d_d g_{ac} - d_a d_d g_{bc}
+    - d_b d_c g_{ad}) + sum_{ef} g^{ef} (G_{e,bd} G_{f,ac} - G_{e,ad} G_{f,bc})
+    with g^{ef} = adj(g)_{ef} / det g, the adjugate built from 1x1 to 3x3
+    minors, so the metric must be at most 4x4.
+    """
+    chart = g.chart
+    dim = chart.dim
+    m = g.entries
+    det = determinant(m)
+
+    def cofactor(i, j):
+        minor = [[m[r][c] for c in range(dim) if c != j] for r in range(dim) if r != i]
+        value = determinant(minor)
+        return value if (i + j) % 2 == 0 else simplify(-value)
+
+    adj = [[cofactor(j, i) for j in range(dim)] for i in range(dim)]
+    dg = _metric_derivatives(g)
+    low = [[[simplify(Const(0.5) * (dg[b][d][c] + dg[c][b][d] - dg[d][b][c]))
+             for c in range(dim)] for b in range(dim)] for d in range(dim)]
+
+    def second(a, c, b, d):
+        return differentiate(dg[a][b][d], chart.variable(c))
+
+    entries = {}
+    for a, b in itertools.combinations(range(dim), 2):
+        for c, d in itertools.combinations(range(dim), 2):
+            quadratic = ZERO
+            for e, f in itertools.product(range(dim), repeat=2):
+                if not is_zero(adj[e][f]):
+                    quadratic = quadratic + adj[e][f] * (
+                        low[e][b][d] * low[f][a][c] - low[e][a][d] * low[f][b][c])
+            value = simplify(Const(0.5) * (second(a, c, b, d) + second(b, d, a, c)
+                                           - second(a, d, b, c) - second(b, c, a, d))
+                             + quadratic / det)
+            if not is_zero(value):
+                entries[(a, b, c, d)] = value
+    return CurvatureTensor(chart, entries)

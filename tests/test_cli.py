@@ -280,9 +280,15 @@ class TestCheckCommand:
         compatibility = json.loads(capsys.readouterr().out)["identities"]["compatibility"]
         assert compatibility == {"violation": pytest.approx(2e-8), "pass": True, "tol": 1e-6}
 
-    def test_paper_space_form(self, capsys):
-        problem = os.path.join(PROBLEMS, "space_form.json")
-        assert main(["check", "--problem", problem]) == EXIT_OK
+    # seeds 7, 10 and 17 sample near the pole 1 + sum x_i y_i = 0, where |R|
+    # and its rounding are large: the identities are decided relative to |R|
+    @pytest.mark.parametrize("name,seed", [
+        *(("space_form.json", seed) for seed in range(20)),
+        *(("space_form_n3.json", seed) for seed in (0, 7, 17)),
+    ])
+    def test_paper_space_form(self, capsys, name, seed):
+        problem = os.path.join(PROBLEMS, name)
+        assert main(["check", "--problem", problem, "--seed", str(seed)]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines[:-1]] == ["PASS"] * 6
         assert lines[-1] == "space form: c = -2"
@@ -479,16 +485,14 @@ class TestDeterminism:
         assert report["seed"] == 42
 
 
+COMMANDS = {"lagrangian": ("derive", "integrate"), "hamiltonian": ("derive", "integrate"),
+            "metric": ("check",)}
+BUNDLED = [(name, command) for name in sorted(os.listdir(PROBLEMS)) if name.endswith(".json")
+           for command in COMMANDS[load_problem(os.path.join(PROBLEMS, name)).kind]]
+
+
 class TestBundledProblems:
-    @pytest.mark.parametrize("name,command", [
-        ("lagrangian_xy.json", "derive"),
-        ("oscillator.json", "derive"),
-        ("model_space.json", "check"),
-        ("potential.json", "check"),
-        ("lagrangian_xy.json", "integrate"),
-        ("oscillator.json", "integrate"),
-        ("lagrangian_n3.json", "integrate"),
-    ])
+    @pytest.mark.parametrize("name,command", BUNDLED)
     def test_bundled_problem_runs_clean(self, name, command, tmp_path, capsys):
         problem = os.path.join(PROBLEMS, name)
         args = [command, "--problem", problem]

@@ -119,20 +119,22 @@ class TestChristoffel:
             assert np.max(np.abs(exact - approx)) < 1e-5
 
     def test_needs_no_symbolic_inverse(self, monkeypatch):
-        """Gamma and nabla J evaluate per point at every n: no adjugate, no determinant."""
+        """Gamma, R and nabla J evaluate per point at every n: no symbolic determinant."""
         from parakahler import linalg
 
         def refuse(*args):
             raise AssertionError("symbolic inverse used")
 
-        monkeypatch.setattr(linalg, "adjugate", refuse)
         monkeypatch.setattr(linalg, "determinant", refuse)
         phi = parse("x1*y1 + x2*y2 + 0.02*(x1*y1)^2 + 0.015*x1*x2*y1*y2", CHART2)
         g = metric_from_potential(phi, CHART2)
         gamma = christoffel(g)
+        R = riemann(g)
         for point in sample_points(CHART2, 2, seed=7):
             approx = helpers.fd_christoffel(g, point)
             assert np.max(np.abs(gamma.at(point) - approx)) < 1e-5
+            approx = helpers.fd_riemann_lowered(g, gamma, point)
+            assert np.max(np.abs(R.at(point) - approx)) < 1e-6
         assert nabla_J(g, model_product_structure(CHART2)) < 1e-6
 
 
@@ -174,12 +176,46 @@ class TestRiemann:
                 assert simplify(value) == value
                 assert value != Const(0.0)
 
-    def test_nonconstant_metric_beyond_dim_four_rejected(self):
+    @pytest.mark.parametrize("chart, source", [
+        (CHART1, "ln(1 + x1*y1)"),
+        *STORED_ENTRY_POTENTIALS,
+        (CHART2, "ln(1 + x1*y1 + x2*y2)"),
+    ])
+    def test_matches_symbolic_closed_form(self, chart, source):
+        g = metric_from_potential(parse(source, chart), chart)
+        R = riemann(g)
+        expected = helpers.symbolic_riemann(g)
+        for point in sample_points(chart, 5, seed=19):
+            exact = expected.at(point)
+            scale = max(1.0, float(np.max(np.abs(exact))))
+            assert np.max(np.abs(R.at(point) - exact)) <= 1e-12 * scale
+
+    def test_nonconstant_metric_beyond_dim_four_matches_oracle(self):
         chart = Chart(3)
         phi = parse("x1*y1 + x2*y2 + x3*y3 + 0.1*(x1*y2)^2", chart)
         g = metric_from_potential(phi, chart)
+        gamma = christoffel(g)
+        R = riemann(g)
+        for point in sample_points(chart, 2, seed=23):
+            exact = R.at(point)
+            approx = helpers.fd_riemann_lowered(g, gamma, point)
+            assert np.max(np.abs(exact - approx)) < 1e-6
+
+    def test_antisymmetries_hold_exactly(self):
+        chart = Chart(3)
+        g = TestSpaceForm.space_form(chart)
+        R = riemann(g)
+        for point in sample_points(chart, 3, seed=29):
+            D = R.at(point)
+            assert np.array_equal(D, -D.transpose(1, 0, 2, 3))
+            assert np.array_equal(D, -D.transpose(0, 1, 3, 2))
+
+    def test_quadratic_part_refuses_symbolic_access(self):
+        R = riemann(quartic_metric())
         with pytest.raises(ValueError):
-            riemann(g)
+            R.component(0, 1, 0, 1)
+        with pytest.raises(ValueError):
+            R.scaled(2.0)
 
 
 class TestSpaceForm:
@@ -197,7 +233,7 @@ class TestSpaceForm:
         terms = " + ".join(f"x{i}*y{i}" for i in range(1, chart.n + 1))
         return metric_from_potential(parse(f"ln(1 + {terms})", chart), chart)
 
-    @pytest.mark.parametrize("chart", [CHART1, CHART2], ids=["n1", "n2"])
+    @pytest.mark.parametrize("chart", [CHART1, CHART2, Chart(3)], ids=["n1", "n2", "n3"])
     def test_riemann_is_minus_two_r_zero(self, chart):
         g = self.space_form(chart)
         R = riemann(g)
@@ -237,6 +273,50 @@ class TestSymmetryReport:
         rep = symmetry_report(R, model_product_structure(CHART1))
         assert rep.antisymmetry_first_pair == pytest.approx(2.0)
         assert not rep.passes(1e-9)
+
+    def test_large_perturbed_tensor_rejected(self):
+        # 1000 R0 with one entry off by 1: relative to the scale, 1e-3 off
+        J = model_product_structure(CHART2)
+        R0 = r_zero(model_metric(CHART2), J)
+        dense = 1000.0 * R0.at({})
+        dense[0, 2, 0, 2] += 1.0
+        R = ConstantArray(CHART2, dense)
+        rep = symmetry_report(R, J)
+        assert rep.antisymmetry_first_pair == pytest.approx(1.0)
+        assert rep.relative[0] == pytest.approx(1e-3)
+        assert not rep.passes(1e-6)
+        assert constant_c_test(R, R0) is None
+
+    def test_verdict_relative_to_the_scale(self):
+        # a violation of 1e-4 on entries of 1e3 is rounding-sized relative to them
+        J = model_product_structure(CHART2)
+        dense = 1e3 * r_zero(model_metric(CHART2), J).at({})
+        dense[0, 2, 0, 2] += 1e-4
+        rep = symmetry_report(ConstantArray(CHART2, dense), J)
+        assert rep.antisymmetry_first_pair == pytest.approx(1e-4)
+        assert rep.passes(1e-6)
+
+    def test_matches_per_sample_loop(self):
+        # the report as a loop over samples; only J-invariance's einsum may round differently
+        g = TestSpaceForm.space_form(CHART2)
+        R, J = riemann(g), model_product_structure(CHART2)
+        rep = symmetry_report(R, J, trials=8, seed=5)
+        rng = random.Random(5)
+        absolute, relative = [0.0] * 4, [0.0] * 4
+        for _ in range(8):
+            point = CHART2.sample_point(rng)
+            D, Jm = R.at(point), J.at(point)
+            twisted = np.einsum("pa,qb,pqcd->abcd", Jm, Jm, D)
+            scale = max(1.0, float(np.max(np.abs(D))))
+            for i, x in enumerate((D + D.transpose(1, 0, 2, 3), D + D.transpose(0, 1, 3, 2),
+                                   D + D.transpose(1, 2, 0, 3) + D.transpose(2, 0, 1, 3),
+                                   twisted + D)):
+                absolute[i] = max(absolute[i], float(np.max(np.abs(x))))
+                relative[i] = max(relative[i], float(np.max(np.abs(x))) / scale)
+        assert list(rep.as_dict().values())[:3] == absolute[:3]
+        assert rep.relative[:3] == tuple(relative[:3])
+        assert rep.j_invariance == pytest.approx(absolute[3], rel=1e-9, abs=1e-12)
+        assert rep.relative[3] == pytest.approx(relative[3], rel=1e-9, abs=1e-15)
 
     def test_potential_metric_satisfies_suite(self):
         g = quartic_metric()

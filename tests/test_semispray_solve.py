@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parakahler import integrate
+from parakahler import integrate, lagrange
 from parakahler.expr import Compiled, EvaluationError, parse, simplify
 from parakahler.geometry import Chart
 from parakahler.integrate import NonFiniteStateError, ODESystem, integrate_rk4
@@ -234,22 +234,26 @@ def injected_semispray(n, position, bad):
     sources += [repr(rng.uniform(-1.0, 1.0)) for _ in range(dim)]
     sources[position] = {"inf": "1e308*x1", "-inf": "-1e308*x1",
                          "nan": "1e308*x1 - 1e308*x2"}[bad]
-    system = Compiled([parse(s, chart) for s in sources], chart.names())
-    return NumericSemispray(system, dim)
+    return NumericSemispray(chart, [parse(s, chart) for s in sources])
 
 
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
 def test_non_finite_entry_raises_the_systems_error(n, bad):
-    # the failure the numpy solve reported, since it evaluated system(state) first
+    # the failure the numpy solve reported, since it evaluated system(state) first,
+    # and it names the entry: d2L/dx1dy1, or dL/dx1 and -dL/dy1 on the right
     state = [10.0, 10.0] + [0.5] * (2 * n - 2)
     chart = Chart(n)
-    where = ", ".join(f"{name} = {v:.9g}" for name, v in zip(chart.names(), state))
+    names = chart.names()
+    labels = ([f"d2L/d{p}d{q}" for p in names for q in names]
+              + [f"dL/dx{i}" for i in range(1, n + 1)] + [f"-dL/dy{i}" for i in range(1, n + 1)])
+    where = ", ".join(f"{name} = {v:.9g}" for name, v in zip(names, state))
     for position in range((2 * n) ** 2 + 2 * n):
         semispray = injected_semispray(n, position, bad)
         with pytest.raises(EvaluationError) as parent:
             semispray.system(state)
         assert parent.value.index == position
+        assert str(parent.value).startswith(f"{labels[position]}: non-finite value ")
         with pytest.raises(EvaluationError) as checked:
             semispray(state)
         assert (str(checked.value), checked.value.index) == (str(parent.value), position)
@@ -258,6 +262,29 @@ def test_non_finite_entry_raises_the_systems_error(n, bad):
         assert str(info.value) == \
             f"evaluation failed in step 1, from t = 0 at {where}: {parent.value}"
         assert info.value.__cause__.index == position
+
+
+def test_hessian_compiled_once(monkeypatch):
+    # the rank probes read the Hessian from the numeric system itself
+    built = []
+
+    class Counting(Compiled):
+        def __init__(self, exprs, *args, **kwargs):
+            exprs = tuple(exprs)
+            built.append(len(exprs))
+            super().__init__(exprs, *args, **kwargs)
+
+    monkeypatch.setattr(lagrange, "Compiled", Counting)
+    euler_lagrange_system(LagrangianSystem.from_source(DENSE_N3, Chart(3)))
+    assert built == [6 * 6 + 6]
+
+
+def test_rank_probes_need_only_the_hessian():
+    # the gradient ln(x1) fails at every probe with x1 < 0, the Hessian 1/x1 does not
+    L = LagrangianSystem.from_source("x1*ln(x1) + x1*y1 + x2*y2 + x3*y3", Chart(3))
+    ode = euler_lagrange_system(L).ode
+    states = integrate_rk4(ode, [0.5, 0.1, 0.2, 0.3, 0.4, 0.5], 0.0, 0.1, 0.01).states
+    assert np.all(np.isfinite(states))
 
 
 def test_singular_hessian_names_step_t_and_state():
