@@ -25,6 +25,7 @@ RUNS = [
     ("lagrangian_xy.json", "integrate"),
     ("oscillator.json", "integrate"),
     ("lagrangian_n3.json", "integrate"),
+    ("coupled_se.json", "integrate"),
 ]
 
 

@@ -123,6 +123,9 @@ def load_problem(path: str) -> ProblemFile:
     scheme = integrator.get("scheme", "rk4")
     if scheme not in ("rk4", "symplectic-euler"):
         raise ProblemError(f"scheme must be rk4 or symplectic-euler, got {scheme!r}")
+    for key in ("t0", "t1", "h"):
+        if isinstance(integrator.get(key), bool):
+            raise ProblemError(f"integrator: {key} must be a number, got {integrator[key]!r}")
     try:
         t0 = float(integrator.get("t0", 0.0))
         t1 = float(integrator.get("t1", 1.0))
@@ -134,7 +137,8 @@ def load_problem(path: str) -> ProblemFile:
     initial = raw.get("initial_state")
     if initial is not None:
         if (not isinstance(initial, list) or len(initial) != 2 * n
-                or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in initial)):
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                           and math.isfinite(v) for v in initial)):
             raise ProblemError(f"initial_state must be a list of 2n = {2 * n} finite numbers")
         initial = tuple(float(v) for v in initial)
 

@@ -215,6 +215,13 @@ def free_variables(e: Expression) -> frozenset[Var]:
 # differentiation
 # ---------------------------------------------------------------------------
 
+def _sum_of(terms: list) -> Expression:
+    """The sum of terms: ZERO for none, the lone term for one."""
+    if not terms:
+        return ZERO
+    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+
+
 def differentiate(e: Expression, v: Var) -> Expression:
     """Exact symbolic partial derivative of e with respect to coordinate v."""
     return simplify(_diff(e, v))
@@ -226,12 +233,11 @@ def _diff(e: Expression, v: Var) -> Expression:
     if isinstance(e, Var):
         return ONE if e == v else ZERO
     if isinstance(e, Sum):
-        return Sum(tuple(_diff(t, v) for t in e.terms))
+        return _sum_of([d for d in (_diff(t, v) for t in e.terms) if not is_zero(d)])
     if isinstance(e, Product):
-        terms = []
-        for i, f in enumerate(e.factors):
-            terms.append(Product(e.factors[:i] + (_diff(f, v),) + e.factors[i + 1:]))
-        return Sum(tuple(terms))
+        derivatives = [_diff(f, v) for f in e.factors]
+        return _sum_of([Product(e.factors[:i] + (d,) + e.factors[i + 1:])
+                        for i, d in enumerate(derivatives) if not is_zero(d)])
     if isinstance(e, Quotient):
         n, d = e.numerator, e.denominator
         return Quotient(Sum((Product((_diff(n, v), d)), -Product((n, _diff(d, v))))),
@@ -356,11 +362,7 @@ class _Simplify:
                  if (c := collected[r]) != 0.0]
         if constant != 0.0:
             terms.append(Const(constant))
-        if not terms:
-            return ZERO
-        if len(terms) == 1:
-            return terms[0]
-        return Sum(tuple(terms))
+        return _sum_of(terms)
 
     def product(self, e: Product) -> Expression:
         coeff = 1.0

@@ -16,11 +16,12 @@ semispray of a Lagrangian with 2n > 4 does) and run again through the
 checked calls only when that raises (_rerun_checked) or leaves a
 non-finite value, which _run's one check of each new state finds, so
 failures read as before.  The symplectic Euler step solves its n x n Newton
-system on floats, by partial-pivot elimination in numpy.linalg.solve's
-operation order (_solve), with no numpy call inside a step; its Newton
-tolerance has a floor at rounding level for large momenta.  For a
-separable H = T(y) + V(x) (HamiltonianSystem.separable) the step
-evaluates H_x once and never H_xy: its Newton Jacobian is the identity.
+system on floats with linalg.elimination_function(n), the generated
+partial-pivot elimination the numeric semispray also uses, with no numpy
+call inside a step; its Newton tolerance has a floor at rounding level
+for large momenta.  For a separable H = T(y) + V(x)
+(HamiltonianSystem.separable) the step evaluates H_x once and never
+H_xy: its Newton Jacobian is the identity.
 Compiled flows are cached per system (ODESystem.vector_function,
 HamiltonianSystem.compiled_blocks), so repeated runs on one system
 compile nothing, and _run appends the states to one buffer of doubles.
@@ -41,6 +42,7 @@ import numpy as np
 
 from .expr import Compiled, EvaluationError, Expression, to_source
 from .geometry import Chart
+from .linalg import elimination_function
 
 MAX_STEPS = 10_000_000
 NEWTON_TOL = 1e-12
@@ -287,77 +289,6 @@ def integrate_rk4(sys: ODESystem, state0: Sequence[float], t0: float, t1: float,
                 sys.chart.names())
 
 
-def _fma(a: float, b: float, c: float) -> float:
-    """a*b + c rounded once, as a fused multiply-add rounds it.
-
-    Dekker's product splits a*b exactly into p + e (Veltkamp's split of
-    each factor), and math.fsum rounds c + p + e once.  Exact unless a*b
-    overflows or underflows; a factor of 2**997 or more gives nan.
-    """
-    p = a * b
-    t = 134217729.0 * a   # 2**27 + 1
-    ah = t - (t - a)
-    al = a - ah
-    t = 134217729.0 * b
-    bh = t - (t - b)
-    bl = b - bh
-    return math.fsum((c, p, ((ah * bh - p) + ah * bl + al * bh) + al * bl))
-
-
-def _solve(a: list, b: list) -> list:
-    """x with a x = b, for a list of n rows of n floats and b of n floats.
-
-    LU with partial pivoting, then two triangular solves, on floats, in
-    the operation order of numpy.linalg.solve on OpenBLAS: the LU is
-    left-looking, as OpenBLAS's unblocked getf2 runs it, so each column
-    first subtracts the sums of its earlier multiples; each multiplier is
-    the entry times 1/pivot; sums of products and the triangular solves'
-    updates are fused multiply-adds.  So for small n the result equals
-    numpy.linalg.solve's bit for bit.  a and b are overwritten.  An exact
-    zero pivot means a singular system and raises the step failure that
-    names it.
-    """
-    n = len(b)
-    for j in range(n):
-        if j:
-            column = [row[j] for row in a]
-            for i in range(1, n):
-                row = a[i]
-                dot = row[0] * column[0]
-                for k in range(1, i if i < j else j):
-                    dot = _fma(row[k], column[k], dot)
-                row[j] = column[i] = column[i] - dot
-        p = j
-        for i in range(j + 1, n):
-            if abs(a[i][j]) > abs(a[p][j]):
-                p = i
-        if a[p][j] == 0.0:
-            raise _StepFailure(NewtonConvergenceError, "singular Newton system")
-        if p != j:
-            a[j], a[p] = a[p], a[j]
-            b[j], b[p] = b[p], b[j]
-        inverse = 1.0 / a[j][j]
-        bj = -b[j]
-        for i in range(j + 1, n):   # the multipliers, and L y = b by columns
-            row = a[i]
-            row[j] = m = row[j] * inverse
-            b[i] = _fma(bj, m, b[i])
-    for j in range(n - 1, -1, -1):   # U x = y by columns
-        bj = b[j] = b[j] / a[j][j]
-        for i in range(j):
-            b[i] = _fma(-bj, a[i][j], b[i])
-    return b
-
-
-def _newton_floor(y: list, yv: list) -> float:
-    """The rounding level of a residual (yv - y) + h*g: 4 ulp of its largest momentum.
-
-    |h*g| is about |yv - y|, so the momenta bound every term to a factor
-    of two.  Below 2048 in magnitude this is at most 9.1e-13 < NEWTON_TOL.
-    """
-    return 4.0 * math.ulp(max(max(map(abs, y)), max(map(abs, yv))))
-
-
 @lru_cache(maxsize=16)   # one per (n, separable)
 def _symplectic_euler_function(n: int, separable: bool) -> Callable:
     """se(hx, hy, hxy, h, x1.., y1..): one symplectic Euler step, generated for n.
@@ -366,15 +297,17 @@ def _symplectic_euler_function(n: int, separable: bool) -> Callable:
     H_x, H_y and H_xy by rows; se returns the new state as a list.  The
     Newton iterate y', its residual and update are locals, and the
     arithmetic is the array form's, term by term: the residual
-    (y' - y) + h*H_x, the Jacobian I + h*H_xy solved by _solve, the
-    candidates y' - scale*delta, and the stop rule max |residual| <=
-    max(NEWTON_TOL, _newton_floor(y, y')), inlined.  A separable step (H_x reads
-    no momentum, so H_xy is 0) evaluates h*H_x once and never H_xy, and
-    takes as its update what _solve returns on the identity: r_i + 0.0
-    (its fused multiply-adds turn -0.0 into +0.0), and r_1 itself when
-    n = 1.  Since a checked H_x never returns a non-finite value, only
-    an unchecked run can meet one in a candidate's H_x; it raises there,
-    and the checked re-run names the failure.
+    (y' - y) + h*H_x, the Jacobian I + h*H_xy solved by
+    linalg.elimination_function(n), bound as solve, the candidates
+    y' - scale*delta, and the stop rule max |residual| <= max(NEWTON_TOL,
+    4 ulp of the largest |y_i| or |y'_i|).  An exact zero pivot is a
+    singular Newton system.  A separable step (H_x reads no momentum, so
+    H_xy is 0) evaluates h*H_x once and never H_xy, and takes as its
+    update the solve's back substitution on the identity, d_k = r_k -
+    0.0*d_(k+1) - .. - 0.0*d_n, signs of zero included.  Since a checked
+    H_x never returns a non-finite value, only an unchecked run can meet
+    one in a candidate's H_x; it raises there, and the checked re-run
+    names the failure.
     """
     def each(template: str, count: int = n, sep: str = ", ") -> str:
         return sep.join(template.format(i=i) for i in range(count))
@@ -404,14 +337,17 @@ def _symplectic_euler_function(n: int, separable: bool) -> Callable:
               "            raise _StepFailure(NewtonConvergenceError, 'Newton iteration failed "
               f"after {NEWTON_MAX_ITERS} iterations')"]
     if separable:
-        lines += [f"        d{i} = r{i}" + (" + 0.0" if n > 1 else "") for i in range(n)]
+        lines += [f"        d{k} = r{k}" + "".join(f" - 0.0 * d{j}" for j in range(k + 1, n))
+                  for k in range(n - 1, -1, -1)]
     else:
-        rows = ", ".join(f"[{', '.join(f'j{i + k}' for k in range(n))}]" for i in range(0, n * n, n))
         lines += [f"        {each('j{i}', n * n)}, = hxy({each('x{i}')}, {each('v{i}')})",
                   *(f"        j{i} = {float(i % (n + 1) == 0)} + h * j{i}" for i in range(n * n)),
                   f"        if not ({finite('j{i}', n * n)}):",
                   "            raise _StepFailure(NonFiniteStateError, 'non-finite Newton Jacobian')",
-                  f"        {each('d{i}')}, = _solve([{rows}], [{each('r{i}')}])"]
+                  "        try:",
+                  f"            {each('d{i}')}, = solve({each('j{i}', n * n)}, {each('r{i}')})",
+                  "        except ZeroDivisionError:",
+                  "            raise _StepFailure(NewtonConvergenceError, 'singular Newton system')"]
     # the last, smallest scale is taken regardless
     lines += [f"        for scale in {BACKTRACK!r}:",
               *(f"            c{i} = v{i} - scale * d{i}" for i in range(n))]
@@ -426,7 +362,8 @@ def _symplectic_euler_function(n: int, separable: bool) -> Callable:
               f"    {each('a{i}')}, = hy({each('x{i}')}, {each('v{i}')})",
               f"    return [{each('x{i} + h * a{i}')}, {each('v{i}')}]\n"]
     module = compile("\n".join(lines), "<symplectic euler>", "exec")
-    return FunctionType(next(k for k in module.co_consts if isinstance(k, CodeType)), globals())
+    return FunctionType(next(k for k in module.co_consts if isinstance(k, CodeType)),
+                        dict(globals(), solve=elimination_function(n)))
 
 
 def _symplectic_euler_step(H, h: float) -> Callable:
@@ -450,9 +387,10 @@ def integrate_symplectic_euler(H, state0: Sequence[float], t0: float, t1: float,
     the analytic Jacobian I + h * H_xy, at most 25 iterations, each
     halving its step at most six times), then advances
     x' = x + h * H_y(x, y').  The Newton system is solved on floats by
-    Gaussian elimination with partial pivoting; an exactly singular one
-    fails the step.  Newton stops when max |residual| <= max(1e-12,
-    4 ulp(m)), m the largest |y_i| or |y'_i|: the residual
+    linalg.elimination_function(n), Gaussian elimination with partial
+    pivoting, which is backward stable in any operation order; an exactly
+    singular one fails the step.  Newton stops when max |residual| <=
+    max(1e-12, 4 ulp(m)), m the largest |y_i| or |y'_i|: the residual
     (y' - y) + h * H_x cannot fall below the rounding of y', so at large
     momenta the floor replaces the absolute 1e-12.  While every momentum
     is below 2048 in magnitude the floor is at most 9.1e-13 and the
@@ -460,8 +398,9 @@ def integrate_symplectic_euler(H, state0: Sequence[float], t0: float, t1: float,
     are derived and compiled once per system, so repeated runs on one
     system differentiate and compile nothing.  When H is separable, H_x
     reads no momentum and H_xy is 0: each step evaluates H_x once and
-    H_y once, and takes the solve of the identity Jacobian as its
-    Newton update, which is exactly the update the general loop takes.
+    H_y once, and takes the elimination's back substitution on the
+    identity Jacobian as its Newton update, which is exactly the update
+    the general loop takes, signs of zero included.
     """
     return _run(_symplectic_euler_step(H, h), state0, t0, t1, h, H.chart.names())
 

@@ -1,9 +1,10 @@
-"""Linear algebra for the semispray solve: exact for small charts, on floats beyond.
+"""Linear algebra: exact for small semispray solves, on floats for the rest.
 
 Exact algebra over Expression matrices is Laplace expansion only,
-intended for matrices up to 4x4 (charts with 2n <= 4).  Larger systems
-are solved per point on floats by elimination_function(dim), one
-generated partial-pivot elimination per dimension.
+intended for matrices up to 4x4 (charts with 2n <= 4).  Every float
+solve is elimination_function(dim), one generated partial-pivot
+elimination per dimension: the semispray's per-point solve for 2n > 4
+and the symplectic Euler step's Newton solve at every n.
 """
 
 from __future__ import annotations

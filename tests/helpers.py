@@ -52,6 +52,32 @@ def random_regular_lagrangian(rng: random.Random, chart: Chart):
     return simplify(Sum((*core, noise)))
 
 
+def reference_elimination(a, b):
+    """linalg.elimination_function's algorithm as loops over lists: the oracle for its bits.
+
+    max returns the first row of largest |entry|, LAPACK's tie rule.
+    """
+    n = len(b)
+    a, b = [row[:] for row in a], b[:]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(a[i][k]))
+        a[k], a[p], b[k], b[p] = a[p], a[k], b[p], b[k]
+        inverse = 1.0 / a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] * inverse
+            if f:
+                for j in range(k + 1, n):
+                    a[i][j] = a[i][j] - f * a[k][j]
+                b[i] = b[i] - f * b[k]
+    x = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        acc = b[k]
+        for j in range(k + 1, n):
+            acc = acc - a[k][j] * x[j]
+        x[k] = acc / a[k][k]
+    return x
+
+
 def fd_christoffel(g, point: dict, h: float = 1e-6) -> np.ndarray:
     """Central-difference Christoffel symbols, Gamma[a, b, c] = Gamma^a_bc."""
     chart = g.chart

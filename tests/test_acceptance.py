@@ -292,6 +292,7 @@ def test_criterion_09_degeneracy_handling():
     ("lagrangian_xy.json", "integrate", "lagrangian-xy-integrate.json"),
     ("oscillator.json", "integrate", "oscillator-integrate.json"),
     ("lagrangian_n3.json", "integrate", "lagrangian-n3-integrate.json"),
+    ("coupled_se.json", "integrate", "coupled-se-integrate.json"),
 ])
 def test_criterion_10_cli_reports_deterministic(problem, command, report_name,
                                                 tmp_path, capsys):

@@ -5,12 +5,13 @@ forms the package used before its steps ran on lists of floats.  The
 list forms keep their operation order, so trajectories must be equal to
 the last bit, not merely close.  An RK4 step is one generated function
 per dimension, fed by the compiled right-hand side unchecked or by an
-rhs_callable.  The symplectic Euler step solves its
-Newton system in the operation order of numpy.linalg.solve on OpenBLAS,
-fused multiply-adds included, so these equalities hold against numpy's
-bundled OpenBLAS.  On a separable H it evaluates H_x once per step and
-skips H_xy, and must still give the general Newton loop's trajectory bit
-for bit, signs of zero included.
+rhs_callable.  The symplectic Euler step solves its Newton system with
+linalg.elimination_function(n), and the array form solves it with the
+same algorithm written as loops, helpers.reference_elimination, so
+these equalities hold by construction, whatever BLAS numpy uses.  On a
+separable H the step evaluates H_x once per step and skips H_xy, and
+must still give the general Newton loop's trajectory bit for bit, signs
+of zero included.
 """
 
 import itertools
@@ -36,6 +37,9 @@ from parakahler.integrate import (
     symplecticity_check,
 )
 from parakahler.lagrange import LagrangianSystem, euler_lagrange_system
+from parakahler.linalg import elimination_function
+
+import helpers
 
 BILINEAR = "x1*y1"
 # the x1*y1^4 and x1*x2*y1*y2 terms make H_x nonlinear in y, so Newton iterates
@@ -44,7 +48,7 @@ COUPLED = "1.3*x1*y1 + 1.4*x2*y2 + 0.05*x1^2*y2 + 0.04*x2*y1"
 NUMERIC = "x1*y1 + 2*x2*y2 + 1.5*x3*y3 + 0.1*x1^2*y2 + 0.05*x3^2"
 # H_x is nonlinear in y at n=1 and at n=3 (the n=3 one non-separable), so
 # Newton iterates; COUPLED's H_x is linear in y, so its one Newton update
-# per step is the solve itself and the solve must equal numpy's to the bit
+# per step is the solve itself and the solve must equal the loop form's to the bit
 NONLINEAR_N1 = "x1*y1 + 0.2*x1^2*y1^4"
 NONSEPARABLE_N3 = "x1*y1 + x2*y2 + x3*y3 + 0.2*y1*y2*y3 + 0.1*x1*y2^2 + 0.3*x3*y1*y3"
 
@@ -93,8 +97,8 @@ def reference_symplectic_euler_step(H, h):
             if not np.all(np.isfinite(jac)):
                 raise NonFiniteStateError(k)
             try:
-                delta = np.linalg.solve(jac, -r)
-            except np.linalg.LinAlgError as exc:
+                delta = np.array(helpers.reference_elimination(jac.tolist(), (-r).tolist()))
+            except ZeroDivisionError as exc:
                 raise NewtonConvergenceError(
                     k, f"singular Newton system at step {k}") from exc
             for scale in BACKTRACK:   # the last, smallest scale is taken regardless
@@ -249,7 +253,7 @@ def test_symplectic_euler_step_calls_no_numpy_solve(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # separable H = T(y) + V(x): H_x reads no momentum, so the step evaluates
-# h*H_x once and takes _solve's answer on the identity Jacobian as its update
+# h*H_x once and takes the elimination's answer on the identity Jacobian as its update
 # ---------------------------------------------------------------------------
 
 # the shape of the benchmark's quartic, and two more separable systems
@@ -345,14 +349,18 @@ SIGNED = [0.0, -0.0, 5e-324, -5e-324, 1.5, -2.25, 1e300, -1e300]
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_solve_on_the_identity_is_the_separable_update(n):
-    # the separable step's update: r itself at n = 1; r_i + 0.0 at n >= 2,
-    # where _solve's fused multiply-adds turn -0.0 into +0.0
+    # the separable step's update is the elimination's back substitution on
+    # the identity: d_n = r_n, d_k = r_k - 0.0*d_(k+1) - .. - 0.0*d_n
     if n <= 4:
         vectors = itertools.product(SIGNED, repeat=n)
     else:
         rng = random.Random(5)
         vectors = [[rng.choice(SIGNED) for _ in range(n)] for _ in range(2000)]
+    identity = [1.0 if i == j else 0.0 for i in range(n) for j in range(n)]
     for r in vectors:
-        identity = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-        update = list(r) if n == 1 else [v + 0.0 for v in r]
-        assert [v.hex() for v in integrate._solve(identity, list(r))] == [v.hex() for v in update]
+        update = list(r)
+        for k in range(n - 2, -1, -1):
+            for j in range(k + 1, n):
+                update[k] = update[k] - 0.0 * update[j]
+        assert [v.hex() for v in elimination_function(n)(*identity, *r)] == \
+            [v.hex() for v in update]

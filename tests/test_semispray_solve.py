@@ -1,18 +1,20 @@
-"""The numeric semispray's float elimination against numpy.linalg.solve.
+"""The package's float elimination against numpy.linalg.solve, and the numeric semispray on it.
 
-For 2n > 4 the semispray solves Hess(L) (X, Y) = (L_x, -L_y) at each
-point with linalg.elimination_function(dim), generated partial-pivot
-elimination on floats.  It keeps LAPACK's pivot choice but not its
-operation order, so it is checked against numpy.linalg.solve to a
-tolerance, not to the bit.  The systems are those of
-tests/test_newton_solve.py: |a_ii| >= dim exceeds the sum of the rest
-of its row (at most dim - 1) by 1 or more, so cond(a) <= 2*dim + 1 in
-the max norm.  Either solve is then within about dim * cond * 2**-52,
-below 4e-14 for dim <= 8, of the exact solution relative to max |x|;
-the tolerance is 1e-12.  Failures must read as they did when the
-solve was numpy's: a non-finite Hessian or right-hand-side entry
-raises the compiled system's EvaluationError, and an exactly singular
-Hessian reached by a step names its rank, step, t and state.
+linalg.elimination_function(dim) is generated partial-pivot elimination
+on floats.  For 2n > 4 the semispray solves Hess(L) (X, Y) = (L_x, -L_y)
+with it at each point, and the symplectic Euler step solves its Newton
+system with it at every n (tests/test_newton_solve.py).  It keeps
+LAPACK's pivot choice but not its operation order, so it is checked
+against numpy.linalg.solve to a tolerance, and against its own loop
+form, helpers.reference_elimination, to the bit.  The systems are
+diagonally dominant: |a_ii| >= dim exceeds the sum of the rest of its
+row (at most dim - 1) by 1 or more, so cond(a) <= 2*dim + 1 in the max
+norm.  Either solve is then within about dim * cond * 2**-52, below
+4e-14 for dim <= 8, of the exact solution relative to max |x|; the
+tolerance is 1e-12.  Failures must read as they did when the
+semispray's solve was numpy's: a non-finite Hessian or right-hand-side
+entry raises the compiled system's EvaluationError, and an exactly
+singular Hessian reached by a step names its rank, step, t and state.
 """
 
 import math
@@ -34,6 +36,7 @@ from parakahler.lagrange import (
 )
 from parakahler.linalg import elimination_function
 
+import helpers
 from test_fused_steps import NUMERIC, reference_rk4_step, reference_run
 
 TOL = 1e-12
@@ -46,35 +49,9 @@ def solve(a, b):
     return elimination_function(len(b))(*[e for row in a for e in row], *b)
 
 
-def reference_elimination(a, b):
-    """The generated solve's algorithm as loops over lists: the oracle for its bits.
-
-    max returns the first row of largest |entry|, LAPACK's tie rule.
-    """
-    n = len(b)
-    a, b = [row[:] for row in a], b[:]
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(a[i][k]))
-        a[k], a[p], b[k], b[p] = a[p], a[k], b[p], b[k]
-        inverse = 1.0 / a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] * inverse
-            if f:
-                for j in range(k + 1, n):
-                    a[i][j] = a[i][j] - f * a[k][j]
-                b[i] = b[i] - f * b[k]
-    x = [0.0] * n
-    for k in range(n - 1, -1, -1):
-        acc = b[k]
-        for j in range(k + 1, n):
-            acc = acc - a[k][j] * x[j]
-        x[k] = acc / a[k][k]
-    return x
-
-
 def dominant_systems(entries):
-    """Diagonally dominant systems of dim 5..8, rows permuted so pivoting swaps them back."""
-    return st.integers(min_value=5, max_value=8).flatmap(lambda n: st.tuples(
+    """Diagonally dominant systems of dim 1..8, rows permuted so pivoting swaps them back."""
+    return st.integers(min_value=1, max_value=8).flatmap(lambda n: st.tuples(
         st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n),
         st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
         st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n),
@@ -105,7 +82,7 @@ class TestElimination:
         expected = np.linalg.solve(np.array(a), np.array(b))
         assert np.max(np.abs(solve(a, b) - expected)) <= TOL * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_zero_multipliers_skip_their_updates(self, n):
         # a permuted positive diagonal: the pivots swap the rows back and every
         # multiplier is +0.0, so x_i = b_i / d_i exactly.  b_0 < 0 and b_1 = -0.0:
@@ -115,7 +92,7 @@ class TestElimination:
         rng = random.Random(n)
         for _ in range(50):
             d = [rng.uniform(0.5, 2.0) for _ in range(n)]
-            b = [-rng.uniform(0.5, 1.0), -0.0] + [rng.uniform(0.0, 1.0) for _ in range(n - 2)]
+            b = [-rng.uniform(0.5, 1.0), -0.0][:n] + [rng.uniform(0.0, 1.0) for _ in range(n - 2)]
             order = list(range(n))
             rng.shuffle(order)
             a = [[d[i] if i == j else 0.0 for j in range(n)] for i in order]
@@ -123,7 +100,7 @@ class TestElimination:
             assert [v.hex() for v in x] == [(b[i] / d[i]).hex() for i in range(n)]
 
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(st.integers(min_value=5, max_value=8).flatmap(lambda n: st.tuples(
+    @given(st.integers(min_value=1, max_value=8).flatmap(lambda n: st.tuples(
         st.lists(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]), min_size=n, max_size=n),
                  min_size=n, max_size=n),
         st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))))
@@ -132,7 +109,7 @@ class TestElimination:
         # largest row gives the loop form's bits
         a, b = system
         try:
-            expected = reference_elimination(a, b)
+            expected = helpers.reference_elimination(a, b)
         except ZeroDivisionError:
             with pytest.raises(ZeroDivisionError):
                 solve(a, b)
@@ -140,19 +117,23 @@ class TestElimination:
         assert [v.hex() for v in solve(a, b)] == [v.hex() for v in expected]
 
     @pytest.mark.parametrize("a", [
+        [[0.0]],
+        [[1.0, 2.0], [2.0, 4.0]],
+        [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]],
         [[1.0 if i == j and i != 2 else 0.0 for j in range(5)] for i in range(5)],
         [[1.0, 2.0, 0.0, 0.0, 0.0], [2.0, 4.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0],
          [0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]],
         [[float(i + j) for j in range(6)] for i in range(6)],
         [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0] * 6, *([[0.0] * 5 + [1.0]] * 4)],
-    ], ids=["zero-column-5", "equal-rows-scaled-5", "rank-2-6", "zero-row-6"])
+    ], ids=["zero-1", "rank-1-2", "rank-2-3", "zero-column-5", "equal-rows-scaled-5", "rank-2-6",
+            "zero-row-6"])
     def test_exact_zero_pivot_is_singular(self, a):
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(np.array(a), np.ones(len(a)))
         with pytest.raises(ZeroDivisionError):
             solve(a, [1.0] * len(a))
 
-    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_non_finite_entry_is_never_hidden(self, n):
         # every position of a and b, dense and sparse, pivot or not: the solve
         # raises or returns a non-finite component, so a fast run is re-run checked
