@@ -60,14 +60,28 @@ class ProblemFile:
     tol: Optional[float] = None
 
 
+def _number(value, message: str) -> float:
+    """value as a float: the one number rule for t0, t1, h, initial_state and tol.
+
+    Booleans, strings and integers beyond float range raise ProblemError
+    with message; non-finite values are left to each caller's range.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ProblemError(f"{message}, got an integer beyond float range") from None
+    raise ProblemError(f"{message}, got {value!r}")
+
+
 def _check_seed_and_tol(seed, tol):
     """Raise ProblemError unless seed is a non-negative integer and tol is None
     or a finite positive number: one rule for problem files and for flags."""
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ProblemError("seed must be a non-negative integer")
-    if tol is not None and (not isinstance(tol, (int, float)) or isinstance(tol, bool)
-                            or not math.isfinite(tol) or tol <= 0):
-        raise ProblemError(f"tol must be a finite positive number, got {tol!r}")
+    message = "tol must be a finite positive number"
+    if tol is not None and not (math.isfinite(_number(tol, message)) and tol > 0):
+        raise ProblemError(f"{message}, got {tol!r}")
 
 
 def load_problem(path: str) -> ProblemFile:
@@ -123,24 +137,21 @@ def load_problem(path: str) -> ProblemFile:
     scheme = integrator.get("scheme", "rk4")
     if scheme not in ("rk4", "symplectic-euler"):
         raise ProblemError(f"scheme must be rk4 or symplectic-euler, got {scheme!r}")
-    for key in ("t0", "t1", "h"):
-        if isinstance(integrator.get(key), bool):
-            raise ProblemError(f"integrator: {key} must be a number, got {integrator[key]!r}")
+    t0, t1, h = (_number(integrator.get(key, default), f"integrator: {key} must be a number")
+                 for key, default in (("t0", 0.0), ("t1", 1.0), ("h", 0.01)))
     try:
-        t0 = float(integrator.get("t0", 0.0))
-        t1 = float(integrator.get("t1", 1.0))
-        h = float(integrator.get("h", 0.01))
-        integrate_mod._step_count(t0, t1, h)
-    except (TypeError, ValueError) as exc:
+        integrate_mod._step_count(t0, t1, h)   # rejects non-finite times
+    except ValueError as exc:
         raise ProblemError(f"integrator: {exc}") from exc
 
     initial = raw.get("initial_state")
     if initial is not None:
-        if (not isinstance(initial, list) or len(initial) != 2 * n
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           and math.isfinite(v) for v in initial)):
-            raise ProblemError(f"initial_state must be a list of 2n = {2 * n} finite numbers")
-        initial = tuple(float(v) for v in initial)
+        message = f"initial_state must be a list of 2n = {2 * n} finite numbers"
+        if not isinstance(initial, list) or len(initial) != 2 * n:
+            raise ProblemError(message)
+        initial = tuple(_number(v, message) for v in initial)
+        if not all(map(math.isfinite, initial)):
+            raise ProblemError(f"{message}, got {list(initial)!r}")
 
     seed, tol = raw.get("seed", 0), raw.get("tol")
     _check_seed_and_tol(seed, tol)

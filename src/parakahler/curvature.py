@@ -10,10 +10,12 @@ stored, each simplified once as it is built, and the two antisymmetries
 give the rest by sign.
 
 Christoffel symbols and the curvature are evaluated per point with a
-numeric inverse of g, at any dimension.  The curvature stores its part
-linear in the second derivatives of g symbolically and adds its part
-quadratic in the first derivatives at each point; a constant metric
-gives exactly the zero tensor.
+numeric inverse of g, at any dimension, from one connection: the first
+derivatives of g, derived once per metric, give its lowered symbols at
+a point.  The curvature stores its part linear in the second
+derivatives of g symbolically and adds its part quadratic in the first
+derivatives from those symbols at each point; a constant metric gives
+exactly the zero tensor.
 """
 
 from __future__ import annotations
@@ -62,15 +64,6 @@ class IsotropicVectorError(Exception):
 # Christoffel symbols
 # ---------------------------------------------------------------------------
 
-def _metric_derivatives(g: Metric):
-    """dg[a][b][c] = partial_a g_{bc}, simplified."""
-    chart = g.chart
-    dim = chart.dim
-    return tuple(tuple(tuple(differentiate(g.entries[b][c], chart.variable(a))
-                             for c in range(dim)) for b in range(dim))
-                 for a in range(dim))
-
-
 def _probe_points(chart: Chart, seed: int = 20240501):
     rng = random.Random(seed)
     return [chart.sample_point(rng) for _ in range(SINGULARITY_PROBES)]
@@ -94,39 +87,40 @@ def _inverse_at(g: Metric, point: Mapping[str, float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChristoffelSymbols:
-    """Connection coefficients Gamma^a_{bc}, symmetric in the lower pair.
+    """Levi-Civita connection of a metric, evaluated per point at any dimension.
 
-    Evaluated per point at any dimension: the compiled first derivatives
-    of the metric, contracted with a numeric inverse of g.
+    lowered(point) gives the lowered symbols G_{d,bc} from the compiled
+    first derivatives of the metric (Metric.derivatives), and at(point)
+    the coefficients Gamma^a_{bc} = g^{ad} G_{d,bc}, with a numeric
+    inverse of g; both are symmetric in the lower pair.
     """
 
     chart: Chart
     metric: Metric
-    metric_derivatives: tuple
 
     def is_zero(self) -> bool:
-        return all(is_zero(e) for plane in self.metric_derivatives
-                   for row in plane for e in row)
+        return all(is_zero(e) for plane in self.metric.derivatives for row in plane for e in row)
 
     @cached_property
     def _compiled(self) -> Compiled:
-        return Compiled(e for plane in self.metric_derivatives for row in plane for e in row)
+        return Compiled(e for plane in self.metric.derivatives for row in plane for e in row)
+
+    def lowered(self, point: Mapping[str, float]) -> np.ndarray:
+        """Numeric G_{d,bc} = (1/2)(d_b g_{dc} + d_c g_{bd} - d_d g_{bc}) array at a point."""
+        dim = self.chart.dim
+        # values[a, b, c] = d_a g_{bc}
+        values = np.array(self._compiled.at(point)).reshape(dim, dim, dim)
+        return 0.5 * (np.einsum('bdc->dbc', values) + np.einsum('cbd->dbc', values) - values)
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
         """Numeric Gamma^a_{bc} array at a point."""
-        dim = self.chart.dim
-        values = np.array(self._compiled.at(point)).reshape(dim, dim, dim)
-        inv = _inverse_at(self.metric, point)
-        # values[a, b, c] = d_a g_{bc}; T[d, b, c] = d_b g_{dc} + d_c g_{bd} - d_d g_{bc}
-        T = (np.einsum('bdc->dbc', values) + np.einsum('cbd->dbc', values)
-             - np.einsum('dbc->dbc', values))
-        return 0.5 * np.einsum('ad,dbc->abc', inv, T)
+        return np.einsum('ad,dbc->abc', _inverse_at(self.metric, point), self.lowered(point))
 
 
 def christoffel(g: Metric) -> ChristoffelSymbols:
     """Levi-Civita connection coefficients of g, evaluated per point."""
     _check_invertible(g)
-    return ChristoffelSymbols(g.chart, g, _metric_derivatives(g))
+    return ChristoffelSymbols(g.chart, g)
 
 
 # ---------------------------------------------------------------------------
@@ -138,25 +132,24 @@ class CurvatureTensor:
     """(0,4)-tensor R_{abcd} in canonical storage.
 
     canonical maps keys (a, b, c, d) with a < b and c < d to simplified,
-    nonzero entries.  When metric is set, they are only the linear part:
-    at() adds to each key g^{ef} (G_{e,bd} G_{f,ac} - G_{e,ad} G_{f,bc})
-    from the lowered symbols G_{d,bc} in lowered (nested d, b, c) and a
-    numeric inverse of g, and component and scaled refuse the tensor.
-    Every other component follows from the two antisymmetries by sign,
-    so they hold exactly.
+    nonzero entries.  When connection is set, they are only the linear
+    part: at() adds to each key g^{ef} (G_{e,bd} G_{f,ac} - G_{e,ad}
+    G_{f,bc}) from the connection's lowered symbols G and a numeric
+    inverse of g, and component and scaled refuse the tensor.  Every
+    other component follows from the two antisymmetries by sign, so they
+    hold exactly.
     """
 
     chart: Chart
     canonical: dict
-    metric: Optional[Metric] = None
-    lowered: tuple = ()
+    connection: Optional[ChristoffelSymbols] = None
 
     @staticmethod
     def zero(chart: Chart) -> "CurvatureTensor":
         return CurvatureTensor(chart, {})
 
     def _require_symbolic(self, name: str):
-        if self.metric is not None:
+        if self.connection is not None:
             raise ValueError(f"{name} needs a symbolic tensor; evaluate this one with at()")
 
     def component(self, a: int, b: int, c: int, d: int) -> Expression:
@@ -173,7 +166,7 @@ class CurvatureTensor:
 
     def is_zero(self) -> bool:
         """Whether the tensor is zero by construction."""
-        return not self.canonical and self.metric is None
+        return not self.canonical and self.connection is None
 
     def scaled(self, factor: float) -> "CurvatureTensor":
         self._require_symbolic("scaled")
@@ -186,8 +179,7 @@ class CurvatureTensor:
 
     @cached_property
     def _compiled(self) -> Compiled:
-        return Compiled([*self.canonical.values(),
-                         *(e for plane in self.lowered for row in plane for e in row)])
+        return Compiled(self.canonical.values())
 
     @cached_property
     def _keys(self) -> np.ndarray:
@@ -197,15 +189,14 @@ class CurvatureTensor:
     def at(self, point: Mapping[str, float]) -> np.ndarray:
         """Dense numeric component array at a point."""
         dim = self.chart.dim
-        values = self._compiled.at(point)
         out = np.zeros((dim, dim, dim, dim))
-        for (a, b, c, d), v in zip(self.canonical, values):
+        for (a, b, c, d), v in zip(self.canonical, self._compiled.at(point)):
             out[a, b, c, d] = v
-        if self.metric is not None:
-            low = np.array(values[len(self.canonical):]).reshape(dim, dim * dim)
+        if self.connection is not None:
+            low = self.connection.lowered(point).reshape(dim, dim * dim)
+            inverse = _inverse_at(self.connection.metric, point)
             # P[a, b, c, d] = g^{ef} G_{e,bd} G_{f,ac}, from the matrix [(a, c), (b, d)]
-            P = (low.T @ (_inverse_at(self.metric, point) @ low)).reshape((dim,) * 4)
-            P = P.transpose(0, 2, 1, 3)
+            P = (low.T @ (inverse @ low)).reshape((dim,) * 4).transpose(0, 2, 1, 3)
             out = np.where(self._keys, out + (P - P.transpose(1, 0, 2, 3)), 0.0)
         out = out - out.transpose(1, 0, 2, 3)   # by sign from the keys
         return out - out.transpose(0, 1, 3, 2)
@@ -223,19 +214,17 @@ def riemann(g: Metric) -> CurvatureTensor:
     Gamma^d_{bc} - Gamma^e_{bd} Gamma^d_{ac} lowered in the last slot,
     R_{abcd} = (1/2)(d_a d_c g_{bd} + d_b d_d g_{ac} - d_a d_d g_{bc}
     - d_b d_c g_{ad}) + sum_{ef} g^{ef} (G_{e,bd} G_{f,ac} - G_{e,ad} G_{f,bc}),
-    where G_{d,bc} = (1/2)(d_b g_{dc} + d_c g_{bd} - d_d g_{bc}) are the
-    lowered symbols.  The linear part is stored and the lowered symbols
-    are kept, both simplified; CurvatureTensor.at adds the quadratic part
-    with a numeric inverse of g, at any dimension.  A constant metric
+    where G_{d,bc} are the lowered symbols of christoffel(g).  The linear
+    part is stored, simplified; CurvatureTensor.at adds the quadratic
+    part from that connection, at any dimension.  A constant metric
     gives the zero tensor.
     """
     chart = g.chart
     dim = chart.dim
-    _check_invertible(g)
-    dg = _metric_derivatives(g)
-    if all(is_zero(e) for plane in dg for row in plane for e in row):
+    connection = christoffel(g)
+    if connection.is_zero():
         return CurvatureTensor.zero(chart)
-
+    dg = g.derivatives
     cache: dict = {}
 
     def second(a, c, b, d):
@@ -252,9 +241,7 @@ def riemann(g: Metric) -> CurvatureTensor:
                                            - second(a, d, b, c) - second(b, c, a, d)))
             if not is_zero(value):
                 entries[(a, b, c, d)] = value
-    low = tuple(tuple(tuple(simplify(Const(0.5) * (dg[b][d][c] + dg[c][b][d] - dg[d][b][c]))
-                            for c in range(dim)) for b in range(dim)) for d in range(dim))
-    return CurvatureTensor(chart, entries, g, low)
+    return CurvatureTensor(chart, entries, connection)
 
 
 def r_zero(g: Metric, J: ProductStructure) -> CurvatureTensor:
@@ -285,6 +272,22 @@ def r_zero(g: Metric, J: ProductStructure) -> CurvatureTensor:
 # ---------------------------------------------------------------------------
 # symmetry diagnostics
 # ---------------------------------------------------------------------------
+
+def _sampled(R, trials: int, seed: int) -> tuple:
+    """max(1, trials) points drawn from random.Random(seed), and R.at there as one array.
+
+    Evaluated once per (tensor, trials, seed) and kept on the tensor, so
+    symmetry_report and constant_c_test on one R share the evaluations.
+    R is anything with a chart and at(point).
+    """
+    samples = vars(R).setdefault("_samples", {})
+    key = (max(1, trials), seed)
+    if key not in samples:
+        rng = random.Random(seed)
+        points = [R.chart.sample_point(rng) for _ in range(key[0])]
+        samples[key] = points, np.array([R.at(point) for point in points])
+    return samples[key]
+
 
 def _scale(D: np.ndarray) -> np.ndarray:
     """max(1, max |R|) per sample of D[sample, a, b, c, d]: near a pole of g, |R| grows."""
@@ -330,9 +333,7 @@ def symmetry_report(R: CurvatureTensor, J: ProductStructure, trials: int = 10,
     R(JX, JY, Z, V) = -R(X, Y, Z, V) that the comparison tensor and every
     para-Kahler curvature satisfy.
     """
-    rng = random.Random(seed)
-    points = [R.chart.sample_point(rng) for _ in range(max(1, trials))]
-    D = np.array([R.at(point) for point in points])
+    points, D = _sampled(R, trials, seed)
     Jm = np.array([J.at(point) for point in points])
     twisted = np.einsum('spa,sqb,spqcd->sabcd', Jm, Jm, D)
     excess = np.abs([D + D.transpose(0, 2, 1, 3, 4), D + D.transpose(0, 1, 2, 4, 3),
@@ -419,9 +420,7 @@ def constant_c_test(R: CurvatureTensor, R0: CurvatureTensor, trials: int = 10,
     exact 0.0 when R itself vanishes numerically, and None otherwise
     ("not a space form").
     """
-    rng = random.Random(seed)
-    points = [R.chart.sample_point(rng) for _ in range(max(1, trials))]
-    D = np.array([R.at(point) for point in points])
+    points, D = _sampled(R, trials, seed)
     scale = _scale(D)[:, None]
     A = (D.reshape(len(D), -1) / scale).ravel()
     B = (np.array([R0.at(point) for point in points]).reshape(len(D), -1) / scale).ravel()

@@ -567,13 +567,19 @@ class _Source:
         return name, 0
 
 
+def generated_function(source: str, filename: str, namespace: dict) -> FunctionType:
+    """The function that source, one def statement, defines, with namespace as its globals."""
+    module = compile(source, filename, "exec")
+    return FunctionType(next(c for c in module.co_consts if isinstance(c, CodeType)), namespace)
+
+
 def _code(exprs: Sequence[Expression], names: Sequence[str]) -> CodeType:
     """Code of a function of the coordinates in names that returns exprs' values as a list."""
     source = _Source(exprs, names)
     body = "".join(f"    {line}\n" for line in source.lines)
-    module = compile(f"def f({', '.join(names)}):\n{body}    return [{', '.join(source.results)}]\n",
-                     "<expression>", "exec")
-    return next(c for c in module.co_consts if isinstance(c, CodeType))
+    return generated_function(
+        f"def f({', '.join(names)}):\n{body}    return [{', '.join(source.results)}]\n",
+        "<expression>", _SCALAR).__code__
 
 
 def _groups(exprs: Sequence[Expression]) -> list:

@@ -360,6 +360,12 @@ class Metric:
         dim = self.chart.dim
         return np.array(self._compiled.at(point)).reshape(dim, dim)
 
+    @cached_property
+    def derivatives(self) -> tuple:
+        """dg[a][b][c] = partial_a g_{bc}, simplified, derived once per metric."""
+        return tuple(tuple(tuple(differentiate(e, v) for e in row) for row in self.entries)
+                     for v in self.chart.variables())
+
     def is_constant(self) -> bool:
         return all(not free_variables(e) for row in self.entries for e in row)
 

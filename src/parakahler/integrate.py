@@ -12,10 +12,10 @@ function generated per dimension: _rk4_function(dim), and
 _symplectic_euler_function(n, separable), whose Newton iterate and
 residual are locals.  Both call the flows unchecked (Compiled.unchecked,
 and the unchecked form of an rhs_callable that has one, as the numeric
-semispray of a Lagrangian with 2n > 4 does) and run again through the
-checked calls only when that raises (_rerun_checked) or leaves a
-non-finite value, which _run's one check of each new state finds, so
-failures read as before.  The symplectic Euler step solves its n x n Newton
+semispray of a Lagrangian with 2n > 4 does); _run runs a step again
+through the checked calls only when that raises or leaves a non-finite
+value, which its one check of each new state finds, so failures read
+as before.  The symplectic Euler step solves its n x n Newton
 system on floats with linalg.elimination_function(n), the generated
 partial-pivot elimination the numeric semispray also uses, with no numpy
 call inside a step; its Newton tolerance has a floor at rounding level
@@ -35,12 +35,11 @@ import tempfile
 from array import array
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
-from types import CodeType, FunctionType
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expr import Compiled, EvaluationError, Expression, to_source
+from .expr import Compiled, EvaluationError, Expression, generated_function, to_source
 from .geometry import Chart
 from .linalg import elimination_function
 
@@ -154,8 +153,8 @@ def _where(names, state) -> str:
 
 def _step_count(t0: float, t1: float, h: float) -> int:
     """The number of steps of size h from t0 to t1, which must be whole."""
-    if not (h > 0.0):
-        raise ValueError("step size h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError("step size h must be positive and finite")
     if not (t1 > t0):
         raise ValueError("t1 must exceed t0")
     span = (t1 - t0) / h
@@ -180,14 +179,16 @@ class _StepFailure(Exception):
         self.error = error
 
 
-def _run(step: Callable, state0: Sequence[float], t0: float, t1: float, h: float,
+def _run(step: tuple, state0: Sequence[float], t0: float, t1: float, h: float,
          names: tuple) -> Trajectory:
-    """Apply step(state) for steps 1..steps from state0, states as lists of floats.
+    """Apply a step for steps 1..steps from state0, states as lists of floats.
 
-    _run owns the one finiteness check of each new state: when it
-    fails, the step runs again as step.checked(state), which raises what
-    the checked calls raise or returns the same state, and a state still
-    not finite is a NonFiniteStateError.  A failed evaluation becomes a
+    step is (kernel, fast, checked): the new state is kernel(*fast,
+    *state), where fast passes unchecked evaluators.  When that raises or
+    leaves a non-finite entry, the step runs again as kernel(*checked,
+    *state) on the calls that check every value, which raises what they
+    raise or returns the same state, and a state still not finite is a
+    NonFiniteStateError.  A failed evaluation becomes a
     NonFiniteStateError, and every failure names the step and the t and
     state it started from.  The states are appended to one flat buffer
     of doubles, viewed as the (steps + 1) x len(names) array at the end.
@@ -198,13 +199,17 @@ def _run(step: Callable, state0: Sequence[float], t0: float, t1: float, h: float
         raise ValueError(f"initial state must have length {len(names)}")
     state = state.tolist()
     out = array("d", state)
-    checked = step.checked
+    kernel, fast, checked = step
     with np.errstate(all="ignore"):
         for k in range(1, steps + 1):
             try:
-                new = step(state)
-                if not all(map(math.isfinite, new)):
-                    new = checked(state)
+                try:
+                    new = kernel(*fast, *state)
+                    finite = all(map(math.isfinite, new))
+                except (ArithmeticError, ValueError, EvaluationError, _StepFailure):
+                    finite = False
+                if not finite:
+                    new = kernel(*checked, *state)
                     if not all(map(math.isfinite, new)):
                         raise NonFiniteStateError(
                             k, f"non-finite state {_origin(k, t0, h, names, state)}")
@@ -237,49 +242,25 @@ def _rk4_function(dim: int) -> Callable:
         args = [f"{x} + {scale} * {k}{i}" for i, x in enumerate(s)]
     new = [f"{x} + sixth * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})" for i, x in enumerate(s)]
     lines.append(f"    return [{', '.join(new)}]\n")
-    module = compile("\n".join(lines), "<rk4>", "exec")
-    return FunctionType(next(c for c in module.co_consts if isinstance(c, CodeType)), {})
+    return generated_function("\n".join(lines), "<rk4>", {})
 
 
-def _rk4_step(f: Callable, h: float, dim: int) -> Callable:
-    """One classical fourth-order Runge-Kutta step of size h for xdot = f(x).
+def _rk4_step(f: Callable, h: float, dim: int) -> tuple:
+    """_run's (kernel, fast, checked) for one classical RK4 step of size h for xdot = f(x).
 
-    States are lists of floats, and the step is _rk4_function(dim): four
-    calls of f and the array form's arithmetic, term by term,
-    s + (h/6)*(k1 + 2*k2 + 2*k3 + k4), so results are identical.  An f
-    with an unchecked form (a Compiled flow, or the NumericSemispray of
-    a Lagrangian beyond the symbolic solve) runs unchecked; when that
-    raises or leaves a non-finite entry, the step runs again through the
-    checked call, which raises what it raises or returns the same state.
-    A non-finite stage value reaches the new state, so one check at the
-    end finds it.  Any other f maps a list to a list, and runs checked.
+    The kernel is _rk4_function(dim): four calls of f and the array
+    form's arithmetic, term by term, s + (h/6)*(k1 + 2*k2 + 2*k3 + k4),
+    so results are identical.  fast calls the unchecked form of an f that
+    has one (a Compiled flow, or the NumericSemispray of a Lagrangian
+    beyond the symbolic solve); any other f maps a list to a list and
+    runs checked in both.  A non-finite stage value reaches the new
+    state, so _run's one check finds it.
     """
     half, sixth = 0.5 * h, h / 6.0
-    rk4 = _rk4_function(dim)
     checked = (lambda *s: f(list(s)), half, h, sixth)
     unchecked = getattr(f, "unchecked", None)
-    if unchecked is None:
-        return _rerun_checked(rk4, checked, checked)
-    return _rerun_checked(rk4, (unchecked, half, h, sixth), checked)
-
-
-def _rerun_checked(kernel: Callable, fast: tuple, checked: tuple) -> Callable:
-    """step(s) = kernel(*fast, *s), run again as kernel(*checked, *s) when that raises.
-
-    fast passes unchecked evaluators and checked the calls that check
-    every value, so a kernel that raises on the fast ones runs again on
-    the checked ones, which raise what they raise or return the same
-    state.  A non-finite entry in a state step returns is _run's to
-    find: it runs step.checked(s) then.
-    """
-    def step(s):
-        try:
-            return kernel(*fast, *s)
-        except (ArithmeticError, ValueError, EvaluationError, _StepFailure):
-            return kernel(*checked, *s)
-
-    step.checked = lambda s: kernel(*checked, *s)
-    return step
+    fast = checked if unchecked is None else (unchecked, half, h, sixth)
+    return _rk4_function(dim), fast, checked
 
 
 def integrate_rk4(sys: ODESystem, state0: Sequence[float], t0: float, t1: float,
@@ -361,22 +342,20 @@ def _symplectic_euler_function(n: int, separable: bool) -> Callable:
               f"        {each('v{i}')}, {each('r{i}')}, = {each('c{i}')}, {each('q{i}')},",
               f"    {each('a{i}')}, = hy({each('x{i}')}, {each('v{i}')})",
               f"    return [{each('x{i} + h * a{i}')}, {each('v{i}')}]\n"]
-    module = compile("\n".join(lines), "<symplectic euler>", "exec")
-    return FunctionType(next(k for k in module.co_consts if isinstance(k, CodeType)),
-                        dict(globals(), solve=elimination_function(n)))
+    return generated_function("\n".join(lines), "<symplectic euler>",
+                              dict(globals(), solve=elimination_function(n)))
 
 
-def _symplectic_euler_step(H, h: float) -> Callable:
-    """One symplectic Euler step of size h, from H's compiled derivative blocks.
+def _symplectic_euler_step(H, h: float) -> tuple:
+    """_run's (kernel, fast, checked) for one symplectic Euler step of size h, from H's blocks.
 
-    The step is _symplectic_euler_function(n, H.separable), run on the
-    blocks' unchecked calls and, as an RK4 step does, once more through
-    the checked calls when that raises or leaves a non-finite entry.
+    The kernel is _symplectic_euler_function(n, H.separable), run on the
+    blocks' unchecked calls and checked only when that fails.
     """
     hx, hy, hxy = H.compiled_blocks
-    return _rerun_checked(_symplectic_euler_function(H.chart.n, H.separable),
-                          (hx.unchecked, hy.unchecked, hxy.unchecked, h),
-                          (lambda *s: hx(s), lambda *s: hy(s), lambda *s: hxy(s), h))
+    return (_symplectic_euler_function(H.chart.n, H.separable),
+            (hx.unchecked, hy.unchecked, hxy.unchecked, h),
+            (lambda *s: hx(s), lambda *s: hy(s), lambda *s: hxy(s), h))
 
 
 def integrate_symplectic_euler(H, state0: Sequence[float], t0: float, t1: float,

@@ -10,10 +10,9 @@ and the symplectic Euler step's Newton solve at every n.
 from __future__ import annotations
 
 from functools import lru_cache
-from types import CodeType, FunctionType
 from typing import Callable
 
-from .expr import Expression, Product, Quotient, Sum, as_expression, simplify
+from .expr import Expression, Product, Quotient, Sum, as_expression, generated_function, simplify
 
 MAX_SYMBOLIC_DIM = 4
 
@@ -110,6 +109,4 @@ def elimination_function(dim: int) -> Callable:
     lines += [f"    if {' and '.join(f'v{k}' for k in range(dim))}:",   # no pivot was inf
               f"        return [{', '.join(f'x{k}' for k in range(dim))}]",
               f"    return [{', '.join(['nan'] * dim)}]\n"]
-    module = compile("\n".join(lines), "<elimination>", "exec")
-    return FunctionType(next(c for c in module.co_consts if isinstance(c, CodeType)),
-                        {"nan": float("nan")})
+    return generated_function("\n".join(lines), "<elimination>", {"nan": float("nan")})

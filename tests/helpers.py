@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 
-from parakahler.curvature import CurvatureTensor, _metric_derivatives
+from parakahler.curvature import CurvatureTensor
 from parakahler.expr import ZERO, Const, Product, Sum, Var, differentiate, is_zero, simplify
 from parakahler.geometry import Chart
 from parakahler.linalg import determinant
@@ -145,7 +145,7 @@ def symbolic_riemann(g) -> CurvatureTensor:
         return value if (i + j) % 2 == 0 else simplify(-value)
 
     adj = [[cofactor(j, i) for j in range(dim)] for i in range(dim)]
-    dg = _metric_derivatives(g)
+    dg = g.derivatives
     low = [[[simplify(Const(0.5) * (dg[b][d][c] + dg[c][b][d] - dg[d][b][c]))
              for c in range(dim)] for b in range(dim)] for d in range(dim)]
 

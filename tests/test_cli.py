@@ -107,10 +107,19 @@ class TestMalformedProblem:
         ("integrate", _integrator(t0=False, t1=True), "integrator: t0 must be a number, got False"),
         ("integrate", _integrator(t1=True), "integrator: t1 must be a number, got True"),
         ("integrate", _integrator(h=True), "integrator: h must be a number, got True"),
+        ("integrate", _integrator(t1=" 1e-1 "), "integrator: t1 must be a number, got ' 1e-1 '"),
+        ("integrate", _integrator(h=float("inf")), "step size h must be positive and finite"),
+        ("integrate", _integrator(t1=10**400),
+         "integrator: t1 must be a number, got an integer beyond float range"),
+        ("integrate", lagrangian_payload(initial_state=[10**400, 1.0]),
+         "initial_state must be a list of 2n = 2 finite numbers, got an integer beyond float range"),
+        ("derive", lagrangian_payload(tol=10**400),
+         "tol must be a finite positive number, got an integer beyond float range"),
     ], ids=["t1-not-after-t0", "too-many-steps", "nan-step", "span-short-of-t1",
             "span-past-t1", "tol-string",
             "matrix-1x2", "potential-number", "nan-initial-state", "boolean-n",
-            "boolean-seed", "boolean-initial-state", "boolean-t0", "boolean-t1", "boolean-h"])
+            "boolean-seed", "boolean-initial-state", "boolean-t0", "boolean-t1", "boolean-h",
+            "string-t1", "infinite-step", "huge-t1", "huge-initial-state", "huge-tol"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, command, payload, message):
         path = write_problem(tmp_path, payload)
         assert main([command, "--problem", path]) == EXIT_PARSE
@@ -266,6 +275,26 @@ class TestCheckCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["space_form"]["is_space_form"] is False
         assert report["all_identities_pass"] is True
+
+    def test_curvature_evaluated_once_per_sample(self, monkeypatch, capsys):
+        # symmetry_report and constant_c_test share R's values at the same points
+        from parakahler import curvature
+        from parakahler.cli import CHECK_TRIALS
+        tensors, evaluated = [], []
+        riemann, at = curvature.riemann, curvature.CurvatureTensor.at
+
+        def recording(g):
+            tensors.append(riemann(g))
+            return tensors[-1]
+
+        def counting(self, point):
+            evaluated.append(self)
+            return at(self, point)
+
+        monkeypatch.setattr(curvature, "riemann", recording)
+        monkeypatch.setattr(curvature.CurvatureTensor, "at", counting)
+        assert main(["check", "--problem", os.path.join(PROBLEMS, "potential.json")]) == EXIT_OK
+        assert sum(R is tensors[0] for R in evaluated) == CHECK_TRIALS
 
     def test_incompatible_metric_fails(self, tmp_path, capsys):
         payload = {"name": "euclid", "kind": "metric", "n": 1,

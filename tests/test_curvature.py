@@ -86,6 +86,26 @@ class TestChristoffel:
             gm = gamma.at(point)
             assert np.allclose(gm, np.einsum("abc->acb", gm))
 
+    def test_reads_the_connection_first_derivatives(self, monkeypatch):
+        # nabla_J and riemann on one metric derive each d_a g_{bc} once
+        from parakahler import curvature, geometry
+        rows = [["2 + x1^2", "1 + x1*y1"], ["1 + x1*y1", "3 + y1^2"]]
+        g = Metric.from_rows(CHART1, [[parse(e, CHART1) for e in row] for row in rows])
+        entries = {id(e) for row in g.entries for e in row}
+        derived = []
+        original = geometry.differentiate
+
+        def counting(e, v):
+            if id(e) in entries:
+                derived.append((e, v))
+            return original(e, v)
+
+        for module in (geometry, curvature):
+            monkeypatch.setattr(module, "differentiate", counting)
+        nabla_J(g, model_product_structure(CHART1))
+        riemann(g)
+        assert len(derived) == CHART1.dim ** 3
+
     def test_matches_finite_difference_oracle(self):
         g = quartic_metric()
         gamma = christoffel(g)

@@ -167,9 +167,9 @@ def test_generated_rk4_step_is_the_step_and_matches_reference(system, state0, h,
     fused = integrate_rk4(system, state0, 0.0, steps * h, h).states
     assert calls == [dim]   # the rhs_callable of the n=3 semispray included
     step = reference_rk4_step(lambda s: np.array(system.vector_function(s)), h)
-    rk4 = integrate._rk4_step(system.vector_function, h, dim)
+    kernel, fast, _ = integrate._rk4_step(system.vector_function, h, dim)
     for k in range(1, steps + 1):
-        assert np.array_equal(rk4(fused[k - 1].tolist()), step(fused[k - 1], k))
+        assert np.array_equal(kernel(*fast, *fused[k - 1].tolist()), step(fused[k - 1], k))
 
 
 def reference_symplecticity(H, state0, h, steps):

@@ -3,8 +3,9 @@
 `reference_simplify` below is simplify as it was before the memo: every
 shared subtree is simplified again at each use and every sort key is
 printed anew.  The memoized simplify must give the same source
-on trees that share subtrees by reference, and on every input and stored
-entry of the Riemann tensor of a coupled n=2 potential.  Counting
+on trees that share subtrees by reference, and on every input of the
+Riemann and comparison tensors of a coupled n=2 potential and every
+stored Riemann entry.  Counting
 wrappers check that one call simplifies each distinct node once and
 prints each node for a sort key once, and that nothing outlives the call.
 """
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parakahler import expr
-from parakahler.curvature import metric_from_potential, riemann
+from parakahler.curvature import metric_from_potential, r_zero, riemann
 from parakahler.expr import (
     ONE,
     ZERO,
@@ -39,7 +40,7 @@ from parakahler.expr import (
     simplify,
     to_source,
 )
-from parakahler.geometry import Chart
+from parakahler.geometry import Chart, model_product_structure
 
 COUPLED = "x1*y1 + x2*y2 + 0.02*(x1*y1)^2 + 0.015*x1*x2*y1*y2"
 
@@ -279,10 +280,11 @@ class CountingScope(expr._Simplify):
 
 @pytest.fixture(scope="module")
 def riemann_run():
-    """riemann on the coupled potential, with every top-level simplify recorded.
+    """riemann and r_zero on the coupled potential, with every top-level simplify recorded.
 
-    Returns the tensor and, per top-level call, its input, its output and
-    the counters of the scopes it opened.
+    They are the two symbolic tensors of a check.  Returns the Riemann
+    tensor and, per top-level call, its input, its output and the
+    counters of the scopes it opened.
     """
     chart = Chart(2)
     g = metric_from_potential(parse(COUPLED, chart), chart)
@@ -310,6 +312,7 @@ def riemann_run():
                     and getattr(module, "simplify", None) is simplify:
                 mp.setattr(module, "simplify", top_level)
         tensor = riemann(g)
+        r_zero(g, model_product_structure(chart))
     return tensor, calls
 
 
