@@ -118,9 +118,16 @@ class ChristoffelSymbols:
 
 
 def christoffel(g: Metric) -> ChristoffelSymbols:
-    """Levi-Civita connection coefficients of g, evaluated per point."""
-    _check_invertible(g)
-    return ChristoffelSymbols(g.chart, g)
+    """Levi-Civita connection coefficients of g, evaluated per point.
+
+    One connection per metric, kept on g as Metric.derivatives is, so g's
+    invertibility is probed and its first derivatives compiled once.
+    """
+    kept = vars(g)
+    if "connection" not in kept:
+        _check_invertible(g)
+        kept["connection"] = ChristoffelSymbols(g.chart, g)
+    return kept["connection"]
 
 
 # ---------------------------------------------------------------------------

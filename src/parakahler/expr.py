@@ -10,6 +10,8 @@ Trees share subtrees by reference; one simplify call simplifies each
 distinct node once and prints each sort key once, through memos that
 belong to the call.  The parser reads a chain of + and - or of * as one
 flat Sum or Product, and rejects nesting deeper than MAX_NESTING.
+Compiled code computes each distinct value once, however many node
+objects hold it.
 """
 
 from __future__ import annotations
@@ -495,39 +497,72 @@ _FUNCTIONS = ("sin", "cos", "exp", "ln", "sinh", "cosh")
 
 # Operands per line of a long sum or product, and the nesting depth that
 # starts a temporary: the Python compiler rejects deeply nested source.
-# Consecutive expressions share one code object while their distinct nodes
-# number at most _NODES: compile memory grows faster than the source, so a
-# whole curvature tensor is split into several.
+# Consecutive expressions share one code object while their distinct node
+# objects number at most _NODES, never fewer than the distinct values that
+# get code: compile memory grows faster than the source, so a whole
+# curvature tensor is split into several.
 _CHAIN = 32
 _DEPTH = 32
 _NODES = 2000
 
 
+def _detail(node: Expression):
+    """What besides its type and children sets a node's value: exact bits for floats."""
+    if isinstance(node, Const):
+        return node.value.hex()
+    if isinstance(node, Power):
+        return node.exponent.hex()
+    if isinstance(node, Var):
+        return node.name
+    return node.func if isinstance(node, Call) else None
+
+
 class _Source:
     """Source of a function of the coordinates in names that returns exprs' values.
 
-    A node used more than once, within one expression or across them, gets
-    a temporary, keyed on its identity, so a shared subtree is computed
-    once; the rest is inline up to _DEPTH, which compiles in half the
-    memory of one line per node.  Methods, not closures calling each
-    other, whose cycle would hold the source until the garbage collector
-    runs.
+    Temporaries are keyed on value, not identity: each node gets a value
+    number, interned from its type, its constant's bits, variable name,
+    exponent or function name, and its children's value numbers, so
+    equal subtrees built as distinct objects share one.  A constant is
+    keyed on float.hex, which keeps -0.0 apart from 0.0.  A value used
+    more than once, within one expression or across them, gets a
+    temporary and is computed once; the rest is inline up to _DEPTH,
+    which compiles in half the memory of one line per node.  Equal text
+    computes equal floats, so sharing changes no bit.  Methods, not
+    closures calling each other, whose cycle would hold the source until
+    the garbage collector runs.
     """
 
     def __init__(self, exprs: Sequence[Expression], names: Sequence[str]):
         self.names = names
         self.lines: list[str] = []
+        self.numbers: dict[int, int] = {}   # id(node) -> value number
+        self.values: dict[tuple, int] = {}  # value key -> value number
         self.temps: dict[int, str] = {}
         self.uses: dict[int, int] = {}
         for e in exprs:
             self.count(e)
         self.results = [self.operand(e)[0] for e in exprs]
 
-    def count(self, node: Expression):
-        self.uses[id(node)] = self.uses.get(id(node), 0) + 1
-        if self.uses[id(node)] == 1:
+    def count(self, node: Expression) -> int:
+        """node's value number, counting one more use of it.
+
+        A value's children are counted on its first use only: when a new
+        object turns out to hold a known value, its children's counts
+        are taken back.
+        """
+        number = self.numbers.get(id(node))
+        if number is None:
+            below = []   # a loop, not a comprehension: one frame per tree level
             for child in _children(node):
-                self.count(child)
+                below.append(self.count(child))
+            number = self.values.setdefault((type(node), _detail(node), *below), len(self.values))
+            self.numbers[id(node)] = number
+            if number in self.uses:
+                for child in below:
+                    self.uses[child] -= 1
+        self.uses[number] = self.uses.get(number, 0) + 1
+        return number
 
     def operand(self, node: Expression) -> tuple[str, int]:
         """Source text of node, and how deeply it nests."""
@@ -537,8 +572,9 @@ class _Source:
             if node.name not in self.names:
                 raise EvaluationError(f"missing assignment for {node.name}")
             return node.name, 0
-        if id(node) in self.temps:
-            return self.temps[id(node)], 0
+        number = self.numbers[id(node)]
+        if number in self.temps:
+            return self.temps[number], 0
         parts = [self.operand(child) for child in _children(node)]
         if isinstance(node, (Sum, Product)) and len(parts) < 2:
             return parts[0] if parts else ("0.0" if isinstance(node, Sum) else "1.0", 0)
@@ -556,14 +592,14 @@ class _Source:
             text = f"{node.func}({texts[0]})"
         else:
             raise TypeError(f"unknown function {node.func!r}")
-        if self.uses[id(node)] == 1 and depth <= _DEPTH and len(texts) <= _CHAIN:
+        if self.uses[number] == 1 and depth <= _DEPTH and len(texts) <= _CHAIN:
             return f"({text})", depth
         # a name is taken only after the children have theirs
         name = f"t{len(self.temps)}"
         self.lines.append(f"{name} = {text}")
         for i in range(_CHAIN, len(texts), _CHAIN):
             self.lines.append(f"{name} = {op.join([name, *texts[i:i + _CHAIN]])}")
-        self.temps[id(node)] = name
+        self.temps[number] = name
         return name, 0
 
 
@@ -628,7 +664,9 @@ class Compiled:
     """Expressions compiled once, then evaluated at many points.
 
     Consecutive expressions share one code object, up to _NODES distinct
-    nodes each (_groups), which computes a subtree they share once;
+    nodes each (_groups), which computes each distinct subexpression
+    once: its temporaries are keyed on value (_Source), so equal subtrees
+    built as distinct objects share one, and a -0.0 keeps its own text;
     unchecked(*values) runs them on floats with math and returns the list
     of values, with no checks.  A call, or at, runs it under the policy in
     docs/expression-grammar.md: an EvaluationError carries the failing

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 from array import array
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
@@ -468,9 +467,14 @@ def symplecticity_check(H, scheme: str, state0: Sequence[float], h: float,
 # ---------------------------------------------------------------------------
 
 def atomic_write_text(path: str, text: str):
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
+    """Write via a sibling temp file and rename, so readers never see a torn file.
+
+    The temp file is created as open(path, "w") creates a file, mode 0o666
+    less the umask (tempfile.mkstemp would give 0o600).
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -329,6 +329,30 @@ class TestCheckCommand:
         assert [line.split()[0] for line in lines[:-1]] == ["PASS"] * 6
         assert lines[-1] == "space form: c = -2"
 
+    def test_one_connection_per_check(self, capsys, monkeypatch):
+        # nabla_J and riemann share christoffel(g): one probe, one compile of dg
+        from functools import cached_property
+
+        from parakahler import curvature
+        calls = []
+        probe, compile_dg = curvature._check_invertible, curvature.ChristoffelSymbols._compiled.func
+
+        def counting_probe(g):
+            calls.append("probe")
+            probe(g)
+
+        def counting_compile(self):
+            calls.append("compile")
+            return compile_dg(self)
+
+        compiled = cached_property(counting_compile)
+        compiled.__set_name__(curvature.ChristoffelSymbols, "_compiled")
+        monkeypatch.setattr(curvature, "_check_invertible", counting_probe)
+        monkeypatch.setattr(curvature.ChristoffelSymbols, "_compiled", compiled)
+        problem = os.path.join(PROBLEMS, "space_form.json")
+        assert main(["check", "--problem", problem]) == EXIT_OK
+        assert calls == ["probe", "compile"]
+
     @pytest.mark.parametrize("flags,message", [
         (["--tol", "nan"], "tol must be a finite positive number, got nan"),
         (["--tol", "inf"], "tol must be a finite positive number, got inf"),

@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import stat
 
 import numpy as np
 import pytest
@@ -241,6 +242,19 @@ class TestCsvOutput:
         assert os.listdir(tmp_path) == ["out.txt"]
         with open(path) as handle:
             assert handle.read() == "payload"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+    def test_atomic_write_gives_the_mode_open_gives(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            with open(os.path.join(tmp_path, "plain.txt"), "w") as handle:
+                handle.write("payload")
+            atomic_write_text(os.path.join(tmp_path, "atomic.txt"), "payload")
+        finally:
+            os.umask(previous)
+        modes = {name: stat.S_IMODE(os.stat(os.path.join(tmp_path, name)).st_mode)
+                 for name in ("plain.txt", "atomic.txt")}
+        assert modes["atomic.txt"] == modes["plain.txt"] == 0o666 & ~umask
 
     def test_n2_header_order(self, tmp_path):
         H = HamiltonianSystem.from_source("x1*y1 + x2*y2", CHART2)
