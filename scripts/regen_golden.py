@@ -22,6 +22,8 @@ RUNS = [
     ("oscillator.json", "derive"),
     ("model_space.json", "check"),
     ("potential.json", "check"),
+    ("space_form.json", "check"),
+    ("space_form_n3.json", "check"),
     ("lagrangian_xy.json", "integrate"),
     ("oscillator.json", "integrate"),
     ("lagrangian_n3.json", "integrate"),

@@ -142,9 +142,8 @@ class CurvatureTensor:
     nonzero entries.  When connection is set, they are only the linear
     part: at() adds to each key g^{ef} (G_{e,bd} G_{f,ac} - G_{e,ad}
     G_{f,bc}) from the connection's lowered symbols G and a numeric
-    inverse of g, and component and scaled refuse the tensor.  Every
-    other component follows from the two antisymmetries by sign, so they
-    hold exactly.
+    inverse of g.  Every other component follows from the two
+    antisymmetries by sign, so they hold exactly.
     """
 
     chart: Chart
@@ -155,34 +154,9 @@ class CurvatureTensor:
     def zero(chart: Chart) -> "CurvatureTensor":
         return CurvatureTensor(chart, {})
 
-    def _require_symbolic(self, name: str):
-        if self.connection is not None:
-            raise ValueError(f"{name} needs a symbolic tensor; evaluate this one with at()")
-
-    def component(self, a: int, b: int, c: int, d: int) -> Expression:
-        self._require_symbolic("component")
-        if a == b or c == d:
-            return ZERO
-        sign = 1
-        if a > b:
-            a, b, sign = b, a, -sign
-        if c > d:
-            c, d, sign = d, c, -sign
-        value = self.canonical.get((a, b, c, d), ZERO)
-        return value if sign == 1 else simplify(-value)
-
     def is_zero(self) -> bool:
         """Whether the tensor is zero by construction."""
         return not self.canonical and self.connection is None
-
-    def scaled(self, factor: float) -> "CurvatureTensor":
-        self._require_symbolic("scaled")
-        entries = {}
-        for key, value in self.canonical.items():
-            value = simplify(Const(factor) * value)
-            if not is_zero(value):
-                entries[key] = value
-        return CurvatureTensor(self.chart, entries)
 
     @cached_property
     def _compiled(self) -> Compiled:
@@ -309,7 +283,7 @@ class SymmetryReport:
     componentwise on coordinate quadruples; multilinearity extends the
     bound to arbitrary constant arguments from the unit box.  relative
     holds, in that order, the largest violation / _scale of R at its
-    sample, and passes decides on it.  The J-invariance row is meaningful
+    sample, which the verdicts read.  The J-invariance row is meaningful
     only for para-Kahler data.
     """
 
@@ -318,13 +292,6 @@ class SymmetryReport:
     first_bianchi: float
     j_invariance: float
     relative: tuple
-
-    def metric_identities_max(self) -> float:
-        return max(self.antisymmetry_first_pair, self.antisymmetry_second_pair,
-                   self.first_bianchi)
-
-    def passes(self, tol: float) -> bool:
-        return max(self.relative) < tol
 
     def as_dict(self) -> dict:
         """The absolute violations by identity name."""

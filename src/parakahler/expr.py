@@ -764,11 +764,6 @@ def evaluate(e: Expression, point: Mapping[str, float]) -> float:
     return Compiled((e,)).at(point)[0]
 
 
-def evaluate_many(e: Expression, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Vectorized evaluation over parallel coordinate arrays."""
-    return Compiled((e,)).columns(columns)[0]
-
-
 # ---------------------------------------------------------------------------
 # sampling equality oracle
 # ---------------------------------------------------------------------------

@@ -27,8 +27,6 @@ from .expr import (
     Var,
     as_expression,
     differentiate,
-    equal_on_samples,
-    free_variables,
     is_zero,
     simplify,
     to_source,
@@ -113,15 +111,6 @@ class VectorField:
                 f"expected {self.chart.dim} components, got {len(self.components)}")
         object.__setattr__(self, "components",
                            tuple(as_expression(c) for c in self.components))
-
-    @staticmethod
-    def basis(chart: Chart, a: int) -> "VectorField":
-        return VectorField(chart, tuple(ONE if b == a else ZERO
-                                        for b in range(chart.dim)))
-
-    @staticmethod
-    def constant(chart: Chart, values) -> "VectorField":
-        return VectorField(chart, tuple(Const(float(v)) for v in values))
 
     @cached_property
     def _compiled(self) -> Compiled:
@@ -254,10 +243,6 @@ def function_form(chart: Chart, f) -> DifferentialForm:
     return DifferentialForm(chart, 0, {} if is_zero(f) else {(): f})
 
 
-def coordinate_differential(chart: Chart, a: int) -> DifferentialForm:
-    return DifferentialForm(chart, 1, {(a,): ONE})
-
-
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     """Graded antisymmetric product a ^ b."""
     _require_same_chart(a, b)
@@ -347,9 +332,6 @@ class Metric:
                         for a in range(dim))
         return Metric(chart, entries)
 
-    def entry(self, a: int, b: int) -> Expression:
-        return self.entries[a][b]
-
     @cached_property
     def _compiled(self) -> Compiled:
         dim = self.chart.dim
@@ -366,9 +348,6 @@ class Metric:
         return tuple(tuple(tuple(differentiate(e, v) for e in row) for row in self.entries)
                      for v in self.chart.variables())
 
-    def is_constant(self) -> bool:
-        return all(not free_variables(e) for row in self.entries for e in row)
-
 
 @dataclass(frozen=True)
 class ProductStructure:
@@ -381,9 +360,6 @@ class ProductStructure:
     def from_rows(chart: Chart, rows) -> "ProductStructure":
         return ProductStructure(chart, _matrix_rows(chart, rows))
 
-    def entry(self, a: int, b: int) -> Expression:
-        return self.entries[a][b]
-
     @cached_property
     def _compiled(self) -> Compiled:
         return Compiled(e for row in self.entries for e in row)
@@ -391,18 +367,6 @@ class ProductStructure:
     def at(self, point: Mapping[str, float]) -> np.ndarray:
         dim = self.chart.dim
         return np.array(self._compiled.at(point)).reshape(dim, dim)
-
-    def squares_to_identity(self) -> bool:
-        """Exact check that the matrix square simplifies to the identity."""
-        dim = self.chart.dim
-        for a in range(dim):
-            for b in range(dim):
-                square = simplify(sum((self.entries[a][c] * self.entries[c][b]
-                                       for c in range(dim)), start=ZERO))
-                target = 1.0 if a == b else 0.0
-                if not (isinstance(square, Const) and square.value == target):
-                    return False
-        return True
 
 
 def model_metric(chart: Chart) -> Metric:
@@ -525,7 +489,7 @@ def compatibility_check(g: Metric, J: ProductStructure, trials: int = 20,
 
 
 # ---------------------------------------------------------------------------
-# printing and sampling equality
+# printing
 # ---------------------------------------------------------------------------
 
 def _coefficient_text(e: Expression) -> str:
@@ -560,17 +524,3 @@ def form_to_text(w: DifferentialForm) -> str:
         else:
             rendered += (" - " if negated else " + ") + piece
     return rendered
-
-
-def forms_equal_on_samples(a: DifferentialForm, b: DifferentialForm,
-                           trials: int = 20, seed: int = 0) -> bool:
-    """Coefficientwise sampling equality of two forms of equal degree."""
-    _require_same_chart(a, b)
-    if a.degree != b.degree:
-        return False
-    keys = set(a.coefficients) | set(b.coefficients)
-    for key in sorted(keys):
-        if not equal_on_samples(a.coefficient(key), b.coefficient(key),
-                                trials=trials, seed=seed):
-            return False
-    return True

@@ -15,7 +15,6 @@ from .expr import (
     Compiled,
     Const,
     Expression,
-    ZERO,
     as_expression,
     differentiate,
     free_variables,
@@ -113,9 +112,3 @@ def hamiltonian_vector_field(H: HamiltonianSystem) -> VectorField:
 def hamilton_odes(H: HamiltonianSystem) -> ODESystem:
     """First-order flow xdot_i = dH/dy_i, ydot_i = -dH/dx_i, built once per system."""
     return H.odes
-
-
-def poisson_self_derivative(H: HamiltonianSystem) -> Expression:
-    """Z_H(H), identically zero: H is a first integral of its own flow."""
-    field = hamiltonian_vector_field(H)
-    return simplify(sum((c * d for c, d in zip(field.components, H.gradient)), start=ZERO))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 from array import array
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
@@ -469,8 +470,9 @@ def symplecticity_check(H, scheme: str, state0: Sequence[float], h: float,
 def atomic_write_text(path: str, text: str):
     """Write via a sibling temp file and rename, so readers never see a torn file.
 
-    The temp file is created as open(path, "w") creates a file, mode 0o666
-    less the umask (tempfile.mkstemp would give 0o600).
+    The file gets the mode open(path, "w") leaves: an existing target's
+    permission bits, else 0o666 less the umask (tempfile.mkstemp would
+    give 0o600).
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
@@ -478,6 +480,10 @@ def atomic_write_text(path: str, text: str):
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

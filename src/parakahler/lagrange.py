@@ -131,10 +131,6 @@ class Semispray:
     def as_vector_field(self) -> VectorField:
         return VectorField(self.chart, self.components)
 
-    @staticmethod
-    def from_components(chart: Chart, components) -> "Semispray":
-        return Semispray(chart, tuple(as_expression(c) for c in components))
-
 
 def kahler_form(L: LagrangianSystem) -> DifferentialForm:
     """Phi_L = -d(d_J L), a closed 2-form, degenerate iff L is."""
@@ -349,9 +345,6 @@ class Proposition1Report(_FamilyReport):
     the time derivative taken by central differences on interior nodes.
     The signs mirror the +1/-1 eigendirections of the product structure.
     """
-
-    def max_violation(self) -> float:
-        return max(self.x_family + self.y_family)
 
 
 def proposition1_report(L: LagrangianSystem, traj: Trajectory) -> Proposition1Report:

@@ -6,8 +6,18 @@ import random
 import numpy as np
 
 from parakahler.curvature import CurvatureTensor
-from parakahler.expr import ZERO, Const, Product, Sum, Var, differentiate, is_zero, simplify
-from parakahler.geometry import Chart
+from parakahler.expr import (
+    ZERO,
+    Const,
+    Product,
+    Sum,
+    Var,
+    differentiate,
+    equal_on_samples,
+    is_zero,
+    simplify,
+)
+from parakahler.geometry import Chart, DifferentialForm
 from parakahler.linalg import determinant
 
 
@@ -50,6 +60,29 @@ def random_regular_lagrangian(rng: random.Random, chart: Chart):
     noise = random_polynomial(rng, chart, max_degree=3, terms=3,
                               coeff_box=0.05, variables=family)
     return simplify(Sum((*core, noise)))
+
+
+def forms_equal_on_samples(a: DifferentialForm, b: DifferentialForm,
+                           trials: int = 20, seed: int = 0) -> bool:
+    """Coefficientwise sampling equality of two forms of equal degree on one chart."""
+    assert a.chart == b.chart
+    if a.degree != b.degree:
+        return False
+    keys = set(a.coefficients) | set(b.coefficients)
+    return all(equal_on_samples(a.coefficient(key), b.coefficient(key),
+                                trials=trials, seed=seed)
+               for key in sorted(keys))
+
+
+def scaled(R: CurvatureTensor, factor: float) -> CurvatureTensor:
+    """factor * R for a tensor whose entries are all symbolic, such as r_zero's."""
+    assert R.connection is None
+    entries = {}
+    for key, value in R.canonical.items():
+        value = simplify(Const(factor) * value)
+        if not is_zero(value):
+            entries[key] = value
+    return CurvatureTensor(R.chart, entries)
 
 
 def reference_elimination(a, b):

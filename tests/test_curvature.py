@@ -76,7 +76,7 @@ class TestChristoffel:
 
     def test_scaled_constant_metric_is_flat(self):
         g = model_metric(CHART1)
-        rows = [[Const(2.0) * g.entry(a, b) for b in range(2)] for a in range(2)]
+        rows = [[Const(2.0) * g.entries[a][b] for b in range(2)] for a in range(2)]
         scaled = Metric.from_rows(CHART1, rows)
         assert christoffel(scaled).is_zero()
 
@@ -230,13 +230,6 @@ class TestRiemann:
             assert np.array_equal(D, -D.transpose(1, 0, 2, 3))
             assert np.array_equal(D, -D.transpose(0, 1, 3, 2))
 
-    def test_quadratic_part_refuses_symbolic_access(self):
-        R = riemann(quartic_metric())
-        with pytest.raises(ValueError):
-            R.component(0, 1, 0, 1)
-        with pytest.raises(ValueError):
-            R.scaled(2.0)
-
 
 class TestSpaceForm:
     """The paper's space form: the potential ln(1 + sum x_i y_i) has R = -2 R0.
@@ -279,9 +272,8 @@ class TestSymmetryReport:
         R = riemann(model_metric(CHART1))
         J = model_product_structure(CHART1)
         rep = symmetry_report(R, J)
-        assert rep.metric_identities_max() == 0.0
-        assert rep.j_invariance == 0.0
-        assert rep.passes(1e-9)
+        assert set(rep.as_dict().values()) == {0.0}
+        assert max(rep.relative) == 0.0
 
     def test_constructed_antisymmetry_violation(self):
         # R_1212 = R_2112 = 1 breaks antisymmetry in the first pair by 2
@@ -292,7 +284,7 @@ class TestSymmetryReport:
         R = ConstantArray(CHART1, dense)
         rep = symmetry_report(R, model_product_structure(CHART1))
         assert rep.antisymmetry_first_pair == pytest.approx(2.0)
-        assert not rep.passes(1e-9)
+        assert max(rep.relative) >= 1e-9
 
     def test_large_perturbed_tensor_rejected(self):
         # 1000 R0 with one entry off by 1: relative to the scale, 1e-3 off
@@ -304,7 +296,7 @@ class TestSymmetryReport:
         rep = symmetry_report(R, J)
         assert rep.antisymmetry_first_pair == pytest.approx(1.0)
         assert rep.relative[0] == pytest.approx(1e-3)
-        assert not rep.passes(1e-6)
+        assert max(rep.relative) >= 1e-6
         assert constant_c_test(R, R0) is None
 
     def test_verdict_relative_to_the_scale(self):
@@ -314,7 +306,7 @@ class TestSymmetryReport:
         dense[0, 2, 0, 2] += 1e-4
         rep = symmetry_report(ConstantArray(CHART2, dense), J)
         assert rep.antisymmetry_first_pair == pytest.approx(1e-4)
-        assert rep.passes(1e-6)
+        assert max(rep.relative) < 1e-6
 
     def test_matches_per_sample_loop(self):
         # the report as a loop over samples; only J-invariance's einsum may round differently
@@ -342,13 +334,13 @@ class TestSymmetryReport:
         g = quartic_metric()
         R = riemann(g)
         rep = symmetry_report(R, model_product_structure(CHART1))
-        assert rep.passes(1e-6)
+        assert max(rep.relative) < 1e-6
 
     def test_potential_metric_n2_satisfies_suite(self):
         g = two_potential_metric()
         R = riemann(g)
         rep = symmetry_report(R, model_product_structure(CHART2))
-        assert rep.passes(1e-6)
+        assert max(rep.relative) < 1e-6
 
     def test_r_zero_satisfies_suite_including_j(self):
         for n in (1, 2):
@@ -356,7 +348,7 @@ class TestSymmetryReport:
             g = model_metric(chart)
             J = model_product_structure(chart)
             rep = symmetry_report(r_zero(g, J), J, trials=20)
-            assert rep.passes(1e-9)
+            assert max(rep.relative) < 1e-9
 
     def test_as_dict_keys(self):
         R = riemann(model_metric(CHART1))
@@ -449,7 +441,7 @@ class TestSectionalCurvature:
     def test_scaled_r_zero_quotient(self):
         g = model_metric(CHART1)
         J = model_product_structure(CHART1)
-        R = r_zero(g, J).scaled(2.5)
+        R = helpers.scaled(r_zero(g, J), 2.5)
         plane = SectionalPlane({"x1": 0.0, "y1": 0.0}, (1.0, 0.0), (0.0, 1.0))
         assert sectional_curvature(R, g, plane) == pytest.approx(2.5)
 
@@ -473,7 +465,7 @@ class TestJSectionalCurvature:
     def test_recovers_constant_on_scaled_r_zero(self, c):
         g = model_metric(CHART2)
         J = model_product_structure(CHART2)
-        R = r_zero(g, J).scaled(c)
+        R = helpers.scaled(r_zero(g, J), c)
         rng = random.Random(31)
         point = CHART2.sample_point(rng)
         gm = g.at(point)
@@ -500,7 +492,7 @@ class TestConstantCTest:
         g = model_metric(CHART2)
         J = model_product_structure(CHART2)
         R0 = r_zero(g, J)
-        value = constant_c_test(R0.scaled(c), R0)
+        value = constant_c_test(helpers.scaled(R0, c), R0)
         assert value == pytest.approx(c, abs=1e-9)
 
     def test_perturbed_component_rejected(self):

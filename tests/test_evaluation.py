@@ -18,7 +18,6 @@ from parakahler.expr import (
     Sum,
     Var,
     evaluate,
-    evaluate_many,
     parse,
 )
 from parakahler.geometry import Chart
@@ -47,7 +46,7 @@ def test_undefined_point_raises_on_every_path(source, value):
 
     columns = {"x1": np.array([0.5, value, 0.5]), "y1": np.zeros(3)}
     with pytest.raises(EvaluationError, match="row 1") as info:
-        evaluate_many(e, columns)
+        Compiled((e,)).columns(columns)
     assert info.value.row == 1
 
     sys = ODESystem(CHART1, rhs=(e, Const(0.0)))
@@ -60,7 +59,7 @@ def test_undefined_point_raises_on_every_path(source, value):
 def test_zero_base_with_positive_fractional_exponent_is_zero():
     e = parse("x1^1.5", CHART1)
     assert evaluate(e, {"x1": 0.0}) == 0.0
-    assert evaluate_many(e, {"x1": np.array([0.0, 4.0])}).tolist() == [0.0, 8.0]
+    assert Compiled((e,)).columns({"x1": np.array([0.0, 4.0])})[0].tolist() == [0.0, 8.0]
     with pytest.raises(EvaluationError):
         evaluate(parse("x1^-1.5", CHART1), {"x1": 0.0})
 
@@ -76,7 +75,7 @@ def test_deep_alternating_expression_evaluates():
     for level in range(150):
         expected = 0.3 * expected if level % 2 == 0 else math.sin(expected + 0.2)
     assert evaluate(e, point) == pytest.approx(expected, rel=1e-12)
-    column = evaluate_many(e, {"x1": np.array([0.3]), "y1": np.array([0.2])})
+    column = Compiled((e,)).columns({"x1": np.array([0.3]), "y1": np.array([0.2])})[0]
     assert column[0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -160,7 +159,7 @@ def test_scalar_vector_and_sympy_agree(e, x, y):
     except EvaluationError:
         scalar = None
     try:
-        vector = evaluate_many(e, {"x1": np.array([x]), "y1": np.array([y])})
+        vector = Compiled((e,)).columns({"x1": np.array([x]), "y1": np.array([y])})[0]
     except EvaluationError:
         # columns check only the result, floats every step: a failing
         # column is always a failing float evaluation

@@ -21,7 +21,6 @@ from parakahler.expr import (
     differentiate,
     equal_on_samples,
     evaluate,
-    evaluate_many,
     Compiled,
     free_variables,
     parse,
@@ -294,12 +293,12 @@ class TestEvaluate:
     def test_integer_power_of_negative_is_fine(self):
         assert evaluate(Power(X1, 3.0), {"x1": -2.0, "y1": 0.0}) == -8.0
 
-    def test_evaluate_many_matches_scalar(self):
+    def test_columns_match_scalar(self):
         import numpy as np
         e = parse("x1^2 + sin(y1)", CHART1)
         xs = np.linspace(-1.0, 1.0, 7)
         ys = np.linspace(0.0, 2.0, 7)
-        column = evaluate_many(e, {"x1": xs, "y1": ys})
+        column = Compiled((e,)).columns({"x1": xs, "y1": ys})[0]
         for k in range(7):
             assert math.isclose(column[k], evaluate(e, {"x1": xs[k], "y1": ys[k]}))
 

@@ -6,19 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parakahler.expr import Const, Var, parse, simplify, to_source
+from parakahler.expr import ONE, ZERO, Const, Var, parse, simplify, to_source
 from parakahler.geometry import (
     Chart,
     DegreeError,
+    DifferentialForm,
     Metric,
-    ProductStructure,
     VectorField,
     compatibility_check,
     compatibility_violation,
-    coordinate_differential,
     exterior_derivative,
     form_to_text,
-    forms_equal_on_samples,
     function_form,
     insertion_operator,
     interior_product,
@@ -38,6 +36,8 @@ import helpers
 
 CHART1 = Chart(1)
 CHART2 = Chart(2)
+DX1 = DifferentialForm(CHART1, 1, {(0,): ONE})
+DY1 = DifferentialForm(CHART1, 1, {(1,): ONE})
 
 
 def random_form(rng, chart, degree, terms=3):
@@ -89,15 +89,18 @@ class TestModelStructures:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_j_squares_to_identity_exactly(self, n):
-        assert model_product_structure(Chart(n)).squares_to_identity()
+        J = model_product_structure(Chart(n)).entries
+        dim = 2 * n
+        for a in range(dim):
+            for b in range(dim):
+                square = simplify(sum((J[a][c] * J[c][b] for c in range(dim)), start=ZERO))
+                assert isinstance(square, Const)
+                assert square.value == (1.0 if a == b else 0.0)
 
     def test_j_not_identity(self):
         J = model_product_structure(CHART1)
         jm = J.at({"x1": 0.0, "y1": 0.0})
         assert not np.array_equal(jm, np.eye(2))
-
-    def test_metric_is_constant(self):
-        assert model_metric(CHART2).is_constant()
 
     def test_neutral_signature(self):
         gm = model_metric(CHART2).at({"x1": 0, "x2": 0, "y1": 0, "y2": 0})
@@ -109,16 +112,16 @@ class TestModelStructures:
 class TestMetricApply:
     def test_crossed_basis_vectors(self):
         g = model_metric(CHART1)
-        dx = VectorField.basis(CHART1, 0)
-        dy = VectorField.basis(CHART1, 1)
+        dx = VectorField(CHART1, (ONE, ZERO))
+        dy = VectorField(CHART1, (ZERO, ONE))
         assert simplify(metric_apply(g, dx, dy)) == Const(1.0)
         assert simplify(metric_apply(g, dx, dx)) == Const(0.0)
         assert simplify(metric_apply(g, dy, dy)) == Const(0.0)
 
     def test_j_eigenvectors(self):
         J = model_product_structure(CHART1)
-        dx = VectorField.basis(CHART1, 0)
-        dy = VectorField.basis(CHART1, 1)
+        dx = VectorField(CHART1, (ONE, ZERO))
+        dy = VectorField(CHART1, (ZERO, ONE))
         assert j_apply(J, dx).components == dx.components
         jdy = j_apply(J, dy)
         assert simplify(jdy.components[1]) == Const(-1.0)
@@ -147,28 +150,21 @@ class TestCompatibility:
 
 class TestWedge:
     def test_basis_wedge(self):
-        dx1 = coordinate_differential(CHART1, 0)
-        dy1 = coordinate_differential(CHART1, 1)
-        w = wedge(dx1, dy1)
+        w = wedge(DX1, DY1)
         assert simplify(w.coefficient((0, 1))) == Const(1.0)
 
     def test_antisymmetry(self):
-        dx1 = coordinate_differential(CHART1, 0)
-        dy1 = coordinate_differential(CHART1, 1)
-        lhs = wedge(dy1, dx1)
-        rhs = wedge(dx1, dy1).scale(-1.0)
-        assert forms_equal_on_samples(lhs, rhs)
+        lhs = wedge(DY1, DX1)
+        rhs = wedge(DX1, DY1).scale(-1.0)
+        assert helpers.forms_equal_on_samples(lhs, rhs)
 
     def test_self_wedge_vanishes(self):
-        dx1 = coordinate_differential(CHART1, 0)
-        assert wedge(dx1, dx1).is_zero()
+        assert wedge(DX1, DX1).is_zero()
 
     def test_degree_overflow(self):
-        dx1 = coordinate_differential(CHART1, 0)
-        dy1 = coordinate_differential(CHART1, 1)
-        top = wedge(dx1, dy1)
+        top = wedge(DX1, DY1)
         with pytest.raises(DegreeError):
-            wedge(top, dx1)
+            wedge(top, DX1)
 
     @settings(derandomize=True, max_examples=30)
     @given(st.integers(min_value=0, max_value=10**6))
@@ -179,7 +175,7 @@ class TestWedge:
         c = random_form(rng, CHART2, 1)
         lhs = wedge(a.add(b), c)
         rhs = wedge(a, c).add(wedge(b, c))
-        assert forms_equal_on_samples(lhs, rhs, seed=seed)
+        assert helpers.forms_equal_on_samples(lhs, rhs, seed=seed)
 
     @settings(derandomize=True, max_examples=30)
     @given(st.integers(min_value=0, max_value=10**6))
@@ -187,8 +183,8 @@ class TestWedge:
         rng = random.Random(seed)
         a = random_form(rng, CHART2, 1)
         b = random_form(rng, CHART2, 1)
-        assert forms_equal_on_samples(wedge(a, b), wedge(b, a).scale(-1.0),
-                                      seed=seed)
+        assert helpers.forms_equal_on_samples(wedge(a, b), wedge(b, a).scale(-1.0),
+                                              seed=seed)
 
 
 class TestExteriorDerivative:
@@ -211,7 +207,7 @@ class TestExteriorDerivative:
         degree = rng.choice([0, 1, 2])
         w = random_form(rng, CHART2, degree)
         dd = exterior_derivative(exterior_derivative(w))
-        assert forms_equal_on_samples(dd, zero_form(CHART2, degree + 2), seed=seed)
+        assert helpers.forms_equal_on_samples(dd, zero_form(CHART2, degree + 2), seed=seed)
 
     def test_leibniz_rule_functions(self):
         rng = random.Random(7)
@@ -221,7 +217,7 @@ class TestExteriorDerivative:
         lhs = exterior_derivative(function_form(CHART1, simplify(Product((f, g)))))
         rhs = (exterior_derivative(function_form(CHART1, f)).scale(g)
                .add(exterior_derivative(function_form(CHART1, g)).scale(f)))
-        assert forms_equal_on_samples(lhs, rhs)
+        assert helpers.forms_equal_on_samples(lhs, rhs)
 
 
 class TestVerticalDerivative:
@@ -242,7 +238,7 @@ class TestVerticalDerivative:
         df = exterior_derivative(function_form(CHART2, f))
         bracket = insertion_operator(Jd, df)
         direct = vertical_derivative(f, CHART2)
-        assert forms_equal_on_samples(bracket, direct, seed=seed)
+        assert helpers.forms_equal_on_samples(bracket, direct, seed=seed)
 
 
 class TestInsertionOperator:
@@ -274,14 +270,14 @@ class TestInsertionOperator:
 class TestInteriorProduct:
     def test_contraction_example(self):
         # i_xi(dx1^dy1) = a dy1 - b dx1 for xi = a dx1-dir + b dy1-dir
-        xi = VectorField.constant(CHART1, (2.0, 5.0))
+        xi = VectorField(CHART1, (Const(2.0), Const(5.0)))
         w = make_form(CHART1, 2, [((0, 1), Const(1.0))])
         out = interior_product(xi, w)
         assert simplify(out.coefficient((1,))) == Const(2.0)
         assert simplify(out.coefficient((0,))) == Const(-5.0)
 
     def test_function_rejected(self):
-        xi = VectorField.constant(CHART1, (1.0, 0.0))
+        xi = VectorField(CHART1, (ONE, ZERO))
         with pytest.raises(DegreeError):
             interior_product(xi, function_form(CHART1, Const(1.0)))
 
@@ -290,10 +286,9 @@ class TestInteriorProduct:
     def test_nilpotent_on_two_forms(self, seed):
         rng = random.Random(seed)
         w = random_form(rng, CHART2, 2)
-        xi = VectorField.constant(
-            CHART2, tuple(rng.uniform(-2, 2) for _ in range(4)))
+        xi = VectorField(CHART2, tuple(Const(rng.uniform(-2, 2)) for _ in range(4)))
         twice = interior_product(xi, interior_product(xi, w))
-        assert forms_equal_on_samples(twice, zero_form(CHART2, 0), seed=seed)
+        assert helpers.forms_equal_on_samples(twice, zero_form(CHART2, 0), seed=seed)
 
 
 class TestJDual:
@@ -329,10 +324,3 @@ class TestFormPrinting:
     def test_normalized_index_order(self):
         w = make_form(CHART1, 2, [((1, 0), Const(1.0))])
         assert form_to_text(w) == "-dx1^dy1"
-
-
-class TestProductStructureValidation:
-    def test_non_involutive_rejected(self):
-        rows = [[Const(1.0), Const(1.0)], [Const(0.0), Const(1.0)]]
-        J = ProductStructure.from_rows(CHART1, rows)
-        assert not J.squares_to_identity()

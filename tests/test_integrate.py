@@ -256,6 +256,24 @@ class TestCsvOutput:
                  for name in ("plain.txt", "atomic.txt")}
         assert modes["atomic.txt"] == modes["plain.txt"] == 0o666 & ~umask
 
+    def test_atomic_write_keeps_an_existing_target_mode(self, tmp_path):
+        previous = os.umask(0o022)
+        try:
+            for name in ("plain.txt", "atomic.txt"):
+                path = os.path.join(tmp_path, name)
+                atomic_write_text(path, "first")
+                os.chmod(path, 0o600)
+            with open(os.path.join(tmp_path, "plain.txt"), "w") as handle:
+                handle.write("second")
+            atomic_write_text(os.path.join(tmp_path, "atomic.txt"), "second")
+        finally:
+            os.umask(previous)
+        modes = {name: stat.S_IMODE(os.stat(os.path.join(tmp_path, name)).st_mode)
+                 for name in ("plain.txt", "atomic.txt")}
+        assert modes["atomic.txt"] == modes["plain.txt"] == 0o600
+        with open(os.path.join(tmp_path, "atomic.txt")) as handle:
+            assert handle.read() == "second"
+
     def test_n2_header_order(self, tmp_path):
         H = HamiltonianSystem.from_source("x1*y1 + x2*y2", CHART2)
         traj = integrate_symplectic_euler(H, (1.0, 1.0, 1.0, 1.0), 0.0, 0.1, 0.05)

@@ -20,7 +20,6 @@ from parakahler.expr import (
 from parakahler.geometry import (
     Chart,
     exterior_derivative,
-    forms_equal_on_samples,
     interior_product,
     make_form,
     model_product_structure,
@@ -89,7 +88,7 @@ class TestKahlerForm:
         chart = rng.choice([CHART1, CHART2])
         L = LagrangianSystem(chart, helpers.random_polynomial(
             rng, chart, max_degree=4, terms=5))
-        assert forms_equal_on_samples(kahler_form(L), hessian_form(L), seed=seed)
+        assert helpers.forms_equal_on_samples(kahler_form(L), hessian_form(L), seed=seed)
 
     @settings(derandomize=True, max_examples=50)
     @given(st.integers(min_value=0, max_value=10**6))
@@ -99,25 +98,23 @@ class TestKahlerForm:
         L = LagrangianSystem(chart, helpers.random_polynomial(
             rng, chart, max_degree=4, terms=5))
         dphi = exterior_derivative(kahler_form(L))
-        assert forms_equal_on_samples(dphi, zero_form(chart, 3), seed=seed)
+        assert helpers.forms_equal_on_samples(dphi, zero_form(chart, 3), seed=seed)
 
 
 class TestEnergy:
     def test_solved_bilinear(self):
         L = system("x1*y1")
-        xi = Semispray.from_components(CHART1, (parse("-x1", CHART1),
-                                                parse("y1", CHART1)))
+        xi = Semispray(CHART1, (parse("-x1", CHART1), parse("y1", CHART1)))
         assert to_source(energy(L, xi)) == "-3*x1*y1"
 
     def test_zero_semispray(self):
         L = system("x1*y1")
-        xi = Semispray.from_components(CHART1, (Const(0.0), Const(0.0)))
+        xi = Semispray(CHART1, (Const(0.0), Const(0.0)))
         assert to_source(energy(L, xi)) == "-x1*y1"
 
     def test_quadratic(self):
         L = system("0.5*(x1^2 + y1^2)")
-        xi = Semispray.from_components(CHART1, (parse("x1", CHART1),
-                                                parse("-y1", CHART1)))
+        xi = Semispray(CHART1, (parse("x1", CHART1), parse("-y1", CHART1)))
         e = energy(L, xi)
         target = parse("0.5*(x1^2 + y1^2)", CHART1)
         assert equal_on_samples(e, target)
@@ -125,16 +122,14 @@ class TestEnergy:
 
 class TestLiouvilleField:
     def test_negates_y_components(self):
-        xi = Semispray.from_components(CHART1, (parse("-x1", CHART1),
-                                                parse("y1", CHART1)))
+        xi = Semispray(CHART1, (parse("-x1", CHART1), parse("y1", CHART1)))
         J = model_product_structure(CHART1)
         V = liouville_field(xi, J)
         assert to_source(simplify(V.components[0])) == "-x1"
         assert to_source(simplify(V.components[1])) == "-y1"
 
     def test_involution(self):
-        xi = Semispray.from_components(CHART1, (parse("x1 + y1", CHART1),
-                                                parse("x1*y1", CHART1)))
+        xi = Semispray(CHART1, (parse("x1 + y1", CHART1), parse("x1*y1", CHART1)))
         J = model_product_structure(CHART1)
         twice = liouville_field(
             Semispray(CHART1, liouville_field(xi, J).components), J)
@@ -142,7 +137,7 @@ class TestLiouvilleField:
             assert equal_on_samples(twice.components[a], xi.components[a])
 
     def test_plus_one_eigenvector_fixed(self):
-        xi = Semispray.from_components(CHART1, (Const(1.0), Const(0.0)))
+        xi = Semispray(CHART1, (Const(1.0), Const(0.0)))
         J = model_product_structure(CHART1)
         V = liouville_field(xi, J)
         assert simplify(V.components[0]) == Const(1.0)
@@ -152,15 +147,14 @@ class TestLiouvilleField:
 class TestEnergyDifferential:
     def test_solved_bilinear(self):
         L = system("x1*y1")
-        xi = Semispray.from_components(CHART1, (parse("-x1", CHART1),
-                                                parse("y1", CHART1)))
+        xi = Semispray(CHART1, (parse("-x1", CHART1), parse("y1", CHART1)))
         d = energy_differential(L, xi)
         assert to_source(simplify(d.coefficient((0,)))) == "-2*y1"
         assert to_source(simplify(d.coefficient((1,)))) == "-2*x1"
 
     def test_zero_semispray_reduces_to_minus_dL(self):
         L = system("x1*y1")
-        xi = Semispray.from_components(CHART1, (Const(0.0), Const(0.0)))
+        xi = Semispray(CHART1, (Const(0.0), Const(0.0)))
         d = energy_differential(L, xi)
         assert to_source(simplify(d.coefficient((0,)))) == "-y1"
         assert to_source(simplify(d.coefficient((1,)))) == "-x1"
@@ -175,7 +169,7 @@ class TestEnergyDifferential:
         xi = solve_semispray(L)
         lhs = interior_product(xi.as_vector_field(), kahler_form(L))
         rhs = energy_differential(L, xi)
-        assert forms_equal_on_samples(lhs, rhs, seed=seed)
+        assert helpers.forms_equal_on_samples(lhs, rhs, seed=seed)
 
 
 class TestSolveSemispray:
@@ -241,14 +235,14 @@ class TestProposition1Report:
         el = euler_lagrange_system(L)
         traj = integrate_rk4(el.ode, (1.0, 1.0), 0.0, 2.0, 1e-3)
         rep = proposition1_report(L, traj)
-        assert rep.max_violation() < 1e-5
+        assert max(rep.x_family + rep.y_family) < 1e-5
 
     def test_quadratic_flow(self):
         L = system("0.5*(x1^2 + y1^2)")
         el = euler_lagrange_system(L)
         traj = integrate_rk4(el.ode, (1.0, 1.0), 0.0, 2.0, 1e-3)
         rep = proposition1_report(L, traj)
-        assert rep.max_violation() < 1e-5
+        assert max(rep.x_family + rep.y_family) < 1e-5
 
     def test_constant_trajectory_violates(self):
         L = system("x1*y1")
