@@ -7,24 +7,26 @@ symplecticity reports.  No adaptive step control: the diagnostics want
 uniform grids, so t1 - t0 must be a whole number of steps.
 
 A step works on floats; its arithmetic follows the array form term by
-term, so trajectories are bit-identical to it.  Each scheme's step is one
-function generated per dimension: _rk4_function(dim), and
+term, so trajectories are bit-identical to it.  Each scheme's step loop
+is one function generated per dimension: _rk4_function(dim), and
 _symplectic_euler_function(n, separable), whose Newton iterate and
-residual are locals.  Both call the flows unchecked (Compiled.unchecked,
-and the unchecked form of an rhs_callable that has one, as the numeric
-semispray of a Lagrangian with 2n > 4 does); _run runs a step again
-through the checked calls only when that raises or leaves a non-finite
-value, which its one check of each new state finds, so failures read
-as before.  The symplectic Euler step solves its n x n Newton
-system on floats with linalg.elimination_function(n), the generated
-partial-pivot elimination the numeric semispray also uses, with no numpy
-call inside a step; its Newton tolerance has a floor at rounding level
-for large momenta.  For a separable H = T(y) + V(x)
-(HamiltonianSystem.separable) the step evaluates H_x once and never
-H_xy: its Newton Jacobian is the identity.
+residual are locals.  One call runs a whole integration with the state
+in locals, appending each state to one buffer of doubles, and returns
+at the first state its one check finds not finite.  Both call the flows
+unchecked (Compiled.unchecked, and the unchecked form of an
+rhs_callable that has one, as the numeric semispray of a Lagrangian
+with 2n > 4 does); when the loop raises or stops short, _run re-runs
+only the failed step through the checked calls, so failures read as
+before, and resumes the unchecked loop.  The symplectic Euler step
+solves its n x n Newton system on floats with
+linalg.elimination_function(n), the generated partial-pivot elimination
+the numeric semispray also uses, with no numpy call inside a step; its
+Newton tolerance has a floor at rounding level for large momenta.  For a
+separable H = T(y) + V(x) (HamiltonianSystem.separable) the step
+evaluates H_x once and never H_xy: its Newton Jacobian is the identity.
 Compiled flows are cached per system (ODESystem.vector_function,
 HamiltonianSystem.compiled_blocks), so repeated runs on one system
-compile nothing, and _run appends the states to one buffer of doubles.
+compile nothing.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ NEWTON_MAX_ITERS = 25
 BACKTRACK = tuple(2.0 ** -i for i in range(7))   # damped Newton step scales 1 .. 1/64
 SPAN_RTOL = 1e-9     # t1 - t0 may miss a whole number of steps by this much, relative
 FD_STEP = 1e-6
+_CSV_BLOCK = 1024    # trajectory rows formatted at a time, to bound the floats made at once
 
 
 class NonFiniteStateError(Exception):
@@ -181,80 +184,101 @@ class _StepFailure(Exception):
 
 def _run(step: tuple, state0: Sequence[float], t0: float, t1: float, h: float,
          names: tuple) -> Trajectory:
-    """Apply a step for steps 1..steps from state0, states as lists of floats.
+    """Run a generated step loop for steps 1..steps from state0.
 
-    step is (kernel, fast, checked): the new state is kernel(*fast,
-    *state), where fast passes unchecked evaluators.  When that raises or
-    leaves a non-finite entry, the step runs again as kernel(*checked,
-    *state) on the calls that check every value, which raises what they
-    raise or returns the same state, and a state still not finite is a
-    NonFiniteStateError.  A failed evaluation becomes a
-    NonFiniteStateError, and every failure names the step and the t and
-    state it started from.  The states are appended to one flat buffer
-    of doubles, viewed as the (steps + 1) x len(names) array at the end.
+    step is (loop, fast, checked).  loop(*fast, count, out, *state) runs
+    count steps from state on unchecked evaluators, appends each new state
+    to out, one flat buffer of doubles, and returns at the first state that
+    is not finite, so len(out) tells how far it got; one call runs the
+    whole integration unless a step fails.  When the loop raises or stops
+    short, only the step it failed runs again, as loop(*checked, 1, out,
+    *state) on the calls that check every value: it raises what they raise
+    or appends the same state, and a state still not finite is a
+    NonFiniteStateError.  Then the unchecked loop resumes.  A failed
+    evaluation becomes a NonFiniteStateError, and every failure names the
+    step and the t and state it started from.  The buffer is viewed as the
+    (steps + 1) x len(names) array at the end.
     """
     steps = _step_count(t0, t1, h)
+    dim = len(names)
     state = np.asarray(state0, float)
-    if state.shape != (len(names),):
-        raise ValueError(f"initial state must have length {len(names)}")
-    state = state.tolist()
-    out = array("d", state)
-    kernel, fast, checked = step
+    if state.shape != (dim,):
+        raise ValueError(f"initial state must have length {dim}")
+    out = array("d", state.tolist())
+    loop, fast, checked = step
+    k = 1   # the next step: out holds the states before it
     with np.errstate(all="ignore"):
-        for k in range(1, steps + 1):
+        while k <= steps:
             try:
-                try:
-                    new = kernel(*fast, *state)
-                    finite = all(map(math.isfinite, new))
-                except (ArithmeticError, ValueError, EvaluationError, _StepFailure):
-                    finite = False
-                if not finite:
-                    new = kernel(*checked, *state)
-                    if not all(map(math.isfinite, new)):
-                        raise NonFiniteStateError(
-                            k, f"non-finite state {_origin(k, t0, h, names, state)}")
+                loop(*fast, steps - k + 1, out, *out[-dim:])
+            except (ArithmeticError, ValueError, EvaluationError, _StepFailure):
+                pass
+            k = len(out) // dim
+            if k > steps:
+                break
+            state = out[-dim:]
+            try:
+                loop(*checked, 1, out, *state)
             except EvaluationError as exc:
                 raise NonFiniteStateError(
                     k, f"evaluation failed {_origin(k, t0, h, names, state)}: {exc}") from exc
             except _StepFailure as exc:
                 raise exc.error(k, f"{exc} {_origin(k, t0, h, names, state)}") from None
-            out.extend(new)
-            state = new
-    return Trajectory(t0, h, np.frombuffer(out).reshape(steps + 1, len(names)), names)
+            if len(out) == k * dim:
+                raise NonFiniteStateError(
+                    k, f"non-finite state {_origin(k, t0, h, names, state)}")
+            k += 1
+    return Trajectory(t0, h, np.frombuffer(out).reshape(steps + 1, dim), names)
 
 
 def _origin(k: int, t0: float, h: float, names: tuple, state) -> str:
     return f"in step {k}, from t = {t0 + (k - 1) * h:.9g} at {_where(names, state)}"
 
 
+def _append_if_finite(state: list) -> list:
+    """Source lines, in a step loop, that append the new state to out or return if it is not finite.
+
+    (v0 - v0) + .. + (vk - vk) is 0.0 exactly when every v is finite, and nan otherwise.
+    """
+    finite = " + ".join(f"({v} - {v})" for v in state)
+    return [f"        if not ({finite} == 0.0):",
+            "            return",
+            f"        extend(({', '.join(state)},))"]
+
+
 @lru_cache(maxsize=16)   # one per dimension
 def _rk4_function(dim: int) -> Callable:
-    """rk4(f, half, h, sixth, s0, ..., s<dim-1>): one RK4 step, generated for dim.
+    """rk4(f, half, h, sixth, steps, out, s0, ..., s<dim-1>): RK4 steps, generated for dim.
 
     f maps the coordinates, as arguments, to the list of their
-    derivatives; rk4 returns the new state as a list.
+    derivatives.  rk4 runs steps steps from s with the state in locals,
+    appends each new state to out, an array of doubles, and returns at the
+    first state that is not finite, which it does not append.
     """
     s = [f"s{i}" for i in range(dim)]
-    lines = [f"def rk4(f, half, h, sixth, {', '.join(s)}):"]
+    lines = [f"def rk4(f, half, h, sixth, steps, out, {', '.join(s)}):",
+             "    extend = out.extend",
+             "    for _ in range(steps):"]
     args = s
     for k, scale in (("a", "half"), ("b", "half"), ("c", "h"), ("d", None)):
-        lines.append(f"    {''.join(f'{k}{i}, ' for i in range(dim))}= f({', '.join(args)})")
+        lines.append(f"        {''.join(f'{k}{i}, ' for i in range(dim))}= f({', '.join(args)})")
         args = [f"{x} + {scale} * {k}{i}" for i, x in enumerate(s)]
     new = [f"{x} + sixth * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})" for i, x in enumerate(s)]
-    lines.append(f"    return [{', '.join(new)}]\n")
-    return generated_function("\n".join(lines), "<rk4>", {})
+    lines += [f"        {', '.join(s)}, = {', '.join(new)},",
+              *_append_if_finite(s)]
+    return generated_function("\n".join(lines) + "\n", "<rk4>", {})
 
 
 def _rk4_step(f: Callable, h: float, dim: int) -> tuple:
-    """_run's (kernel, fast, checked) for one classical RK4 step of size h for xdot = f(x).
+    """_run's (loop, fast, checked) for classical RK4 steps of size h for xdot = f(x).
 
-    The kernel is _rk4_function(dim): four calls of f and the array
-    form's arithmetic, term by term, s + (h/6)*(k1 + 2*k2 + 2*k3 + k4),
-    so results are identical.  fast calls the unchecked form of an f that
-    has one (a Compiled flow, or the NumericSemispray of a Lagrangian
+    The loop is _rk4_function(dim): per step four calls of f and the
+    array form's arithmetic, term by term, s + (h/6)*(k1 + 2*k2 + 2*k3 +
+    k4), so results are identical.  fast calls the unchecked form of an f
+    that has one (a Compiled flow, or the NumericSemispray of a Lagrangian
     beyond the symbolic solve); any other f maps a list to a list and
     runs checked in both.  A non-finite stage value reaches the new
-    state, so _run's one check finds it.
+    state, so the loop's one check of it finds it.
     """
     half, sixth = 0.5 * h, h / 6.0
     checked = (lambda *s: f(list(s)), half, h, sixth)
@@ -272,12 +296,14 @@ def integrate_rk4(sys: ODESystem, state0: Sequence[float], t0: float, t1: float,
 
 @lru_cache(maxsize=16)   # one per (n, separable)
 def _symplectic_euler_function(n: int, separable: bool) -> Callable:
-    """se(hx, hy, hxy, h, x1.., y1..): one symplectic Euler step, generated for n.
+    """se(hx, hy, hxy, h, steps, out, x1.., y1..): symplectic Euler steps, generated for n.
 
     hx, hy and hxy map the coordinates, as arguments, to the lists of
-    H_x, H_y and H_xy by rows; se returns the new state as a list.  The
-    Newton iterate y', its residual and update are locals, and the
-    arithmetic is the array form's, term by term: the residual
+    H_x, H_y and H_xy by rows.  se runs steps steps from (x, y) with the
+    state in locals, appends each new state to out, an array of doubles,
+    and returns at the first state that is not finite, which it does not
+    append.  The Newton iterate y', its residual and update are locals,
+    and the arithmetic is the array form's, term by term: the residual
     (y' - y) + h*H_x, the Jacobian I + h*H_xy solved by
     linalg.elimination_function(n), bound as solve, the candidates
     y' - scale*delta, and the stop rule max |residual| <= max(NEWTON_TOL,
@@ -301,8 +327,7 @@ def _symplectic_euler_function(n: int, separable: bool) -> Callable:
         return each(f"{template} - {template} == 0.0", count, " and ")
 
     hg = "g{i}" if separable else "h * g{i}"   # h*H_x: once per step, or per evaluation
-    lines = [f"def se(hx, hy, hxy, h, {each('x{i}')}, {each('y{i}')}):",
-             f"    {each('v{i}')}, = {each('y{i}')},",
+    lines = [f"    {each('v{i}')}, = {each('y{i}')},",
              f"    {each('g{i}')}, = hx({each('x{i}')}, {each('v{i}')})"]
     if separable:
         lines += [f"    g{i} = h * g{i}" for i in range(n)]
@@ -341,16 +366,22 @@ def _symplectic_euler_function(n: int, separable: bool) -> Callable:
               "                break",
               f"        {each('v{i}')}, {each('r{i}')}, = {each('c{i}')}, {each('q{i}')},",
               f"    {each('a{i}')}, = hy({each('x{i}')}, {each('v{i}')})",
-              f"    return [{each('x{i} + h * a{i}')}, {each('v{i}')}]\n"]
-    return generated_function("\n".join(lines), "<symplectic euler>",
+              f"    {each('x{i}')}, {each('y{i}')}, = {each('x{i} + h * a{i}')}, {each('v{i}')},"]
+    state = [f"{c}{i}" for c in "xy" for i in range(n)]
+    lines = [f"def se(hx, hy, hxy, h, steps, out, {', '.join(state)}):",
+             "    extend = out.extend",
+             "    for _ in range(steps):",
+             *("    " + line for line in lines),
+             *_append_if_finite(state)]
+    return generated_function("\n".join(lines) + "\n", "<symplectic euler>",
                               dict(globals(), solve=elimination_function(n)))
 
 
 def _symplectic_euler_step(H, h: float) -> tuple:
-    """_run's (kernel, fast, checked) for one symplectic Euler step of size h, from H's blocks.
+    """_run's (loop, fast, checked) for symplectic Euler steps of size h, from H's blocks.
 
-    The kernel is _symplectic_euler_function(n, H.separable), run on the
-    blocks' unchecked calls and checked only when that fails.
+    The loop is _symplectic_euler_function(n, H.separable), run on the
+    blocks' unchecked calls and checked only on a step that fails.
     """
     hx, hy, hxy = H.compiled_blocks
     return (_symplectic_euler_function(H.chart.n, H.separable),
@@ -472,10 +503,11 @@ def atomic_write_text(path: str, text: str):
 
     The file gets the mode open(path, "w") leaves: an existing target's
     permission bits, else 0o666 less the umask (tempfile.mkstemp would
-    give 0o600).
+    give 0o600).  A symlink is written through, as open() does: the temp
+    file, the mode and the rename all go to the path it resolves to.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    path = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
@@ -492,10 +524,16 @@ def atomic_write_text(path: str, text: str):
 
 
 def write_trajectory_csv(traj: Trajectory, path: str):
-    """CSV with header t,x1,..,xn,y1,..,yn and 17 significant digits."""
-    lines = ["t," + ",".join(traj.names)]
-    times = traj.times
-    for i in range(traj.states.shape[0]):
-        row = [times[i], *traj.states[i]]
-        lines.append(",".join("%.17g" % v for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """CSV with header t,x1,..,xn,y1,..,yn and 17 significant digits.
+
+    Each block of _CSV_BLOCK rows is formatted by one template, so no
+    string per value or per row is built and few floats exist at once.
+    """
+    times, states = traj.times, traj.states
+    row = ",".join(["%.17g"] * (1 + len(traj.names))) + "\n"
+    chunks = ["t," + ",".join(traj.names) + "\n"]
+    for start in range(0, len(times), _CSV_BLOCK):
+        block = np.column_stack((times[start:start + _CSV_BLOCK],
+                                 states[start:start + _CSV_BLOCK]))
+        chunks.append(row * len(block) % tuple(block.ravel().tolist()))
+    atomic_write_text(path, "".join(chunks))

@@ -11,11 +11,15 @@ same algorithm written as loops, helpers.reference_elimination, so
 these equalities hold by construction, whatever BLAS numpy uses.  On a
 separable H the step evaluates H_x once per step and skips H_xy, and
 must still give the general Newton loop's trajectory bit for bit, signs
-of zero included.
+of zero included.  Each scheme's steps run in one generated loop: a run
+without failure is one call of it, and a step whose unchecked run fails
+runs again alone, checked, before the unchecked loop resumes.
 """
 
 import itertools
+import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from parakahler.integrate import (
     NEWTON_TOL,
     NewtonConvergenceError,
     NonFiniteStateError,
+    ODESystem,
     canonical_matrix,
     integrate_rk4,
     integrate_symplectic_euler,
@@ -167,9 +172,11 @@ def test_generated_rk4_step_is_the_step_and_matches_reference(system, state0, h,
     fused = integrate_rk4(system, state0, 0.0, steps * h, h).states
     assert calls == [dim]   # the rhs_callable of the n=3 semispray included
     step = reference_rk4_step(lambda s: np.array(system.vector_function(s)), h)
-    kernel, fast, _ = integrate._rk4_step(system.vector_function, h, dim)
+    loop, fast, _ = integrate._rk4_step(system.vector_function, h, dim)
     for k in range(1, steps + 1):
-        assert np.array_equal(kernel(*fast, *fused[k - 1].tolist()), step(fused[k - 1], k))
+        out = array("d")
+        loop(*fast, 1, out, *fused[k - 1].tolist())
+        assert np.array_equal(out, step(fused[k - 1], k))
 
 
 def reference_symplecticity(H, state0, h, steps):
@@ -364,3 +371,92 @@ def test_solve_on_the_identity_is_the_separable_update(n):
                 update[k] = update[k] - 0.0 * update[j]
         assert [v.hex() for v in elimination_function(n)(*identity, *r)] == \
             [v.hex() for v in update]
+
+
+# ---------------------------------------------------------------------------
+# one generated call runs a whole integration; only a failed step re-runs checked
+# ---------------------------------------------------------------------------
+
+def record_loops(monkeypatch, name):
+    """Make integrate.<name> hand out its loops wrapped to record (first call, steps) per call."""
+    factory = getattr(integrate, name)
+    calls = []
+
+    def recording_factory(*key):
+        loop = factory(*key)
+
+        def recording(*args):
+            calls.append((args[0], args[4]))
+            return loop(*args)
+
+        return recording
+
+    monkeypatch.setattr(integrate, name, recording_factory)
+    return calls
+
+
+class FailsOnce:
+    """A compiled flow whose unchecked form fails at its call number `at` only.
+
+    It raises OverflowError or returns inf there; the checked form never fails.
+    """
+
+    def __init__(self, flow, at, how):
+        self.flow, self.at, self.how, self.calls = flow, at, how, 0
+
+    def __call__(self, values):
+        return self.flow(values)
+
+    def unchecked(self, *values):
+        self.calls += 1
+        if self.calls == self.at:
+            if self.how == "raises":
+                raise OverflowError("unchecked flow overflowed")
+            return [math.inf] * len(self.flow.exprs)
+        return self.flow.unchecked(*values)
+
+
+@pytest.mark.parametrize("how", ["raises", "returns-inf"])
+def test_rk4_reruns_only_the_failed_step_checked(how, monkeypatch):
+    odes = hamilton_odes(hamiltonian(QUARTIC, 2))
+    state0, h, steps = [0.3, -0.2, 0.5, 0.4], 0.01, 200
+    # four calls per step: the second stage of step 100 fails
+    flow = FailsOnce(odes.vector_function, 4 * 99 + 2, how)
+    calls = record_loops(monkeypatch, "_rk4_function")
+    fused = integrate_rk4(ODESystem(odes.chart, rhs_callable=flow), state0, 0.0, steps * h, h)
+    assert np.array_equal(fused.states, reference_rk4(odes, state0, h, steps))
+    assert [("fast" if f == flow.unchecked else "checked", count) for f, count in calls] == \
+        [("fast", 200), ("checked", 1), ("fast", 100)]
+
+
+@pytest.mark.parametrize("how", ["raises", "returns-inf"])
+def test_symplectic_euler_reruns_only_the_failed_step_checked(how, monkeypatch):
+    H = hamiltonian(BENCH_QUARTIC, 2)
+    state0, h, steps = [0.31, -0.22, 0.4, 0.13], 0.01, 200
+    hx, hy, hxy = H.compiled_blocks
+    hx = FailsOnce(hx, 100, how)   # one H_x per separable step: step 100 fails
+    vars(H)["compiled_blocks"] = (hx, hy, hxy)
+    calls = record_loops(monkeypatch, "_symplectic_euler_function")
+    fused = integrate_symplectic_euler(H, state0, 0.0, steps * h, h)
+    expected = reference_run(reference_symplectic_euler_step(H, h), state0, steps)
+    assert np.array_equal(fused.states, expected)
+    assert [("fast" if f == hx.unchecked else "checked", count) for f, count in calls] == \
+        [("fast", 200), ("checked", 1), ("fast", 100)]
+
+
+@pytest.mark.parametrize("scheme,source", [
+    ("rk4", QUARTIC),
+    ("symplectic-euler", BENCH_QUARTIC),
+    ("symplectic-euler", QUARTIC),
+], ids=["rk4", "separable-se", "newton-se"])
+def test_a_run_without_failure_is_one_generated_call(scheme, source, monkeypatch):
+    H = hamiltonian(source, 2)
+    state0, h, steps = [0.3, -0.2, 0.5, 0.4], 0.001, 1000
+    if scheme == "rk4":
+        calls = record_loops(monkeypatch, "_rk4_function")
+        traj = integrate_rk4(hamilton_odes(H), state0, 0.0, steps * h, h)
+    else:
+        calls = record_loops(monkeypatch, "_symplectic_euler_function")
+        traj = integrate_symplectic_euler(H, state0, 0.0, steps * h, h)
+    assert traj.steps == steps
+    assert [count for _, count in calls] == [steps]

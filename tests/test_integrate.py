@@ -274,6 +274,42 @@ class TestCsvOutput:
         with open(os.path.join(tmp_path, "atomic.txt")) as handle:
             assert handle.read() == "second"
 
+    def test_atomic_write_goes_through_a_symlink(self, tmp_path):
+        # open(path, "w") writes the link's target and keeps the link
+        os.mkdir(os.path.join(tmp_path, "reports"))
+        for name in ("plain", "atomic"):
+            target = os.path.join(tmp_path, "reports", f"{name}.json")
+            with open(target, "w") as handle:
+                handle.write("first")
+            os.symlink(os.path.join("reports", f"{name}.json"),
+                       os.path.join(tmp_path, f"{name}-link.json"))
+        with open(os.path.join(tmp_path, "plain-link.json"), "w") as handle:
+            handle.write("second")
+        atomic_write_text(os.path.join(tmp_path, "atomic-link.json"), "second")
+        for name in ("plain", "atomic"):
+            assert os.path.islink(os.path.join(tmp_path, f"{name}-link.json"))
+            with open(os.path.join(tmp_path, "reports", f"{name}.json")) as handle:
+                assert handle.read() == "second"
+        assert sorted(os.listdir(os.path.join(tmp_path, "reports"))) == ["atomic.json",
+                                                                         "plain.json"]
+
+    def test_rows_are_the_per_value_format(self, tmp_path):
+        # more rows than one block of conversion, holding extreme doubles
+        special = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                   0.1, 1.0 / 3.0, 0.0]
+        rng = random.Random(11)
+        states = [[rng.choice(special) if rng.random() < 0.5 else rng.uniform(-1e3, 1e3)
+                   for _ in range(4)] for _ in range(2500)]
+        states[0] = special[:4]
+        traj = Trajectory(-0.0, 5e-324, np.array(states), ("x1", "x2", "y1", "y2"))
+        path = os.path.join(tmp_path, "traj.csv")
+        write_trajectory_csv(traj, path)
+        times = traj.times
+        expected = ["t,x1,x2,y1,y2"] + [",".join("%.17g" % v for v in [times[i], *row])
+                                        for i, row in enumerate(traj.states)]
+        with open(path) as handle:
+            assert handle.read() == "\n".join(expected) + "\n"
+
     def test_n2_header_order(self, tmp_path):
         H = HamiltonianSystem.from_source("x1*y1 + x2*y2", CHART2)
         traj = integrate_symplectic_euler(H, (1.0, 1.0, 1.0, 1.0), 0.0, 0.1, 0.05)

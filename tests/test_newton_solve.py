@@ -10,6 +10,7 @@ tolerance, and let Newton stop at rounding level beyond.
 """
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ class TestNewtonSolve:
         se = _symplectic_euler_function(n, False)
         hxy = [a[i][j] - (1.0 if i == j else 0.0) for i in range(n) for j in range(n)]
         with pytest.raises(_StepFailure) as err:
-            se(lambda *s: [1.0] * n, None, lambda *s: hxy, 1.0, *[0.0] * (2 * n))
+            se(lambda *s: [1.0] * n, None, lambda *s: hxy, 1.0, 1, array("d"), *[0.0] * (2 * n))
         assert err.value.error is NewtonConvergenceError
         assert str(err.value) == "singular Newton system"
 

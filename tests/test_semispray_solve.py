@@ -19,6 +19,7 @@ singular Hessian reached by a step names its rank, step, t and state.
 
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -287,6 +288,8 @@ def test_unchecked_is_the_fast_form():
     semispray = ode.vector_function
     state = [0.3, -0.2, 0.1, 0.5, 0.4, -0.3]
     assert semispray.unchecked(*state) == semispray(state)
-    kernel, fast, _ = integrate._rk4_step(semispray, 0.01, 6)
-    assert kernel(*fast, *state) == \
-        integrate._rk4_function(6)(semispray.unchecked, 0.005, 0.01, 0.01 / 6.0, *state)
+    loop, fast, _ = integrate._rk4_step(semispray, 0.01, 6)
+    out, expected = array("d"), array("d")
+    loop(*fast, 1, out, *state)
+    integrate._rk4_function(6)(semispray.unchecked, 0.005, 0.01, 0.01 / 6.0, 1, expected, *state)
+    assert out == expected
