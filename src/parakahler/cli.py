@@ -123,6 +123,8 @@ def load_problem(path: str) -> ProblemFile:
         known = {"model", "potential", "matrix"}
         if not set(metric) <= known or len(metric) != 1:
             raise ProblemError(f"metric must hold exactly one of {sorted(known)}")
+        if "model" in metric and metric["model"] is not True:
+            raise ProblemError(f"metric model must be true, got {metric['model']!r}")
         if "potential" in metric and not isinstance(metric["potential"], str):
             raise ProblemError("metric potential must be an expression string")
         matrix = metric.get("matrix")
@@ -513,6 +515,9 @@ def main(argv=None) -> int:
             if args.out:
                 os.makedirs(args.out, exist_ok=True)
             code, report, lines = cmd_integrate(problem, seed, args.out)
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+            _write_report(report, args.out, args.command)
     except ProblemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -535,10 +540,10 @@ def main(argv=None) -> int:
             integrate_mod.NewtonConvergenceError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:   # the output directory, a report or a CSV
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_PARSE
 
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_report(report, args.out, args.command)
     if args.format == "json":
         sys.stdout.write(render_report(report))
     else:

@@ -497,13 +497,8 @@ _FUNCTIONS = ("sin", "cos", "exp", "ln", "sinh", "cosh")
 
 # Operands per line of a long sum or product, and the nesting depth that
 # starts a temporary: the Python compiler rejects deeply nested source.
-# Consecutive expressions share one code object while their distinct node
-# objects number at most _NODES, never fewer than the distinct values that
-# get code: compile memory grows faster than the source, so a whole
-# curvature tensor is split into several.
 _CHAIN = 32
 _DEPTH = 32
-_NODES = 2000
 
 
 def _detail(node: Expression):
@@ -618,35 +613,6 @@ def _code(exprs: Sequence[Expression], names: Sequence[str]) -> CodeType:
         "<expression>", _SCALAR).__code__
 
 
-def _groups(exprs: Sequence[Expression]) -> list:
-    """exprs in consecutive runs of at most _NODES distinct nodes; a larger one runs alone.
-
-    No expressions make one empty run.
-    """
-    groups: list[list] = [[]]
-    seen: set[int] = set()
-    for e in exprs:
-        fresh = _new_nodes(e, seen)
-        if groups[-1] and len(seen) + len(fresh) > _NODES:
-            groups.append([])
-            seen, fresh = set(), _new_nodes(e, set())
-        groups[-1].append(e)
-        seen |= fresh
-    return groups
-
-
-def _new_nodes(e: Expression, seen: set) -> set:
-    """Identities of the nodes of e that are not in seen."""
-    fresh: set[int] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen and id(node) not in fresh:
-            fresh.add(id(node))
-            stack.extend(_children(node))
-    return fresh
-
-
 def _reason(exc: Exception) -> str:
     if isinstance(exc, ZeroDivisionError):
         return "division by zero"
@@ -663,16 +629,16 @@ def _lookup(values: Mapping, names: Sequence[str]) -> list:
 class Compiled:
     """Expressions compiled once, then evaluated at many points.
 
-    Consecutive expressions share one code object, up to _NODES distinct
-    nodes each (_groups), which computes each distinct subexpression
-    once: its temporaries are keyed on value (_Source), so equal subtrees
-    built as distinct objects share one, and a -0.0 keeps its own text;
-    unchecked(*values) runs them on floats with math and returns the list
-    of values, with no checks.  A call, or at, runs it under the policy in
-    docs/expression-grammar.md: an EvaluationError carries the failing
-    expression's index and label.  Each expression's own code object is
-    compiled on first use, by columns (numpy columns, naming also the
-    first failing row) and to name the expression when a call fails.
+    The whole set compiles to one code object, whatever its size, which
+    computes each distinct subexpression once: its temporaries are keyed
+    on value (_Source), so equal subtrees built as distinct objects share
+    one, and a -0.0 keeps its own text; unchecked(*values) runs it on
+    floats with math and returns the list of values, with no checks.  A
+    call, or at, runs it under the policy in docs/expression-grammar.md:
+    an EvaluationError carries the failing expression's index and label.
+    Each expression's own code object is compiled on first use, by
+    columns (numpy columns, naming also the first failing row) and to
+    name the expression when a call fails.
     exprs keeps the expressions, in order.  names orders a call's
     arguments; by default they are the variables read.
     """
@@ -684,26 +650,15 @@ class Compiled:
             names = sorted({v.name for e in exprs for v in free_variables(e)})
         self.names = tuple(names)
         self.labels = labels
-        groups = _groups(exprs)
-        codes = [_code(group, self.names) for group in groups]
-        # an expression alone in its group needs no code of its own
-        self._alone = {id(g[0]): code for g, code in zip(groups, codes) if len(g) == 1}
-        functions = [FunctionType(code, _SCALAR) for code in codes]
-        if len(functions) == 1:
-            self.unchecked = functions[0]
-        else:
-            def unchecked(*values):
-                out = []
-                for f in functions:
-                    out += f(*values)
-                return out
-            self.unchecked = unchecked
+        self.unchecked = FunctionType(_code(exprs, self.names), _SCALAR)
 
     @cached_property
     def _codes(self) -> list:
-        """One code object per expression, in order."""
-        codes = self._alone
-        for e in self.exprs:
+        """One code object per expression, in order; a set of one reuses its own."""
+        if len(self.exprs) == 1:
+            return [self.unchecked.__code__]
+        codes = {}
+        for e in self.exprs:   # one object listed twice compiles once
             if id(e) not in codes:
                 codes[id(e)] = _code((e,), self.names)
         return [codes[id(e)] for e in self.exprs]

@@ -504,23 +504,27 @@ def atomic_write_text(path: str, text: str):
     The file gets the mode open(path, "w") leaves: an existing target's
     permission bits, else 0o666 less the umask (tempfile.mkstemp would
     give 0o600).  A symlink is written through, as open() does: the temp
-    file, the mode and the rename all go to the path it resolves to.
+    file, the mode and the rename all go to the path it resolves to.  An
+    OSError names path, whichever step failed.
     """
-    path = os.path.realpath(path)
+    target, path = path, os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-        except FileNotFoundError:
-            pass
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            try:
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            except FileNotFoundError:
+                pass
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:   # name the file asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, target) from exc
 
 
 def write_trajectory_csv(traj: Trajectory, path: str):

@@ -115,17 +115,58 @@ class TestMalformedProblem:
          "initial_state must be a list of 2n = 2 finite numbers, got an integer beyond float range"),
         ("derive", lagrangian_payload(tol=10**400),
          "tol must be a finite positive number, got an integer beyond float range"),
+        ("check", {"kind": "metric", "n": 1, "metric": {"model": False}},
+         "metric model must be true, got False"),
+        ("check", {"kind": "metric", "n": 1, "metric": {"model": 1}},
+         "metric model must be true, got 1"),
+        ("check", {"kind": "metric", "n": 1, "metric": {"model": "no"}},
+         "metric model must be true, got 'no'"),
     ], ids=["t1-not-after-t0", "too-many-steps", "nan-step", "span-short-of-t1",
             "span-past-t1", "tol-string",
             "matrix-1x2", "potential-number", "nan-initial-state", "boolean-n",
             "boolean-seed", "boolean-initial-state", "boolean-t0", "boolean-t1", "boolean-h",
-            "string-t1", "infinite-step", "huge-t1", "huge-initial-state", "huge-tol"])
+            "string-t1", "infinite-step", "huge-t1", "huge-initial-state", "huge-tol",
+            "model-false", "model-one", "model-string"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, command, payload, message):
         path = write_problem(tmp_path, payload)
         assert main([command, "--problem", path]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+
+
+OUTPUT_PAYLOADS = {"derive": lagrangian_payload(), "integrate": lagrangian_payload(),
+                   "check": {"name": "sample", "kind": "metric", "n": 1}}
+
+
+class TestUnwritableOutput:
+    """An output directory, report or CSV that cannot be written exits 2 with one line."""
+
+    @pytest.mark.parametrize("command", list(OUTPUT_PAYLOADS))
+    @pytest.mark.parametrize("under,reason", [((), "File exists"), (("sub",), "Not a directory")],
+                             ids=["file", "under-file"])
+    def test_out_naming_a_file(self, tmp_path, capsys, command, under, reason):
+        path = write_problem(tmp_path, OUTPUT_PAYLOADS[command])
+        blocker = os.path.join(tmp_path, "blocker")
+        with open(blocker, "w") as handle:
+            handle.write("kept\n")
+        out = os.path.join(blocker, *under)
+        assert main([command, "--problem", path, "--out", out]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
+        with open(blocker) as handle:
+            assert handle.read() == "kept\n"
+
+    @pytest.mark.parametrize("command,name", [
+        ("derive", "sample-derive.json"), ("check", "sample-check.json"),
+        ("integrate", "sample-trajectory.csv"), ("integrate", "sample-integrate.json")])
+    def test_output_file_that_is_a_directory(self, tmp_path, capsys, command, name):
+        path = write_problem(tmp_path, OUTPUT_PAYLOADS[command])
+        out = os.path.join(tmp_path, "out")
+        os.makedirs(os.path.join(out, name))
+        assert main([command, "--problem", path, "--out", out]) == EXIT_PARSE
+        target = os.path.join(out, name)
+        assert capsys.readouterr() == ("", f"error: cannot write {target}: Is a directory\n")
+        assert not [f for f in os.listdir(out) if f.startswith(".tmp-")]
 
 
 def nested_hamiltonian(opening, depth):

@@ -1,16 +1,18 @@
-"""One code object per run of expressions in `expr.Compiled`, and what it must keep.
+"""One code object per `expr.Compiled`, and what it must keep.
 
-A `Compiled` runs consecutive expressions through one generated function
-(`Compiled.unchecked`), which computes a subtree they share once.  Its
-values must equal each expression compiled on its own, bit for bit, and
-a failure must still name the expression that fails first in order, with
-its index, label and reason.  The RK4 and symplectic Euler steps run the
-unchecked function and re-run through the checked calls when that fails;
-the messages below were recorded from the per-expression evaluator and
-the symplectic Euler closure these replaced.
+A `Compiled` runs its whole set of expressions through one generated
+function (`Compiled.unchecked`), however large the set, which computes a
+subtree they share once.  Its values must equal each expression compiled
+on its own, bit for bit, and a failure must still name the expression
+that fails first in order, with its index, label and reason.  The RK4
+and symplectic Euler steps run the unchecked function and re-run through
+the checked calls when that fails; the messages below were recorded from
+the per-expression evaluator and the symplectic Euler closure these
+replaced.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from parakahler.expr import (
     _children,
     parse,
 )
+from parakahler.curvature import metric_from_potential, riemann
 from parakahler.geometry import Chart
 from parakahler.hamilton import HamiltonianSystem, hamilton_odes
 from parakahler.integrate import (
@@ -40,6 +43,7 @@ from parakahler.integrate import (
 )
 
 from test_simplify_memo import shared_trees
+from test_value_numbering import bits
 
 QUARTIC = "0.5*(y1^2 + y2^2) + 0.1*x1*y1^4 + 0.25*(x1^2 + x2^2)^2 + 0.1*x1*x2*y1*y2"
 X1, Y1, X2 = Var("x", 1), Var("y", 1), Var("x", 2)
@@ -260,23 +264,30 @@ def test_rk4_step_runs_unchecked(monkeypatch):
                           expected)
 
 
-def test_set_above_the_node_budget_splits(codes):
+def test_set_of_any_size_is_one_code_object(codes):
     chart = Chart(2)
-    # about 200 distinct nodes each, so twelve pass the budget together
+    # about 200 distinct nodes each, 2,400 in all
     exprs = [parse(" + ".join(f"{k + j}*x1^{j}*y2" for j in range(1, 41)), chart)
              for k in range(12)]
-    assert sum(len(expr._new_nodes(e, set())) for e in exprs) > expr._NODES
-    groups = expr._groups(exprs)
-    assert len(groups) > 1 and [e for g in groups for e in g] == exprs
-    for group in groups:
-        seen = set()
-        for e in group:
-            seen |= expr._new_nodes(e, set())
-        assert len(seen) <= expr._NODES or len(group) == 1
     compiled = Compiled(exprs)
-    assert codes == [len(g) for g in groups]
+    assert codes == [12]
     point = {"x1": 0.7, "x2": 0.1, "y1": 0.2, "y2": -1.3}
     assert compiled.at(point) == [Compiled((e,)).at(point)[0] for e in exprs]
+
+
+def test_space_form_n3_riemann_is_one_code_object(codes):
+    # the stored linear part of the n=3 space form's curvature: 195 entries
+    # of 13,134 node objects that hold 704 distinct values
+    chart = Chart(3)
+    R = riemann(metric_from_potential(parse("ln(1 + x1*y1 + x2*y2 + x3*y3)", chart), chart))
+    before = len(codes)
+    compiled = R._compiled
+    assert codes[before:] == [len(R.canonical)] and len(R.canonical) == 195
+    alone = [Compiled((e,), compiled.names) for e in compiled.exprs]
+    rng = random.Random(3)
+    for _ in range(5):
+        values = [rng.uniform(-0.5, 0.5) for _ in compiled.names]
+        assert bits(compiled(values)) == bits([c(values)[0] for c in alone])
 
 
 def test_empty_set_compiles():
