@@ -1,7 +1,8 @@
 """Regenerate the golden CLI reports under tests/golden/.
 
 Run from the repository root after any intentional change to report
-content, then review the diff before committing.
+content, then review the diff before committing.  A run given a seed
+passes it as --seed and keeps its report as <report>-seed<seed>.json.
 """
 
 import os
@@ -24,6 +25,12 @@ RUNS = [
     ("potential.json", "check"),
     ("space_form.json", "check"),
     ("space_form_n3.json", "check"),
+    ("space_form.json", "check", 7),
+    ("space_form.json", "check", 17),
+    ("space_form_n3.json", "check", 7),
+    ("space_form_n3.json", "check", 17),
+    ("potential.json", "check", 7),
+    ("potential.json", "check", 17),
     ("lagrangian_xy.json", "integrate"),
     ("oscillator.json", "integrate"),
     ("lagrangian_n3.json", "integrate"),
@@ -35,18 +42,19 @@ def regenerate() -> int:
     os.makedirs(GOLDEN, exist_ok=True)
     scratch = tempfile.mkdtemp(prefix="golden-")
     try:
-        for problem, command in RUNS:
+        for i, (problem, command, *seed) in enumerate(RUNS):
+            out = os.path.join(scratch, str(i))
             path = os.path.join(PROBLEMS, problem)
-            code = main([command, "--problem", path, "--out", scratch])
+            code = main([command, "--problem", path, "--out", out,
+                         *(["--seed", str(seed[0])] if seed else [])])
             if code != 0:
                 print(f"error: {command} on {problem} exited {code}",
                       file=sys.stderr)
                 return code
-        for entry in sorted(os.listdir(scratch)):
-            if entry.endswith(".json"):
-                shutil.copy(os.path.join(scratch, entry),
-                            os.path.join(GOLDEN, entry))
-                print(f"wrote tests/golden/{entry}")
+            report = next(e for e in os.listdir(out) if e.endswith(".json"))
+            name = f"{report[:-5]}-seed{seed[0]}.json" if seed else report
+            shutil.copy(os.path.join(out, report), os.path.join(GOLDEN, name))
+            print(f"wrote tests/golden/{name}")
     finally:
         shutil.rmtree(scratch)
     return 0

@@ -284,25 +284,41 @@ def test_criterion_09_degeneracy_handling():
         sectional_curvature(R0, g, plane)
 
 
-@pytest.mark.parametrize("problem,command,report_name", [
-    ("lagrangian_xy.json", "derive", "lagrangian-xy-derive.json"),
-    ("oscillator.json", "derive", "oscillator-derive.json"),
-    ("model_space.json", "check", "model-space-check.json"),
-    ("potential.json", "check", "potential-quartic-check.json"),
-    ("space_form.json", "check", "space-form-check.json"),
-    ("space_form_n3.json", "check", "space-form-n3-check.json"),
-    ("lagrangian_xy.json", "integrate", "lagrangian-xy-integrate.json"),
-    ("oscillator.json", "integrate", "oscillator-integrate.json"),
-    ("lagrangian_n3.json", "integrate", "lagrangian-n3-integrate.json"),
-    ("coupled_se.json", "integrate", "coupled-se-integrate.json"),
-])
-def test_criterion_10_cli_reports_deterministic(problem, command, report_name,
+REPORT_RUNS = [
+    ("lagrangian_xy.json", "derive", "lagrangian-xy-derive.json", None),
+    ("oscillator.json", "derive", "oscillator-derive.json", None),
+    ("model_space.json", "check", "model-space-check.json", None),
+    ("potential.json", "check", "potential-quartic-check.json", None),
+    ("space_form.json", "check", "space-form-check.json", None),
+    ("space_form_n3.json", "check", "space-form-n3-check.json", None),
+    ("space_form.json", "check", "space-form-check.json", 7),
+    ("space_form.json", "check", "space-form-check.json", 17),
+    ("space_form_n3.json", "check", "space-form-n3-check.json", 7),
+    ("space_form_n3.json", "check", "space-form-n3-check.json", 17),
+    ("potential.json", "check", "potential-quartic-check.json", 7),
+    ("potential.json", "check", "potential-quartic-check.json", 17),
+    ("lagrangian_xy.json", "integrate", "lagrangian-xy-integrate.json", None),
+    ("oscillator.json", "integrate", "oscillator-integrate.json", None),
+    ("lagrangian_n3.json", "integrate", "lagrangian-n3-integrate.json", None),
+    ("coupled_se.json", "integrate", "coupled-se-integrate.json", None),
+]
+
+
+@pytest.mark.parametrize("problem,command,report_name,seed", REPORT_RUNS, ids=[
+    f"{p}-{c}-{r}" + ("" if s is None else f"-seed{s}") for p, c, r, s in REPORT_RUNS])
+def test_criterion_10_cli_reports_deterministic(problem, command, report_name, seed,
                                                 tmp_path, capsys):
-    """Fresh CLI runs reproduce the committed reports byte for byte."""
+    """Fresh CLI runs reproduce the committed reports byte for byte.
+
+    A run with a seed passes it as --seed, and its golden is named as
+    scripts/regen_golden.py names it: <report>-seed<seed>.json.
+    """
     path = os.path.join(PROBLEMS, problem)
-    assert main([command, "--problem", path, "--out", str(tmp_path)]) == 0
+    seed_args = [] if seed is None else ["--seed", str(seed)]
+    assert main([command, "--problem", path, "--out", str(tmp_path), *seed_args]) == 0
     capsys.readouterr()
     produced = os.path.join(tmp_path, report_name)
-    golden = os.path.join(GOLDEN, report_name)
+    golden = os.path.join(GOLDEN, report_name if seed is None
+                          else f"{report_name[:-5]}-seed{seed}.json")
     assert os.path.exists(produced)
     assert filecmp.cmp(produced, golden, shallow=False)
