@@ -6,9 +6,9 @@ equality.  Equality of expressions is decided numerically on random
 sample points, not by canonical forms.
 
 Nodes are frozen, slotted dataclasses that compute their hash once.
-Trees share subtrees by reference; one simplify call simplifies each
-distinct node once and prints each sort key once, through memos that
-belong to the call.  The parser reads a chain of + and - or of * as one
+Trees share subtrees by reference; simplify simplifies each node once
+and prints each sort key once in the node's lifetime, through memos
+kept in the node's slots.  The parser reads a chain of + and - or of * as one
 flat Sum or Product, and rejects nesting deeper than MAX_NESTING.
 Compiled code computes each distinct value once, however many node
 objects hold it.
@@ -64,7 +64,7 @@ class Expression:
     of the node's fields, so sets of nodes keep their order.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_simplified", "_text")
 
     def __add__(self, other):
         return Sum((self, as_expression(other)))
@@ -275,161 +275,164 @@ def simplify(e: Expression) -> Expression:
 
     The result is numerically equal to the input wherever the input is
     defined (dropping an annihilated factor may enlarge the domain, e.g.
-    0 * ln(x1) simplifies to 0).
+    0 * ln(x1) simplifies to 0), and simplifying it again changes nothing.
 
-    One call simplifies each distinct node of e once, and prints each sort
-    key that orders terms and factors once, however often the node is
-    shared by reference; the result shares equal subtrees the same way.
-    Both memos belong to the call and are dropped when it returns.
+    The memo is kept on the nodes, in slots, and dies with them: no table
+    holds a node.  _simplified holds a node's result, or True in a node
+    that simplify returned, which comes back as it is; _text holds the
+    source that sorts a node among terms or factors.  So each node is
+    simplified and printed once, however often it is shared or passed
+    again.  No slot holds its own node, and pickle and deepcopy copy none.
+    The writes are idempotent: threads simplifying one node write equal
+    values.
     """
-    return _Simplify().simplify(e)
+    # the dispatch inline: a dispatch function would count once more per
+    # tree level against the recursion limit
+    if isinstance(e, (Const, Var)):
+        return e
+    hit = getattr(e, "_simplified", None)
+    if hit is not None:
+        return e if hit is True else hit
+    if isinstance(e, Sum):
+        out = _simplify_sum(e)
+    elif isinstance(e, Product):
+        out = _simplify_product(e)
+    elif isinstance(e, Quotient):
+        out = _simplify_quotient(e)
+    elif isinstance(e, Power):
+        out = _simplify_power(e)
+    elif isinstance(e, Call):
+        arg = simplify(e.arg)
+        out = _fold(Call(e.func, arg)) if isinstance(arg, Const) else Call(e.func, arg)
+    else:
+        raise TypeError(f"unknown node {type(e).__name__}")
+    object.__setattr__(e, "_simplified", out)
+    object.__setattr__(out, "_simplified", True)
+    return out
 
 
-class _Simplify:
-    """The scope of one simplify call: its nested calls are its methods.
+def _sort_key(e: Expression):
+    if isinstance(e, Var):
+        return (0, e.kind, e.index, "")
+    if isinstance(e, Power) and isinstance(e.base, Var):
+        return (0, e.base.kind, e.base.index, _source(e))
+    return (1, "", 0, _source(e))
 
-    done maps id(node) to (node, simplified node), and keys maps id(node)
-    to (node, source of node) for sort keys and the subtrees they print.
-    Each entry holds its node, so no id is reused while the scope lives.
-    An object per call, not module state, so two threads never share a
-    scope.
-    """
 
-    def __init__(self):
-        self.done: dict[int, tuple[Expression, Expression]] = {}
-        self.keys: dict[int, tuple[Expression, str]] = {}
+def _source(e: Expression) -> str:
+    text = getattr(e, "_text", None)
+    if text is None:
+        text = _print_node(e, _source)
+        object.__setattr__(e, "_text", text)
+    return text
 
-    def simplify(self, e: Expression) -> Expression:
-        # a method with the dispatch inline: calling the scope through
-        # __call__, or a dispatch method, would each count once more per
-        # tree level against the recursion limit
-        if isinstance(e, (Const, Var)):
-            return e
-        hit = self.done.get(id(e))
-        if hit is not None:
-            return hit[1]
-        if isinstance(e, Sum):
-            out = self.sum(e)
-        elif isinstance(e, Product):
-            out = self.product(e)
-        elif isinstance(e, Quotient):
-            out = self.quotient(e)
-        elif isinstance(e, Power):
-            out = self.power(e)
-        elif isinstance(e, Call):
-            arg = self.simplify(e.arg)
-            out = _fold(Call(e.func, arg)) if isinstance(arg, Const) else Call(e.func, arg)
-        else:
-            raise TypeError(f"unknown node {type(e).__name__}")
-        self.done[id(e)] = (e, out)
-        return out
 
-    def sort_key(self, e: Expression):
-        if isinstance(e, Var):
-            return (0, e.kind, e.index, "")
-        if isinstance(e, Power) and isinstance(e.base, Var):
-            return (0, e.base.kind, e.base.index, self.source(e))
-        return (1, "", 0, self.source(e))
+def _simplify_sum(e: Sum) -> Expression:
+    constant = 0.0
+    collected: dict[Expression, float] = {}
+    order: list[Expression] = []
 
-    def source(self, e: Expression) -> str:
-        hit = self.keys.get(id(e))
-        if hit is None:
-            hit = self.keys[id(e)] = (e, _print_node(e, self.source))
-        return hit[1]
+    def absorb(term: Expression):
+        nonlocal constant
+        if isinstance(term, Sum):
+            for t in term.terms:
+                absorb(t)
+            return
+        coeff, residual = _split_coefficient(term)
+        if residual is None:
+            constant += coeff
+            return
+        if residual not in collected:
+            collected[residual] = 0.0
+            order.append(residual)
+        collected[residual] += coeff
 
-    def sum(self, e: Sum) -> Expression:
-        constant = 0.0
-        collected: dict[Expression, float] = {}
-        order: list[Expression] = []
+    for t in e.terms:
+        absorb(simplify(t))
 
-        def absorb(term: Expression):
-            nonlocal constant
-            if isinstance(term, Sum):
-                for t in term.terms:
-                    absorb(t)
-                return
-            coeff, residual = _split_coefficient(term)
-            if residual is None:
-                constant += coeff
-                return
-            if residual not in collected:
-                collected[residual] = 0.0
-                order.append(residual)
-            collected[residual] += coeff
+    terms = [_scale(c, r) for r in sorted(order, key=_sort_key)
+             if (c := collected[r]) != 0.0]
+    if constant != 0.0:
+        terms.append(Const(constant))
+    return _sum_of(terms)
 
-        for t in e.terms:
-            absorb(self.simplify(t))
 
-        terms = [_scale(c, r) for r in sorted(order, key=self.sort_key)
-                 if (c := collected[r]) != 0.0]
-        if constant != 0.0:
-            terms.append(Const(constant))
-        return _sum_of(terms)
+def _simplify_product(e: Product) -> Expression:
+    coeff = 1.0
+    exponents: dict[Expression, float] = {}
+    order: list[Expression] = []
 
-    def product(self, e: Product) -> Expression:
-        coeff = 1.0
-        exponents: dict[Expression, float] = {}
-        order: list[Expression] = []
+    def absorb(factor: Expression):
+        nonlocal coeff
+        if isinstance(factor, Product):
+            for f in factor.factors:
+                absorb(f)
+            return
+        if isinstance(factor, Const):
+            coeff *= factor.value
+            return
+        base, power = (factor.base, factor.exponent) if isinstance(factor, Power) else (factor, 1.0)
+        if base not in exponents:
+            exponents[base] = 0.0
+            order.append(base)
+        exponents[base] += power
 
-        def absorb(factor: Expression):
-            nonlocal coeff
-            if isinstance(factor, Product):
-                for f in factor.factors:
-                    absorb(f)
-                return
-            if isinstance(factor, Const):
-                coeff *= factor.value
-                return
-            base, power = (factor.base, factor.exponent) if isinstance(factor, Power) else (factor, 1.0)
-            if base not in exponents:
-                exponents[base] = 0.0
-                order.append(base)
-            exponents[base] += power
+    for f in e.factors:
+        absorb(simplify(f))
 
-        for f in e.factors:
-            absorb(self.simplify(f))
-
-        if coeff == 0.0:
-            return ZERO
-        factors = []
-        for base in sorted(order, key=self.sort_key):
-            p = exponents[base]
-            if p == 0.0:
-                continue
-            factors.append(base if p == 1.0 else self.power(Power(base, p)))
-        if not factors:
-            return Const(coeff)
-        if coeff != 1.0:
-            factors.insert(0, Const(coeff))
-        if len(factors) == 1:
-            return factors[0]
-        return Product(tuple(factors))
-
-    def quotient(self, e: Quotient) -> Expression:
-        numerator = self.simplify(e.numerator)
-        denominator = self.simplify(e.denominator)
-        if isinstance(denominator, Const):
-            if denominator.value == 0.0:
-                return Quotient(numerator, denominator)  # left for evaluation to report
-            return self.simplify(_scale_const_div(numerator, denominator.value))
-        if is_zero(numerator):
-            return ZERO
-        if numerator == denominator:
-            return ONE
-        return Quotient(numerator, denominator)
-
-    def power(self, e: Power) -> Expression:
-        base = self.simplify(e.base)
-        p = e.exponent
+    factors = []
+    regroup = False
+    for base in sorted(order, key=_sort_key):
+        p = exponents[base]
         if p == 0.0:
-            return ONE
-        if p == 1.0:
-            return base
-        if isinstance(base, Const):
-            return _fold(Power(base, p))
-        if isinstance(base, Power) and float(base.exponent).is_integer() and float(p).is_integer():
-            return Power(base.base, base.exponent * p)
-        return Power(base, p)
+            continue
+        factor = base if p == 1.0 else _simplify_power(Power(base, p))
+        if isinstance(factor, Const):   # a constant base's power that folds
+            coeff *= factor.value
+            continue
+        factors.append(factor)
+        # a factor b^k, or (b^k)^p merged into b^(k*p), joins b's other powers
+        if isinstance(base, Power) and not (isinstance(factor, Power) and factor.base == base):
+            regroup = True
+    if regroup:
+        return _simplify_product(Product((Const(coeff), *factors)))
+    if coeff == 0.0:
+        return ZERO
+    if not factors:
+        return Const(coeff)
+    if coeff != 1.0:
+        factors.insert(0, Const(coeff))
+    if len(factors) == 1:
+        return factors[0]
+    return Product(tuple(factors))
+
+
+def _simplify_quotient(e: Quotient) -> Expression:
+    numerator = simplify(e.numerator)
+    denominator = simplify(e.denominator)
+    if isinstance(denominator, Const):
+        if denominator.value == 0.0:
+            return Quotient(numerator, denominator)  # left for evaluation to report
+        return simplify(_scale_const_div(numerator, denominator.value))
+    if is_zero(numerator):
+        return ZERO
+    if numerator == denominator:
+        return ONE
+    return Quotient(numerator, denominator)
+
+
+def _simplify_power(e: Power) -> Expression:
+    base = simplify(e.base)
+    p = e.exponent
+    if p == 0.0:
+        return ONE
+    if p == 1.0:
+        return base
+    if isinstance(base, Const):
+        return _fold(Power(base, p))
+    if isinstance(base, Power) and float(base.exponent).is_integer() and float(p).is_integer():
+        return _simplify_power(Power(base.base, base.exponent * p))
+    return Power(base, p)
 
 
 def _fold(e: Expression) -> Expression:

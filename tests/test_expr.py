@@ -1,5 +1,6 @@
 """Expression kernel: parsing, differentiation, simplification, evaluation."""
 
+import copy
 import math
 import random
 
@@ -30,6 +31,7 @@ from parakahler.expr import (
 from parakahler.geometry import Chart
 
 import helpers
+from test_simplify_memo import shared_trees
 
 X1 = Var("x", 1)
 Y1 = Var("y", 1)
@@ -249,13 +251,25 @@ class TestSimplify:
         e = helpers.random_polynomial(rng, CHART2, max_degree=4, terms=6)
         assert equal_on_samples(e, simplify(e), trials=10, seed=seed)
 
-    @settings(derandomize=True, max_examples=50)
-    @given(st.integers(min_value=0, max_value=10**6))
-    def test_idempotent(self, seed):
-        rng = random.Random(seed)
-        e = helpers.random_polynomial(rng, CHART1, max_degree=3, terms=5)
+    @settings(max_examples=300, deadline=None)
+    @given(shared_trees(edges=True, earlier=True))
+    def test_idempotent(self, e):
         once = simplify(e)
-        assert simplify(once) == once
+        again = simplify(copy.deepcopy(once))   # a copy carries no memo, so this simplifies anew
+        assert again == once
+        assert to_source(again) == to_source(once)
+
+    @pytest.mark.parametrize("source,expected", [
+        ("(x1^-1)^-1", "x1"),
+        ("(0^-1)^-1", "0"),
+        ("x1*(-1)^1.5*(-1)^1.5", "-x1"),
+        ("x1*(x1^2)^0.5*(x1^2)^1.5", "x1^5"),
+        ("y1*(x1^2)^0.5*x1^-2*(x1^2)^0.5", "y1"),
+    ])
+    def test_merged_powers_are_a_fixed_point(self, source, expected):
+        once = simplify(parse(source, CHART1))
+        assert to_source(once) == expected
+        assert simplify(copy.deepcopy(once)) == once
 
     @settings(derandomize=True, max_examples=60)
     @given(st.integers(min_value=0, max_value=10**6))

@@ -1,19 +1,26 @@
-"""simplify's per-call memo against the un-memoized simplifier it replaced.
+"""simplify's memo, kept on the nodes, against the un-memoized simplifier.
 
-`reference_simplify` below is simplify as it was before the memo: every
-shared subtree is simplified again at each use and every sort key is
-printed anew.  The memoized simplify must give the same source
-on trees that share subtrees by reference, and on every input of the
+`reference_simplify` below is simplify with no memo: every shared subtree
+is simplified again at each use, every sort key is printed anew, and no
+node remembers an earlier call.  The memoized simplify must give the
+same source on trees that share subtrees by reference, on trees whose
+subtrees earlier calls already simplified, and on every input of the
 Riemann and comparison tensors of a coupled n=2 potential and every
-stored Riemann entry.  Counting
-wrappers check that one call simplifies each distinct node once and
-prints each node for a sort key once, and that nothing outlives the call.
+stored Riemann entry.  Counting wrappers check that each node is
+simplified once and printed for a sort key once across all of those
+calls.  The memo is freed with its nodes, is not copied with them, and
+threads that simplify one tree agree.
 """
 
+import copy
 import dataclasses
+import gc
+import pickle
 import sys
+import threading
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +38,7 @@ from parakahler.expr import (
     Sum,
     Var,
     _children,
+    _diff,
     _fold,
     _scale,
     _scale_const_div,
@@ -131,14 +139,23 @@ def _reference_product(e):
     for f in e.factors:
         absorb(reference_simplify(f))
 
-    if coeff == 0.0:
-        return ZERO
     factors = []
+    regroup = False
     for base in sorted(order, key=_reference_sort_key):
         p = exponents[base]
         if p == 0.0:
             continue
-        factors.append(base if p == 1.0 else _reference_power(Power(base, p)))
+        factor = base if p == 1.0 else _reference_power(Power(base, p))
+        if isinstance(factor, Const):
+            coeff *= factor.value
+            continue
+        factors.append(factor)
+        if isinstance(base, Power):
+            regroup = regroup or (factor.base if isinstance(factor, Power) else factor) != base
+    if regroup:
+        return _reference_product(Product((Const(coeff), *factors)))
+    if coeff == 0.0:
+        return ZERO
     if not factors:
         return Const(coeff)
     if coeff != 1.0:
@@ -172,7 +189,7 @@ def _reference_power(e):
     if isinstance(base, Const):
         return _fold(Power(base, p))
     if isinstance(base, Power) and float(base.exponent).is_integer() and float(p).is_integer():
-        return Power(base.base, base.exponent * p)
+        return _reference_power(Power(base.base, base.exponent * p))
     return Power(base, p)
 
 
@@ -198,12 +215,20 @@ def assert_hash_is_fields_hash(*roots):
         assert hash(node) == hash(fields)
 
 
+def assert_no_node_holds_itself(*roots):
+    for node in distinct_nodes(*roots):
+        memo = getattr(node, "_simplified", None)
+        assert memo is None or memo is True or (isinstance(memo, expr.Expression)
+                                                and memo is not node)
+
+
 def assert_matches_reference(e):
     out = simplify(e)
     expected = reference_simplify(e)
     assert to_source(out) == to_source(expected)
     assert out == expected
     assert_hash_is_fields_hash(e, out)
+    assert_no_node_holds_itself(e, out)
 
 
 # ---------------------------------------------------------------------------
@@ -212,27 +237,43 @@ def assert_matches_reference(e):
 
 LEAVES = [Var("x", 1), Var("y", 1), Var("x", 2), Const(0.0), Const(1.0), Const(-1.0),
           Const(2.0), Const(0.5), Const(-3.0)]
+EXPONENTS = [0.0, 1.0, 2.0, 3.0, -1.0, 0.5, -2.0]
+
+
+def edge_leaves():
+    """-0.0 and constants that do not fold: 0/0, (-1)^1.5 and 0^-1, as fresh nodes."""
+    return [Const(-0.0), Quotient(Const(0.0), Const(0.0)), Power(Const(-1.0), 1.5),
+            Power(Const(0.0), -1.0)]
 
 
 @st.composite
-def shared_trees(draw):
-    """A tree built bottom-up, each new node reusing earlier nodes as children."""
-    pool = list(LEAVES)
+def shared_trees(draw, edges=False, earlier=False):
+    """A tree built bottom-up, each new node reusing earlier nodes as children.
+
+    edges adds edge_leaves() and the exponents 1.5 and -0.5; earlier lets
+    a step simplify an earlier node, whose result then joins the pool, so
+    the tree holds nodes that earlier calls simplified or returned.
+    """
+    pool = list(LEAVES) + (edge_leaves() if edges else [])
+    exponents = EXPONENTS + ([1.5, -0.5] if edges else [])
+    kinds = ["sum", "product", "quotient", "power", "call"] + (["simplified"] if earlier else [])
 
     def pick():
         return pool[draw(st.integers(0, len(pool) - 1))]
 
     for _ in range(draw(st.integers(1, 14))):
-        kind = draw(st.sampled_from(["sum", "product", "quotient", "power", "call"]))
+        kind = draw(st.sampled_from(kinds))
         if kind in ("sum", "product"):
             children = tuple(pick() for _ in range(draw(st.integers(1, 4))))
             node = Sum(children) if kind == "sum" else Product(children)
         elif kind == "quotient":
             node = Quotient(pick(), pick())
         elif kind == "power":
-            node = Power(pick(), draw(st.sampled_from([0.0, 1.0, 2.0, 3.0, -1.0, 0.5, -2.0])))
-        else:
+            node = Power(pick(), draw(st.sampled_from(exponents)))
+        elif kind == "call":
             node = Call(draw(st.sampled_from(expr._FUNCTIONS)), pick())
+        else:
+            node = simplify(pick())
         pool.append(node)
     return pool[-1]
 
@@ -240,6 +281,12 @@ def shared_trees(draw):
 @settings(max_examples=300, deadline=None)
 @given(shared_trees())
 def test_memoized_simplify_matches_reference_on_shared_trees(e):
+    assert_matches_reference(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_trees(edges=True, earlier=True))
+def test_memoized_simplify_matches_reference_across_calls(e):
     assert_matches_reference(e)
 
 
@@ -253,110 +300,166 @@ def test_shared_subtree_simplified_once_and_shared_in_result():
     # one simplified node stands for every use of the shared input
     first = out.terms[0].numerator
     assert out.terms[0].denominator.arg is first and out.terms[1].factors[1] is first
+    # a later call gets the same objects back
+    assert simplify(e) is out and simplify(out) is out and simplify(shared) is first
+
+
+@pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))],
+                         ids=["deepcopy", "pickle"])
+def test_copies_carry_no_memo(copy_of):
+    chart = Chart(1)
+    e = parse("(x1*y1 + 2)^2/sin(2 + y1*x1) + 3*(x1*y1 + 2) - x1*y1", chart)
+    out = simplify(e)
+    assert e._simplified is out and out._simplified is True
+    assert any(hasattr(node, "_text") for node in distinct_nodes(out))
+    for original in (e, out):
+        copied = copy_of(original)
+        assert copied == original
+        for node in distinct_nodes(copied):
+            assert not hasattr(node, "_simplified") and not hasattr(node, "_text")
+        again = simplify(copied)
+        assert again == out and to_source(again) == to_source(out)
+
+
+class WeakSum(Sum):
+    """A Sum that a weak reference can watch."""
+
+    __slots__ = ("__weakref__",)
+
+
+def test_memo_is_dropped_with_its_nodes():
+    x1 = Var("x", 1)
+    shared = WeakSum((x1, Product((Const(2.0), x1))))
+    e = WeakSum((Product((shared, Call("exp", shared))), Power(shared, 2.0)))
+    refs = [weakref.ref(shared), weakref.ref(e)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        out = simplify(e)
+        assert to_source(out) == "(3*x1)^2 + 3*x1*exp(3*x1)"
+        assert e._simplified is out
+        del shared, e, out
+        # no table holds a node and the memo makes no cycle: reference
+        # counts alone free the input and what its slots hold
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_threads_simplifying_one_tree_agree():
+    chart = Chart(2)
+    x1, y2 = Var("x", 1), Var("y", 2)
+    tree = _diff(_diff(parse(COUPLED + " + ln(2 + x1^2*y2^2)/(1 + x2*y1)", chart), x1), y2)
+    expected = to_source(reference_simplify(tree))
+    workers = 8
+    barrier = threading.Barrier(workers)
+    results = []
+
+    def work():
+        barrier.wait()
+        results.append(simplify(tree))
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == workers
+    assert {to_source(out) for out in results} == {expected}
+    assert_no_node_holds_itself(tree, *results)
 
 
 # ---------------------------------------------------------------------------
 # the Riemann tensor of a coupled n=2 potential
 # ---------------------------------------------------------------------------
 
-class CountingScope(expr._Simplify):
-    """A scope that counts, per node, simplifications, visits and sort-key prints."""
-
-    opened = []
-
-    def __init__(self):
-        super().__init__()
-        self.simplified = Counter()
-        self.visits = Counter()
-        self.printed = Counter()
-        CountingScope.opened.append(self)
-
-    def simplify(self, e):
-        self.visits[id(e)] += 1
-        if not isinstance(e, (Const, Var)) and id(e) not in self.done:
-            self.simplified[id(e)] += 1
-        return super().simplify(e)
-
-
 @pytest.fixture(scope="module")
 def riemann_run():
-    """riemann and r_zero on the coupled potential, with every top-level simplify recorded.
+    """riemann and r_zero on the coupled potential, with every simplify recorded.
 
     They are the two symbolic tensors of a check.  Returns the Riemann
-    tensor and, per top-level call, its input, its output and the
-    counters of the scopes it opened.
+    tensor, each top-level call's input and output, and per node, by id,
+    how often the rules for sums, products, quotients and powers ran on
+    it and how often it was printed for a sort key.  earlier_hits counts
+    memo hits on nodes whose memo an earlier top-level call wrote.  Every
+    counted node is kept, so no id is reused.
     """
     chart = Chart(2)
     g = metric_from_potential(parse(COUPLED, chart), chart)
-    calls = []
-    original_print = expr._print_node
+    run = SimpleNamespace(calls=[], simplified=Counter(), printed=Counter(), earlier_hits=0)
+    written = {}   # id(node) -> the top-level call during which its memo was written
+    keep = []
+    original_simplify, original_print = expr.simplify, expr._print_node
+
+    def counting_simplify(e):
+        if isinstance(e, (Const, Var)):
+            return e
+        keep.append(e)
+        if hasattr(e, "_simplified"):
+            run.earlier_hits += written.get(id(e), len(run.calls)) < len(run.calls)
+        out = original_simplify(e)
+        keep.append(out)
+        written.setdefault(id(e), len(run.calls))
+        written.setdefault(id(out), len(run.calls))
+        return out
+
+    def counting(rule):
+        def counted_rule(e):
+            keep.append(e)
+            run.simplified[id(e)] += 1
+            return rule(e)
+        return counted_rule
 
     def counting_print(e, text):
-        scope = getattr(text, "__self__", None)
-        if isinstance(scope, CountingScope):
-            scope.printed[id(e)] += 1
+        if text is expr._source:
+            keep.append(e)
+            run.printed[id(e)] += 1
         return original_print(e, text)
 
     def top_level(e):
-        CountingScope.opened.clear()
-        out = simplify(e)
-        calls.append((e, out, list(CountingScope.opened)))
-        CountingScope.opened.clear()
+        out = counting_simplify(e)
+        run.calls.append((e, out))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(expr, "_Simplify", CountingScope)
+        mp.setattr(expr, "simplify", counting_simplify)   # the recursive calls
         mp.setattr(expr, "_print_node", counting_print)
+        for kind in ("sum", "product", "quotient", "power"):
+            rule = f"_simplify_{kind}"
+            mp.setattr(expr, rule, counting(getattr(expr, rule)))
         for name, module in list(sys.modules.items()):
             if name.startswith("parakahler.") and name != "parakahler.expr" \
                     and getattr(module, "simplify", None) is simplify:
                 mp.setattr(module, "simplify", top_level)
-        tensor = riemann(g)
+        run.tensor = riemann(g)
         r_zero(g, model_product_structure(chart))
-    return tensor, calls
+    return run
 
 
-def test_riemann_simplifies_and_prints_each_node_once_per_call(riemann_run):
-    _, calls = riemann_run
-    assert calls
-    shared_visits = 0
-    for _, _, scopes in calls:
-        # nested calls reuse the outermost call's scope
-        assert len(scopes) == 1
-        scope = scopes[0]
-        assert max(scope.simplified.values(), default=0) <= 1
-        assert max(scope.printed.values(), default=0) <= 1
-        shared_visits += sum(1 for key, n in scope.visits.items()
-                             if n > 1 and key in scope.simplified)
-    # the inputs do share subtrees, so the bound above is not met trivially
-    assert shared_visits > 0
+def test_riemann_simplifies_and_prints_each_node_once_across_calls(riemann_run):
+    run = riemann_run
+    assert run.calls and run.printed
+    assert max(run.simplified.values()) == 1
+    assert max(run.printed.values()) == 1
+    # later calls meet nodes that earlier calls simplified, so the bounds
+    # above are not met trivially
+    assert run.earlier_hits > 0
 
 
 def test_riemann_simplify_calls_match_reference(riemann_run):
-    _, calls = riemann_run
-    for e, out, _ in calls:
+    for e, out in riemann_run.calls:
         assert to_source(out) == to_source(reference_simplify(e))
 
 
 def test_riemann_entries_match_reference(riemann_run):
-    tensor, _ = riemann_run
+    tensor = riemann_run.tensor
     assert tensor.canonical
     for entry in tensor.canonical.values():
         assert_matches_reference(entry)
-
-
-def test_scope_is_dropped_when_simplify_returns(monkeypatch):
-    refs = []
-
-    class Recorded(expr._Simplify):
-        def __init__(self):
-            super().__init__()
-            refs.append(weakref.ref(self))
-
-    monkeypatch.setattr(expr, "_Simplify", Recorded)
-    x1 = Var("x", 1)
-    shared = Sum((x1, Product((Const(2.0), x1))))
-    out = simplify(Product((shared, Call("exp", shared), Power(shared, 2.0))))
-    assert to_source(out) == "3*x1*(3*x1)^2*exp(3*x1)"
-    assert len(refs) == 1
-    assert refs[0]() is None
