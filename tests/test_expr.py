@@ -251,7 +251,7 @@ class TestSimplify:
         e = helpers.random_polynomial(rng, CHART2, max_degree=4, terms=6)
         assert equal_on_samples(e, simplify(e), trials=10, seed=seed)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(derandomize=True, max_examples=300, deadline=None)
     @given(shared_trees(edges=True, earlier=True))
     def test_idempotent(self, e):
         once = simplify(e)

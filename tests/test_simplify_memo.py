@@ -327,16 +327,22 @@ class WeakSum(Sum):
     __slots__ = ("__weakref__",)
 
 
+class WeakProduct(Product):
+    """A Product that a weak reference can watch."""
+
+    __slots__ = ("__weakref__",)
+
+
 def test_memo_is_dropped_with_its_nodes():
     x1 = Var("x", 1)
     shared = WeakSum((x1, Product((Const(2.0), x1))))
-    e = WeakSum((Product((shared, Call("exp", shared))), Power(shared, 2.0)))
+    e = WeakProduct((shared, Call("exp", shared), Power(shared, 2.0)))
     refs = [weakref.ref(shared), weakref.ref(e)]
     enabled = gc.isenabled()
     gc.disable()
     try:
         out = simplify(e)
-        assert to_source(out) == "(3*x1)^2 + 3*x1*exp(3*x1)"
+        assert to_source(out) == "3*x1*(3*x1)^2*exp(3*x1)"
         assert e._simplified is out
         del shared, e, out
         # no table holds a node and the memo makes no cycle: reference
