@@ -35,6 +35,7 @@ RUNS = [
     ("oscillator.json", "integrate"),
     ("lagrangian_n3.json", "integrate"),
     ("coupled_se.json", "integrate"),
+    ("quartic_se.json", "integrate"),
 ]
 
 

@@ -301,6 +301,7 @@ REPORT_RUNS = [
     ("oscillator.json", "integrate", "oscillator-integrate.json", None),
     ("lagrangian_n3.json", "integrate", "lagrangian-n3-integrate.json", None),
     ("coupled_se.json", "integrate", "coupled-se-integrate.json", None),
+    ("quartic_se.json", "integrate", "quartic-se-integrate.json", None),
 ]
 
 
