@@ -208,9 +208,18 @@ def _children(e: Expression) -> tuple:
 
 
 def free_variables(e: Expression) -> frozenset[Var]:
-    if isinstance(e, Var):
-        return frozenset((e,))
-    return frozenset().union(*map(free_variables, _children(e)))
+    """The coordinates e reads; a node shared in the DAG is visited once, on an explicit stack."""
+    found, seen, stack = set(), set(), [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, Var):
+            found.add(node)
+        else:
+            stack.extend(_children(node))
+    return frozenset(found)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,11 @@ solves its n x n Newton system on floats with
 linalg.elimination_function(n), the generated partial-pivot elimination
 the numeric semispray also uses, with no numpy call inside a step; its
 Newton tolerance has a floor at rounding level for large momenta.  For a
-separable H = T(y) + V(x) (HamiltonianSystem.separable) the step
-evaluates H_x once and never H_xy: its Newton Jacobian is the identity.
+separable H = T(y) + V(x) (HamiltonianSystem.separable) the step is the
+explicit map y' = y - h*H_x(x), x' = x + h*H_y(y') (Hairer, Lubich and
+Wanner, Geometric Numerical Integration, 2006, section VI.3), with no
+Newton loop and no H_xy.  It gives the Newton loop's states bit for bit:
+on the identity Jacobian one Newton update always meets the stop rule.
 Compiled flows are cached per system (ODESystem.vector_function,
 HamiltonianSystem.compiled_blocks), so repeated runs on one system
 compile nothing.
@@ -308,13 +311,23 @@ def _symplectic_euler_function(n: int, separable: bool) -> Callable:
     linalg.elimination_function(n), bound as solve, the candidates
     y' - scale*delta, and the stop rule max |residual| <= max(NEWTON_TOL,
     4 ulp of the largest |y_i| or |y'_i|).  An exact zero pivot is a
-    singular Newton system.  A separable step (H_x reads no momentum, so
-    H_xy is 0) evaluates h*H_x once and never H_xy, and takes as its
-    update the solve's back substitution on the identity, d_k = r_k -
-    0.0*d_(k+1) - .. - 0.0*d_n, signs of zero included.  Since a checked
-    H_x never returns a non-finite value, only an unchecked run can meet
-    one in a candidate's H_x; it raises there, and the checked re-run
-    names the failure.
+    singular Newton system.  Since a checked H_x never returns a
+    non-finite value, only an unchecked run can meet one in a candidate's
+    H_x; it raises there, and the checked re-run names the failure.
+
+    A separable step (H_x reads no momentum, so H_xy is 0) is explicit:
+    r = 0.0 + h*H_x(x), y' = y if max |r| meets the stop rule at y, else
+    y' = y - r, then x' = x + h*H_y(x, y'); it never calls hxy.  This is
+    the Newton loop's step bit for bit.  On the identity Jacobian the
+    loop's first residual is r and its update is r, so its first
+    candidate is c = y - r.  The residual (c - y) + r of c is the rounding
+    of c and of c - y, at most 1.5 ulp of max(|y|, |c|): below the first
+    norm, so scale 1 is taken, and within 4 ulp, so the loop stops at c.
+    A non-finite r or y fails the step as the loop's first residual does.
+    Where y - r overflows, the loop may still backtrack to a finite
+    candidate or run out of iterations, so that step and the rest of the
+    run go to the Newton loop, newton = _symplectic_euler_function(n,
+    False), from the step's start.
     """
     def each(template: str, count: int = n, sep: str = ", ") -> str:
         return sep.join(template.format(i=i) for i in range(count))
@@ -326,55 +339,68 @@ def _symplectic_euler_function(n: int, separable: bool) -> Callable:
     def finite(template: str, count: int = n) -> str:   # v - v is 0.0 exactly when v is finite
         return each(f"{template} - {template} == 0.0", count, " and ")
 
-    hg = "g{i}" if separable else "h * g{i}"   # h*H_x: once per step, or per evaluation
-    lines = [f"    {each('v{i}')}, = {each('y{i}')},",
-             f"    {each('g{i}')}, = hx({each('x{i}')}, {each('v{i}')})"]
+    residual_fails = "raise _StepFailure(NonFiniteStateError, 'non-finite Newton residual')"
     if separable:
-        lines += [f"    g{i} = h * g{i}" for i in range(n)]
-    lines += [f"    r{i} = (v{i} - y{i}) + {hg.format(i=i)}" for i in range(n)]
-    lines += [f"    for iteration in range({NEWTON_MAX_ITERS + 1}):",
-              f"        if not ({finite('r{i}')}):",
-              "            raise _StepFailure(NonFiniteStateError, 'non-finite Newton residual')",
-              f"        norm = {largest('r{i}')}",
-              f"        if norm <= {NEWTON_TOL!r} or "
-              f"norm <= 4.0 * math.ulp({largest('y{i}', 'v{i}')}):",
-              "            break",
-              f"        if iteration == {NEWTON_MAX_ITERS}:",
-              "            raise _StepFailure(NewtonConvergenceError, 'Newton iteration failed "
-              f"after {NEWTON_MAX_ITERS} iterations')"]
-    if separable:
-        lines += [f"        d{k} = r{k}" + "".join(f" - 0.0 * d{j}" for j in range(k + 1, n))
-                  for k in range(n - 1, -1, -1)]
+        lines = [f"    {each('g{i}')}, = hx({each('x{i}')}, {each('y{i}')})",
+                 *(f"    r{i} = 0.0 + h * g{i}" for i in range(n)),
+                 f"    norm = {largest('r{i}')}",
+                 f"    if norm <= {NEWTON_TOL!r} or norm <= 4.0 * math.ulp({largest('y{i}')}):",
+                 f"        {each('c{i}')}, = {each('y{i}')},",
+                 f"        if not ({finite('r{i}')} and {finite('y{i}')}):",
+                 f"            {residual_fails}",
+                 "    else:",
+                 *(f"        c{i} = y{i} - r{i}" for i in range(n)),
+                 f"        if not ({finite('c{i}')}):",
+                 f"            if not ({finite('r{i}')}):",
+                 f"                {residual_fails}",
+                 "            return newton(hx, hy, hxy, h, remaining, out, "
+                 f"{each('x{i}')}, {each('y{i}')})",
+                 f"    {each('a{i}')}, = hy({each('x{i}')}, {each('c{i}')})",
+                 f"    {each('x{i}')}, {each('y{i}')}, = {each('x{i} + h * a{i}')}, {each('c{i}')},"]
     else:
-        lines += [f"        {each('j{i}', n * n)}, = hxy({each('x{i}')}, {each('v{i}')})",
-                  *(f"        j{i} = {float(i % (n + 1) == 0)} + h * j{i}" for i in range(n * n)),
-                  f"        if not ({finite('j{i}', n * n)}):",
-                  "            raise _StepFailure(NonFiniteStateError, 'non-finite Newton Jacobian')",
-                  "        try:",
-                  f"            {each('d{i}')}, = solve({each('j{i}', n * n)}, {each('r{i}')})",
-                  "        except ZeroDivisionError:",
-                  "            raise _StepFailure(NewtonConvergenceError, 'singular Newton system')"]
-    # the last, smallest scale is taken regardless
-    lines += [f"        for scale in {BACKTRACK!r}:",
-              *(f"            c{i} = v{i} - scale * d{i}" for i in range(n))]
-    if not separable:
-        lines += [f"            {each('g{i}')}, = hx({each('x{i}')}, {each('c{i}')})",
-                  f"            if not ({finite('g{i}')}):",
-                  "                raise _StepFailure(NonFiniteStateError, 'non-finite H_x')"]
-    lines += [*(f"            q{i} = (c{i} - y{i}) + {hg.format(i=i)}" for i in range(n)),
-              f"            if {finite('q{i}')} and {largest('q{i}')} < norm:",
-              "                break",
-              f"        {each('v{i}')}, {each('r{i}')}, = {each('c{i}')}, {each('q{i}')},",
-              f"    {each('a{i}')}, = hy({each('x{i}')}, {each('v{i}')})",
-              f"    {each('x{i}')}, {each('y{i}')}, = {each('x{i} + h * a{i}')}, {each('v{i}')},"]
+        lines = [f"    {each('v{i}')}, = {each('y{i}')},",
+                 f"    {each('g{i}')}, = hx({each('x{i}')}, {each('v{i}')})",
+                 *(f"    r{i} = (v{i} - y{i}) + h * g{i}" for i in range(n)),
+                 f"    for iteration in range({NEWTON_MAX_ITERS + 1}):",
+                 f"        if not ({finite('r{i}')}):",
+                 f"            {residual_fails}",
+                 f"        norm = {largest('r{i}')}",
+                 f"        if norm <= {NEWTON_TOL!r} or "
+                 f"norm <= 4.0 * math.ulp({largest('y{i}', 'v{i}')}):",
+                 "            break",
+                 f"        if iteration == {NEWTON_MAX_ITERS}:",
+                 "            raise _StepFailure(NewtonConvergenceError, 'Newton iteration failed "
+                 f"after {NEWTON_MAX_ITERS} iterations')",
+                 f"        {each('j{i}', n * n)}, = hxy({each('x{i}')}, {each('v{i}')})",
+                 *(f"        j{i} = {float(i % (n + 1) == 0)} + h * j{i}" for i in range(n * n)),
+                 f"        if not ({finite('j{i}', n * n)}):",
+                 "            raise _StepFailure(NonFiniteStateError, 'non-finite Newton Jacobian')",
+                 "        try:",
+                 f"            {each('d{i}')}, = solve({each('j{i}', n * n)}, {each('r{i}')})",
+                 "        except ZeroDivisionError:",
+                 "            raise _StepFailure(NewtonConvergenceError, 'singular Newton system')",
+                 # the last, smallest scale is taken regardless
+                 f"        for scale in {BACKTRACK!r}:",
+                 *(f"            c{i} = v{i} - scale * d{i}" for i in range(n)),
+                 f"            {each('g{i}')}, = hx({each('x{i}')}, {each('c{i}')})",
+                 f"            if not ({finite('g{i}')}):",
+                 "                raise _StepFailure(NonFiniteStateError, 'non-finite H_x')",
+                 *(f"            q{i} = (c{i} - y{i}) + h * g{i}" for i in range(n)),
+                 f"            if {finite('q{i}')} and {largest('q{i}')} < norm:",
+                 "                break",
+                 f"        {each('v{i}')}, {each('r{i}')}, = {each('c{i}')}, {each('q{i}')},",
+                 f"    {each('a{i}')}, = hy({each('x{i}')}, {each('v{i}')})",
+                 f"    {each('x{i}')}, {each('y{i}')}, = {each('x{i} + h * a{i}')}, {each('v{i}')},"]
     state = [f"{c}{i}" for c in "xy" for i in range(n)]
     lines = [f"def se(hx, hy, hxy, h, steps, out, {', '.join(state)}):",
              "    extend = out.extend",
-             "    for _ in range(steps):",
+             f"    for {'remaining in range(steps, 0, -1)' if separable else '_ in range(steps)'}:",
              *("    " + line for line in lines),
              *_append_if_finite(state)]
+    helper = dict(newton=_symplectic_euler_function(n, False)) if separable else \
+        dict(solve=elimination_function(n))
     return generated_function("\n".join(lines) + "\n", "<symplectic euler>",
-                              dict(globals(), solve=elimination_function(n)))
+                              dict(globals(), **helper))
 
 
 def _symplectic_euler_step(H, h: float) -> tuple:
@@ -407,10 +433,13 @@ def integrate_symplectic_euler(H, state0: Sequence[float], t0: float, t1: float,
     tolerance is 1e-12.  H is a HamiltonianSystem: its derivative blocks
     are derived and compiled once per system, so repeated runs on one
     system differentiate and compile nothing.  When H is separable, H_x
-    reads no momentum and H_xy is 0: each step evaluates H_x once and
-    H_y once, and takes the elimination's back substitution on the
-    identity Jacobian as its Newton update, which is exactly the update
-    the general loop takes, signs of zero included.
+    reads no momentum and H_xy is 0, and each step is explicit:
+    y' = y - h * H_x(x), or y itself when |h * H_x| is within the Newton
+    tolerance, then x' = x + h * H_y(x, y'), one H_x and one H_y per step.
+    The Newton loop takes that same y', signs of zero included: its first
+    update y - h * H_x leaves a residual of at most 1.5 ulp, which the
+    stop rule accepts.  Where y - h * H_x overflows, the Newton loop runs
+    that step and the rest, so failures read as they do for the loop.
     """
     return _run(_symplectic_euler_step(H, h), state0, t0, t1, h, H.chart.names())
 

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parakahler import expr
 from parakahler.expr import (
     Call,
     Const,
@@ -324,6 +325,23 @@ class TestEvaluate:
     def test_free_variables(self):
         e = parse("x1*y2 + 3", CHART2)
         assert free_variables(e) == frozenset({Var("x", 1), Var("y", 2)})
+
+    def test_free_variables_visits_a_shared_node_once(self):
+        # 2^60 paths reach x1 through 60 levels of e + e; a tree walk would not return
+        e = X1
+        for _ in range(60):
+            e = Sum((e, e))
+        assert free_variables(e) == frozenset({X1})
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_trees(edges=True))
+    def test_free_variables_matches_the_recursive_definition(self, e):
+        def reference(node):   # the tree walk free_variables replaced
+            if isinstance(node, Var):
+                return frozenset((node,))
+            return frozenset().union(*map(reference, expr._children(node)))
+
+        assert free_variables(e) == reference(e)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ rhs_callable.  The symplectic Euler step solves its Newton system with
 linalg.elimination_function(n), and the array form solves it with the
 same algorithm written as loops, helpers.reference_elimination, so
 these equalities hold by construction, whatever BLAS numpy uses.  On a
-separable H the step evaluates H_x once per step and skips H_xy, and
-must still give the general Newton loop's trajectory bit for bit, signs
-of zero included.  Each scheme's steps run in one generated loop: a run
+separable H the step is the explicit map y' = y - h*H_x(x),
+x' = x + h*H_y(y'), and must still give the general Newton loop's
+trajectory bit for bit, signs of zero included, and fail where and as
+the loop fails.  Each scheme's steps run in one generated loop: a run
 without failure is one call of it, and a step whose unchecked run fails
 runs again alone, checked, before the unchecked loop resumes.
 """
@@ -19,6 +20,7 @@ runs again alone, checked, before the unchecked loop resumes.
 import itertools
 import math
 import random
+import sys
 from array import array
 
 import numpy as np
@@ -259,8 +261,10 @@ def test_symplectic_euler_step_calls_no_numpy_solve(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# separable H = T(y) + V(x): H_x reads no momentum, so the step evaluates
-# h*H_x once and takes the elimination's answer on the identity Jacobian as its update
+# separable H = T(y) + V(x): H_x reads no momentum, so the step is explicit,
+# y' = y - h*H_x(x) (y itself within the Newton tolerance), x' = x + h*H_y(y').
+# The Newton loop takes the same y': on the identity Jacobian its update is
+# h*H_x, and the first candidate's residual, at most 1.5 ulp, meets its stop rule
 # ---------------------------------------------------------------------------
 
 # the shape of the benchmark's quartic, and two more separable systems
@@ -351,13 +355,100 @@ def test_separable_step_evaluates_the_force_once(source, n, state0):
     assert calls == {"H_x": 100, "H_y": 100, "H_xy": 0}
 
 
+# the explicit separable step against the Newton loop, one step at a time, at
+# the edges of its arithmetic: signs of zero, subnormals, |h*H_x| within one
+# ulp of either bound of the stop rule, momenta of 2048 and more, y - h*H_x
+# past the largest double by a few ulp (where the Newton loop gives up after
+# 25 iterations, or stops on a candidate just below the largest double) or by
+# far, and non-finite momenta or forces
+MAX = sys.float_info.max
+MOMENTA = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-12, 0.3, -1.7,
+           2048.0, -2048.0, 4096.5, 3e4, -1e5, 1e15, 1e300, -1.7e308, MAX, -MAX,
+           math.inf, -math.inf, math.nan]
+
+
+def edge_forces(y, m, rng):
+    """Values of h*H_x for the component with momentum y when max |y_i| is m."""
+    floor = 4.0 * math.ulp(m)
+    forces = [0.0, -0.0, 5e-324, -5e-324, 1e-12, math.nextafter(1e-12, 1.0),
+              math.nextafter(1e-12, 0.0), floor, math.nextafter(floor, math.inf),
+              math.nextafter(floor, 0.0), rng.uniform(-2.0, 2.0), 1e5, MAX, -MAX,
+              math.inf, math.nan]
+    if math.isfinite(y) and abs(y) > 1e300:   # y - h*H_x a little or far past MAX
+        for k in (0.25, 0.5, 1.0, 3.0, 5.0, 1e6, 1e9, 1e12):
+            forces.append(-math.copysign((MAX - abs(y)) + k * math.ulp(MAX), y))
+    return forces
+
+
+def one_step(n, separable, x, y, hx_values, h):
+    """The bytes one step appends, or the class and message of its failure."""
+    def hx(*state):
+        return list(hx_values)
+
+    def hy(*state):
+        return [0.5 * v + 0.25 * state[0] for v in state[n:]]
+
+    def hxy(*state):
+        return [0.0] * (n * n)
+
+    out = array("d")
+    try:
+        integrate._symplectic_euler_function(n, separable)(hx, hy, hxy, h, 1, out, *x, *y)
+    except integrate._StepFailure as exc:
+        return exc.error, str(exc)
+    return out.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_explicit_step_is_the_newton_loop_at_the_edges(n):
+    rng = random.Random(n)
+    outcomes = set()
+    for _ in range({1: 3000, 2: 4000, 3: 4000}[n]):
+        y = [rng.choice(MOMENTA) for _ in range(n)]
+        m = max(map(abs, y))
+        forces = [rng.choice(edge_forces(v, m, rng)) for v in y]
+        x = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        h = 1.0 if rng.random() < 0.8 else 0.01
+        hx_values = [f / h for f in forces]
+        explicit = one_step(n, True, x, y, hx_values, h)
+        assert explicit == one_step(n, False, x, y, hx_values, h), (x, y, forces, h)
+        outcomes.add(explicit[0] if isinstance(explicit, tuple) else "appended")
+    # the draws reach each outcome of the Newton loop on the identity
+    assert outcomes == {"appended", NonFiniteStateError, NewtonConvergenceError}
+
+
+@pytest.mark.parametrize("y1,excess,outcome", [
+    (1e308, 1.0, NewtonConvergenceError),
+    (MAX - 10 * math.ulp(MAX), 1.0, None),
+    (1e308, 1e12, NonFiniteStateError),
+], ids=["newton-gives-up", "newton-stops-below-max", "non-finite-residual"])
+def test_overflowing_momentum_steps_as_the_newton_loop(y1, excess, outcome):
+    # y1 - h*H_x passes the largest double by `excess` ulp of it, so the
+    # explicit step hands the run to the Newton loop
+    force = (MAX - y1) + excess * math.ulp(MAX)
+    source = f"0.5*y1^2 - {force!r}*x1"
+    H = hamiltonian(source, 1)
+    assert H.separable
+
+    def run(states):
+        try:
+            return states().tobytes()
+        except (NonFiniteStateError, NewtonConvergenceError) as exc:
+            return type(exc), str(exc)
+
+    explicit = run(lambda: integrate_symplectic_euler(H, [0.5, y1], 0.0, 1.0, 1.0).states)
+    assert explicit == run(lambda: general_symplectic_euler(source, 1, [0.5, y1], 1.0, 1))
+    assert (explicit[0] if isinstance(explicit, tuple) else None) == outcome
+
+
 SIGNED = [0.0, -0.0, 5e-324, -5e-324, 1.5, -2.25, 1e300, -1e300]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_solve_on_the_identity_is_the_separable_update(n):
-    # the separable step's update is the elimination's back substitution on
-    # the identity: d_n = r_n, d_k = r_k - 0.0*d_(k+1) - .. - 0.0*d_n
+    # the Newton loop's update on a separable H is the elimination's back
+    # substitution on the identity: d_n = r_n, d_k = r_k - 0.0*d_(k+1) - .. - 0.0*d_n,
+    # which is r itself, as the explicit step takes it, since r is never -0.0
     if n <= 4:
         vectors = itertools.product(SIGNED, repeat=n)
     else:
