@@ -71,10 +71,19 @@ class Chart:
         return Var("y", a - self.n + 1)
 
     def variables(self) -> tuple:
-        return tuple(self.variable(a) for a in range(self.dim))
+        return self._variables
 
     def names(self) -> tuple:
-        return tuple(v.name for v in self.variables())
+        return self._names
+
+    @cached_property
+    def _variables(self) -> tuple:
+        """The coordinate variables, x-block first, built once per chart."""
+        return tuple(self.variable(a) for a in range(self.dim))
+
+    @cached_property
+    def _names(self) -> tuple:
+        return tuple(v.name for v in self._variables)
 
     def index(self, v: Var) -> int:
         if not 1 <= v.index <= self.n:

@@ -60,20 +60,29 @@ class HamiltonianSystem:
 
     @cached_property
     def mixed_hessian(self) -> tuple:
-        """d2H/dx_i dy_j as rows i, derived once: the symplectic Euler Jacobian block."""
+        """d2H/dx_i dy_j as rows i, the symplectic Euler Jacobian block.
+
+        Derived on first use, only when the Newton loop can run: the
+        explicit step of a separable H never reads it.
+        """
         n = self.chart.n
         return tuple(tuple(differentiate(self.gradient[i], self.chart.variable(n + j))
                            for j in range(n)) for i in range(n))
 
     @cached_property
     def compiled_blocks(self) -> tuple:
-        """Compiled (H_x, H_y, H_xy), built once: the symplectic Euler step reads them."""
+        """Compiled (H_x, H_y), built once: the symplectic Euler step reads them."""
         n, names = self.chart.n, self.chart.names()
         labels = [f"dH/d{v}" for v in names]
         return (Compiled(self.gradient[:n], names, labels[:n]),
-                Compiled(self.gradient[n:], names, labels[n:]),
-                Compiled((e for row in self.mixed_hessian for e in row), names,
-                         [f"d2H/d{u}d{v}" for u in names[:n] for v in names[n:]]))
+                Compiled(self.gradient[n:], names, labels[n:]))
+
+    @cached_property
+    def compiled_mixed_hessian(self) -> Compiled:
+        """Compiled H_xy by rows, built on first use: the Newton loop's Jacobian reads it."""
+        n, names = self.chart.n, self.chart.names()
+        return Compiled((e for row in self.mixed_hessian for e in row), names,
+                        [f"d2H/d{u}d{v}" for u in names[:n] for v in names[n:]])
 
     @cached_property
     def separable(self) -> bool:

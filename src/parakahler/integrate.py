@@ -28,8 +28,11 @@ Wanner, Geometric Numerical Integration, 2006, section VI.3), with no
 Newton loop and no H_xy.  It gives the Newton loop's states bit for bit:
 on the identity Jacobian one Newton update always meets the stop rule.
 Compiled flows are cached per system (ODESystem.vector_function,
-HamiltonianSystem.compiled_blocks), so repeated runs on one system
-compile nothing.
+HamiltonianSystem.compiled_blocks for H_x and H_y), so repeated runs on
+one system compile nothing.  H_xy (HamiltonianSystem.compiled_mixed_hessian)
+is derived and compiled only when the Newton loop can run: once per
+non-separable system, and for a separable one only when a step hands an
+overflow to the Newton loop.
 """
 
 from __future__ import annotations
@@ -311,9 +314,13 @@ def _symplectic_euler_function(n: int, separable: bool) -> Callable:
     linalg.elimination_function(n), bound as solve, the candidates
     y' - scale*delta, and the stop rule max |residual| <= max(NEWTON_TOL,
     4 ulp of the largest |y_i| or |y'_i|).  An exact zero pivot is a
-    singular Newton system.  Since a checked H_x never returns a
-    non-finite value, only an unchecked run can meet one in a candidate's
-    H_x; it raises there, and the checked re-run names the failure.
+    singular Newton system.  A loop that gives up after NEWTON_MAX_ITERS
+    iterations reports an overflow, not a stall, when y' - delta, its
+    last iterate less the last undamped update, is not finite: it kept
+    halving toward a candidate past the largest double.  The check runs
+    only on giving up.  Since a checked H_x never returns a non-finite
+    value, only an unchecked run can meet one in a candidate's H_x; it
+    raises there, and the checked re-run names the failure.
 
     A separable step (H_x reads no momentum, so H_xy is 0) is explicit:
     r = 0.0 + h*H_x(x), y' = y if max |r| meets the stop rule at y, else
@@ -325,7 +332,7 @@ def _symplectic_euler_function(n: int, separable: bool) -> Callable:
     norm, so scale 1 is taken, and within 4 ulp, so the loop stops at c.
     A non-finite r or y fails the step as the loop's first residual does.
     Where y - r overflows, the loop may still backtrack to a finite
-    candidate or run out of iterations, so that step and the rest of the
+    candidate or give up on the overflow, so that step and the rest of the
     run go to the Newton loop, newton = _symplectic_euler_function(n,
     False), from the step's start.
     """
@@ -369,6 +376,8 @@ def _symplectic_euler_function(n: int, separable: bool) -> Callable:
                  f"norm <= 4.0 * math.ulp({largest('y{i}', 'v{i}')}):",
                  "            break",
                  f"        if iteration == {NEWTON_MAX_ITERS}:",
+                 f"            if not ({finite('(v{i} - d{i})')}):",
+                 "                raise _StepFailure(NonFiniteStateError, 'Newton update overflows')",
                  "            raise _StepFailure(NewtonConvergenceError, 'Newton iteration failed "
                  f"after {NEWTON_MAX_ITERS} iterations')",
                  f"        {each('j{i}', n * n)}, = hxy({each('x{i}')}, {each('v{i}')})",
@@ -407,12 +416,21 @@ def _symplectic_euler_step(H, h: float) -> tuple:
     """_run's (loop, fast, checked) for symplectic Euler steps of size h, from H's blocks.
 
     The loop is _symplectic_euler_function(n, H.separable), run on the
-    blocks' unchecked calls and checked only on a step that fails.
+    blocks' unchecked calls and checked only on a step that fails.  H_xy
+    (H.compiled_mixed_hessian) is derived and compiled here only when H
+    is not separable; a separable step calls it only where it hands an
+    overflowing step to the Newton loop, and that first call builds it.
     """
-    hx, hy, hxy = H.compiled_blocks
+    hx, hy = H.compiled_blocks
+    if H.separable:   # only the overflow hand-off calls H_xy: its first call builds it
+        fast = lambda *s: H.compiled_mixed_hessian.unchecked(*s)
+        checked = lambda *s: H.compiled_mixed_hessian(s)
+    else:
+        hxy = H.compiled_mixed_hessian
+        fast, checked = hxy.unchecked, lambda *s: hxy(s)
     return (_symplectic_euler_function(H.chart.n, H.separable),
-            (hx.unchecked, hy.unchecked, hxy.unchecked, h),
-            (lambda *s: hx(s), lambda *s: hy(s), lambda *s: hxy(s), h))
+            (hx.unchecked, hy.unchecked, fast, h),
+            (lambda *s: hx(s), lambda *s: hy(s), checked, h))
 
 
 def integrate_symplectic_euler(H, state0: Sequence[float], t0: float, t1: float,
@@ -432,14 +450,19 @@ def integrate_symplectic_euler(H, state0: Sequence[float], t0: float, t1: float,
     is below 2048 in magnitude the floor is at most 9.1e-13 and the
     tolerance is 1e-12.  H is a HamiltonianSystem: its derivative blocks
     are derived and compiled once per system, so repeated runs on one
-    system differentiate and compile nothing.  When H is separable, H_x
+    system differentiate and compile nothing; H_xy is derived and
+    compiled only when the Newton loop can run, so never for a separable
+    H unless a step overflows into the loop.  When H is separable, H_x
     reads no momentum and H_xy is 0, and each step is explicit:
     y' = y - h * H_x(x), or y itself when |h * H_x| is within the Newton
     tolerance, then x' = x + h * H_y(x, y'), one H_x and one H_y per step.
     The Newton loop takes that same y', signs of zero included: its first
     update y - h * H_x leaves a residual of at most 1.5 ulp, which the
     stop rule accepts.  Where y - h * H_x overflows, the Newton loop runs
-    that step and the rest, so failures read as they do for the loop.
+    that step and the rest, so failures read as they do for the loop: a
+    loop that gives up after 25 iterations while its undamped update is
+    not finite raises NonFiniteStateError "Newton update overflows", and
+    otherwise NewtonConvergenceError.
     """
     return _run(_symplectic_euler_step(H, h), state0, t0, t1, h, H.chart.names())
 

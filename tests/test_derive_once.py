@@ -2,17 +2,24 @@
 
 Counting wrappers replace `differentiate`, `simplify` and `Compiled` in
 every package module that imports them, so a consumer that re-derives,
-re-simplifies or recompiles shows up as an extra call.
+re-simplifies or recompiles shows up as an extra call.  A separable H
+never derives or compiles its mixed block H_xy unless a step hands an
+overflow to the Newton loop.
 """
 
+import math
+import os
 import sys
 
 import pytest
 
-from parakahler import expr
+from parakahler import expr, integrate
+from parakahler.cli import EXIT_OK, main
 from parakahler.geometry import Chart
 from parakahler.hamilton import HamiltonianSystem, hamilton_odes
 from parakahler.integrate import (
+    NewtonConvergenceError,
+    NonFiniteStateError,
     conservation_report,
     integrate_rk4,
     integrate_symplectic_euler,
@@ -26,6 +33,12 @@ from parakahler.lagrange import (
 )
 
 QUARTIC = "0.5*(y1^2 + y2^2) + 0.25*(x1^2 + x2^2)^2 + 0.1*x1*x2*y1*y2"
+# H = T(y) + V(x) at n = 1, 2, 3, and a non-separable H at n = 1 and 2
+SEPARABLE = {1: "0.5*y1^2 + 0.25*x1^4",
+             2: "0.5*(y1^2 + y2^2) + 0.25*(x1^2 + x2^2)^2",
+             3: "0.5*(y1^2 + y2^2 + y3^2) + 0.25*x1^4 + 0.1*x1*x2*x3 + 0.5*x3^2"}
+NONSEPARABLE = {1: "0.5*y1^2 + 0.25*x1^4 + 0.1*x1^2*y1^2", 2: QUARTIC}
+QUARTIC_SE = os.path.join(os.path.dirname(__file__), os.pardir, "problems", "quartic_se.json")
 
 
 def _patch_everywhere(monkeypatch, name, replacement):
@@ -78,6 +91,21 @@ def compilations(monkeypatch):
     return count
 
 
+@pytest.fixture
+def mixed_blocks(monkeypatch):
+    """Every H_xy block compiled, in order: the Compiled sets labelled d2H/d.."""
+    built = []
+
+    class Recording(expr.Compiled):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.labels and self.labels[0].startswith("d2H/"):
+                built.append(self)
+
+    _patch_everywhere(monkeypatch, "Compiled", Recording)
+    return built
+
+
 def test_hamiltonian_flow_derives_gradient_and_mixed_block_once(derivations):
     chart = Chart(2)
     n = chart.n
@@ -92,13 +120,91 @@ def test_hamiltonian_flow_derives_gradient_and_mixed_block_once(derivations):
 
 @pytest.mark.parametrize("scheme", ["symplectic-euler", "rk4"])
 def test_symplecticity_check_compiles_independently_of_dimension(compilations, scheme):
-    counts = []
-    for n, source in ((1, "0.5*y1^2 + 0.25*x1^4"), (2, QUARTIC)):
-        H = HamiltonianSystem.from_source(source, Chart(n))
-        compilations[0] = 0
-        symplecticity_check(H, scheme, [0.2] * (2 * n), 0.01, 3)
-        counts.append(compilations[0])
-    assert counts[0] == counts[1]
+    # separable and non-separable systems are compared among themselves:
+    # only the Newton loop of a non-separable one compiles H_xy
+    counts = {}
+    for separable, sources in ((True, SEPARABLE), (False, NONSEPARABLE)):
+        for n in (1, 2):
+            H = HamiltonianSystem.from_source(sources[n], Chart(n))
+            assert H.separable == separable
+            compilations[0] = 0
+            symplecticity_check(H, scheme, [0.2] * (2 * n), 0.01, 3)
+            counts[separable, n] = compilations[0]
+    assert counts[True, 1] == counts[True, 2]
+    assert counts[False, 1] == counts[False, 2]
+    # the one extra Compiled is H_xy
+    assert counts[False, 1] - counts[True, 1] == (1 if scheme == "symplectic-euler" else 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_separable_symplectic_euler_never_builds_the_mixed_block(n, derivations, mixed_blocks):
+    H = HamiltonianSystem.from_source(SEPARABLE[n], Chart(n))
+    assert H.separable
+    state0 = [0.3, -0.2, 0.1, 0.4, -0.1, 0.2][:2 * n]
+    integrate_symplectic_euler(H, state0, 0.0, 1.0, 0.01)
+    symplecticity_check(H, "symplectic-euler", state0, 0.01, 5)
+    assert "mixed_hessian" not in vars(H) and "compiled_mixed_hessian" not in vars(H)
+    assert mixed_blocks == []
+    assert len(derivations) == 2 * n   # the gradient alone
+
+
+def test_cli_integrate_of_a_separable_problem_never_builds_the_mixed_block(
+        mixed_blocks, monkeypatch, tmp_path):
+    systems = []
+    original = integrate.integrate_symplectic_euler
+
+    def recording(H, *args):
+        systems.append(H)
+        return original(H, *args)
+
+    monkeypatch.setattr(integrate, "integrate_symplectic_euler", recording)
+    assert main(["integrate", "--problem", QUARTIC_SE, "--out", str(tmp_path)]) == EXIT_OK
+    [H] = systems
+    assert H.separable and "mixed_hessian" not in vars(H)
+    assert mixed_blocks == []
+
+
+MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize("y1,excess", [
+    (1e308, 1.0),
+    (MAX - 10 * math.ulp(MAX), 1.0),
+    (1e308, 1e12),
+], ids=["newton-gives-up", "newton-stops-below-max", "non-finite-residual"])
+def test_overflow_hand_off_builds_the_mixed_block_once(y1, excess, mixed_blocks):
+    # y1 - h*H_x passes the largest double by `excess` ulp of it, so the
+    # explicit step hands the run to the Newton loop, which reads H_xy
+    source = f"0.5*y1^2 - {(MAX - y1) + excess * math.ulp(MAX)!r}*x1"
+
+    def run(H, steps):
+        try:
+            return integrate_symplectic_euler(H, [0.5, y1], 0.0, steps, 1.0).states.tobytes()
+        except (NonFiniteStateError, NewtonConvergenceError) as exc:
+            return type(exc), exc.step, str(exc)
+
+    def outcome(H):   # newton-stops-below-max appends a state, then fails in step 2
+        return run(H, 1), run(H, 3)
+
+    lazy = HamiltonianSystem.from_source(source, Chart(1))
+    assert lazy.separable
+    first = outcome(lazy)
+    assert mixed_blocks == [lazy.compiled_mixed_hessian]
+    assert outcome(lazy) == first
+    assert len(mixed_blocks) == 1
+    eager = HamiltonianSystem.from_source(source, Chart(1))
+    vars(eager)["separable"] = False   # the Newton loop on every step
+    assert outcome(eager) == first
+
+
+def test_non_separable_system_builds_the_mixed_block_once(mixed_blocks):
+    H = HamiltonianSystem.from_source(QUARTIC, Chart(2))
+    assert not H.separable
+    state0 = (0.3, -0.2, 0.1, 0.4)
+    integrate_symplectic_euler(H, state0, 0.0, 0.1, 0.01)
+    integrate_symplectic_euler(H, state0, 0.0, 0.2, 0.02)
+    symplecticity_check(H, "symplectic-euler", state0, 0.01, 5)
+    assert mixed_blocks == [H.compiled_mixed_hessian]
 
 
 def test_lagrangian_hessian_derived_once(derivations):

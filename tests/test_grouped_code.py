@@ -204,6 +204,12 @@ SE_FAILURES = {
     "newton-fails": ("x1*(-10*y1 + 5 + y1^2)", [0.3, 0.3], 0.1, NewtonConvergenceError, 1,
                      "Newton iteration failed after 25 iterations in step 1, "
                      "from t = 0 at x1 = 0.3, y1 = 0.3"),
+    # y1 - h*H_x passes the largest double by one ulp of it: the explicit
+    # step hands it to the Newton loop, which halves toward it 25 times
+    "newton-update-overflows-separable": ("0.5*y1^2 - 7.976931348623159e+307*x1", [0.5, 1e308],
+                                          1.0, NonFiniteStateError, 1,
+                                          "Newton update overflows in step 1, "
+                                          "from t = 0 at x1 = 0.5, y1 = 1e+308"),
     # I + h*H_xy = 1 + 0.5*(-2) = 0, and I + 1.0*(-I) = 0 at n = 2
     "singular": ("-2*x1*y1", [0.3, 0.4], 0.5, NewtonConvergenceError, 1,
                  "singular Newton system in step 1, from t = 0 at x1 = 0.3, y1 = 0.4"),
