@@ -22,7 +22,8 @@ from . import curvature as curvature_mod
 from . import hamilton as hamilton_mod
 from . import integrate as integrate_mod
 from . import lagrange as lagrange_mod
-from .expr import Compiled, EvaluationError, ParseError, Var, equal_on_samples, parse, to_source
+from .expr import (Compiled, EvaluationError, ParseError, SamplingError, Var, equal_on_samples,
+                   parse, to_source)
 from .geometry import (COMPAT_TOL, Chart, Metric, compatibility_violation, form_to_text,
                        model_product_structure)
 
@@ -537,7 +538,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (integrate_mod.NonFiniteStateError,
-            integrate_mod.NewtonConvergenceError, EvaluationError) as exc:
+            integrate_mod.NewtonConvergenceError, EvaluationError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:   # the output directory, a report or a CSV

@@ -35,6 +35,7 @@ from .expr import (
     Expression,
     as_expression,
     differentiate,
+    free_variables,
     is_zero,
     simplify,
 )
@@ -322,23 +323,29 @@ def nabla_J(g: Metric, J: ProductStructure, trials: int = 10, seed: int = 0) -> 
 
     Returns the largest |(nabla_a J)^b_c| over sampled points, where
     (nabla_a J)^b_c = d_a J^b_c + Gamma^b_{ad} J^d_c - Gamma^d_{ac} J^b_d.
+    When no entry of J reads a coordinate, as for every J the CLI builds,
+    d_a J is zero and is neither derived nor compiled; leaving out its
+    zeros can flip only the sign of a zero, which |.| does not see.
     """
     _require_same_chart(g, J)
     chart = g.chart
     dim = chart.dim
     gamma = christoffel(g)
-    dJ = Compiled(differentiate(J.entries[b][c], chart.variable(a))
-                  for a in range(dim) for b in range(dim) for c in range(dim))
+    dJ = None
+    if any(free_variables(e) for row in J.entries for e in row):
+        dJ = Compiled(differentiate(J.entries[b][c], chart.variable(a))
+                      for a in range(dim) for b in range(dim) for c in range(dim))
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(max(1, trials)):
         point = chart.sample_point(rng)
         G = gamma.at(point)
         Jm = J.at(point)
-        dJv = np.array(dJ.at(point)).reshape(dim, dim, dim)
         term2 = np.einsum('bad,dc->abc', G, Jm)
+        if dJ is not None:
+            term2 = np.array(dJ.at(point)).reshape(dim, dim, dim) + term2
         term3 = np.einsum('dac,bd->abc', G, Jm)
-        worst = max(worst, float(np.max(np.abs(dJv + term2 - term3))))
+        worst = max(worst, float(np.max(np.abs(term2 - term3))))
     return worst
 
 

@@ -320,7 +320,11 @@ def _symplectic_euler_function(n: int, separable: bool) -> Callable:
     halving toward a candidate past the largest double.  The check runs
     only on giving up.  Since a checked H_x never returns a non-finite
     value, only an unchecked run can meet one in a candidate's H_x; it
-    raises there, and the checked re-run names the failure.
+    raises there, and the checked re-run names the failure: where the
+    checked H_x fails at a candidate that is not finite, the Newton
+    update overflowed, and the step reports that.  A candidate's
+    finiteness is tested only there, so a step that succeeds does no
+    extra work.
 
     A separable step (H_x reads no momentum, so H_xy is 0) is explicit:
     r = 0.0 + h*H_x(x), y' = y if max |r| meets the stop rule at y, else
@@ -347,6 +351,7 @@ def _symplectic_euler_function(n: int, separable: bool) -> Callable:
         return each(f"{template} - {template} == 0.0", count, " and ")
 
     residual_fails = "raise _StepFailure(NonFiniteStateError, 'non-finite Newton residual')"
+    overflows = "raise _StepFailure(NonFiniteStateError, 'Newton update overflows')"
     if separable:
         lines = [f"    {each('g{i}')}, = hx({each('x{i}')}, {each('y{i}')})",
                  *(f"    r{i} = 0.0 + h * g{i}" for i in range(n)),
@@ -377,7 +382,7 @@ def _symplectic_euler_function(n: int, separable: bool) -> Callable:
                  "            break",
                  f"        if iteration == {NEWTON_MAX_ITERS}:",
                  f"            if not ({finite('(v{i} - d{i})')}):",
-                 "                raise _StepFailure(NonFiniteStateError, 'Newton update overflows')",
+                 f"                {overflows}",
                  "            raise _StepFailure(NewtonConvergenceError, 'Newton iteration failed "
                  f"after {NEWTON_MAX_ITERS} iterations')",
                  f"        {each('j{i}', n * n)}, = hxy({each('x{i}')}, {each('v{i}')})",
@@ -391,7 +396,12 @@ def _symplectic_euler_function(n: int, separable: bool) -> Callable:
                  # the last, smallest scale is taken regardless
                  f"        for scale in {BACKTRACK!r}:",
                  *(f"            c{i} = v{i} - scale * d{i}" for i in range(n)),
-                 f"            {each('g{i}')}, = hx({each('x{i}')}, {each('c{i}')})",
+                 "            try:",
+                 f"                {each('g{i}')}, = hx({each('x{i}')}, {each('c{i}')})",
+                 "            except EvaluationError:",   # only a checked H_x raises it
+                 f"                if not ({finite('c{i}')}):",
+                 f"                    {overflows}",
+                 "                raise",
                  f"            if not ({finite('g{i}')}):",
                  "                raise _StepFailure(NonFiniteStateError, 'non-finite H_x')",
                  *(f"            q{i} = (c{i} - y{i}) + h * g{i}" for i in range(n)),

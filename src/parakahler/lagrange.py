@@ -9,7 +9,10 @@ components (X, Y); requiring i_xi Phi_L = dE_L reduces to the linear system
 whose solution is the semispray of the Euler-Lagrange dynamics xdot = X,
 ydot = Y.  The energy differential follows the convention that the
 semispray coefficients X_i, Y_i are held constant under d; only under that
-convention does i_xi Phi_L = dE_L close exactly.
+convention does i_xi Phi_L = dE_L close exactly.  Whether the flow
+conserves E_L is decided on floats at sample points, from L's second and
+third derivatives and the per-point solve, with no symbolic derivative
+of E_L.
 """
 
 from __future__ import annotations
@@ -17,16 +20,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import linalg
 from .expr import (
+    MAX_RESAMPLES,
+    SAMPLE_BOX,
+    SAMPLE_REL_TOL,
     ZERO,
     Compiled,
     EvaluationError,
     Expression,
+    SamplingError,
     as_expression,
     differentiate,
     equal_on_samples,
@@ -103,6 +111,62 @@ class LagrangianSystem:
         """Rows a of d2L/dz_a dz_b in chart order, derived once per system."""
         return tuple(tuple(differentiate(g, v) for v in self.chart.variables())
                      for g in self.gradient)
+
+    @cached_property
+    def semispray_rhs(self) -> tuple:
+        """(dL/dx_1, .., -dL/dy_1, ..): the right-hand side of the semispray system."""
+        n = self.chart.n
+        return tuple(g if a < n else simplify(-g) for a, g in enumerate(self.gradient))
+
+    @cached_property
+    def energy_rate(self) -> Callable:
+        """rate(*state): xi(E_L) at a state, on floats; derived and compiled once per system.
+
+        With s_a = 1 on x rows and -1 on y rows, xi solves Hess xi = s grad L
+        and E_L = (s grad L).xi - L, so xi(E_L) = (s grad L).D xi +
+        xi.(s Hess xi) - xi.grad L, where D xi = sum_c xi_c d_c xi.  The
+        last two terms cancel, since s Hess xi = grad L.  Differentiating
+        Hess xi = s grad L along xi gives Hess D xi = grad L - T(xi, xi, .),
+        with T the third derivatives of L, and Hess is symmetric, so
+        (s grad L).D xi = xi.Hess D xi:
+
+            xi(E_L) = xi.grad L - sum_abc L_abc xi_a xi_b xi_c.
+
+        One Compiled holds the Hessian row by row, semispray_rhs, and each
+        third derivative L_abc, a <= b <= c, that is not symbolically zero:
+        L_abc is symmetric, so each is Hessian entry (a, b) differentiated
+        along z_c, derived once, and weighted by the number of orderings
+        of (a, b, c).  rate solves for xi with
+        linalg.elimination_function(dim), once per state, and checks
+        nothing: it raises ArithmeticError, ValueError or EvaluationError
+        where an entry is undefined or a pivot is exactly zero, and returns
+        a value that is not finite where an entry is not finite.
+        """
+        dim, n = self.chart.dim, self.chart.n
+        m = dim * dim + dim   # the Hessian and semispray_rhs: the solve's arguments
+        variables = self.chart.variables()
+        third, cubic = [], []
+        for a, b, c in combinations_with_replacement(range(dim), 3):
+            d = differentiate(self.hessian[a][b], variables[c])
+            if not is_zero(d):
+                cubic.append((m + len(third), (1, 3, 6)[len({a, b, c}) - 1], a, b, c))
+                third.append(d)
+        hessian = [e for row in self.hessian for e in row]
+        evaluate = Compiled([*hessian, *self.semispray_rhs, *third], self.chart.names()).unchecked
+        solve = linalg.elimination_function(dim)
+        signs = [(a, m - dim + a, 1.0 if a < n else -1.0) for a in range(dim)]
+
+        def rate(*state) -> float:
+            values = evaluate(*state)
+            xi = solve(*values[:m])
+            v = 0.0
+            for a, k, sign in signs:   # values[k] is s_a L_a
+                v += sign * xi[a] * values[k]
+            for k, w, a, b, c in cubic:
+                v -= w * values[k] * xi[a] * xi[b] * xi[c]
+            return v
+
+        return rate
 
 
 @dataclass(frozen=True)
@@ -242,9 +306,9 @@ def solve_semispray(L: LagrangianSystem) -> Semispray:
     Hessian is singular at every probe point.
     """
     chart = L.chart
-    dim, n = chart.dim, chart.n
+    dim = chart.dim
     hess = L.hessian
-    rhs = [g if a < n else simplify(-g) for a, g in enumerate(L.gradient)]   # (L_x, -L_y)
+    rhs = L.semispray_rhs
 
     hessian = [e for row in hess for e in row]
     numeric = None if dim <= linalg.MAX_SYMBOLIC_DIM else NumericSemispray(chart, [*hessian, *rhs])
@@ -306,13 +370,33 @@ def energy_is_conserved(L: LagrangianSystem, xi: Semispray, trials: int = 40,
     """Whether xi(E_L) vanishes on samples, i.e. E_L is a first integral.
 
     Conservation is not automatic for every regular L under the fixed
-    coefficient convention, so it is probed rather than assumed.
+    coefficient convention, so it is probed rather than assumed: at trials
+    points drawn uniformly from [-2, 2] per coordinate, in chart order,
+    with random.Random(seed), |v| < SAMPLE_REL_TOL * (1 + |v|) for v =
+    xi(E_L) from L.energy_rate, on floats at every n.  A point where an
+    entry is undefined or not finite, or a pivot is exactly zero, is drawn
+    again, at most MAX_RESAMPLES times per trial, and then SamplingError
+    names this check.  xi, the semispray solved from L, is not read: each
+    point solves for it.
     """
-    e = energy(L, xi)
-    derivative = ZERO
-    for a in range(L.chart.dim):
-        derivative = derivative + xi.components[a] * differentiate(e, L.chart.variable(a))
-    return equal_on_samples(simplify(derivative), ZERO, trials=trials, seed=seed)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = random.Random(seed)
+    rate, dim = L.energy_rate, L.chart.dim
+    for _ in range(trials):
+        for _ in range(MAX_RESAMPLES + 1):
+            try:
+                v = rate(*[rng.uniform(-SAMPLE_BOX, SAMPLE_BOX) for _ in range(dim)])
+            except (ArithmeticError, ValueError, EvaluationError):
+                continue
+            if v - v == 0.0:   # finite, so every entry was
+                break
+        else:
+            raise SamplingError(f"E_L conservation check: no sample point where xi(E_L) is "
+                                f"defined after {MAX_RESAMPLES} resamples")
+        if abs(v) >= SAMPLE_REL_TOL * (1.0 + abs(v)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

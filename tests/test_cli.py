@@ -475,6 +475,22 @@ class TestIntegrateCommand:
                      "--out", str(tmp_path)]) == EXIT_NUMERIC
         assert "step" in capsys.readouterr().err
 
+    def test_energy_check_with_no_defined_point_exits_5(self, tmp_path, capsys):
+        # the power 2.5 is defined only where the quintic is within 1e-3
+        # of 0, so the E_L conservation check draws no defined point
+        poly = ("(x1-0.5673224384868281)*(x1+0.9317135345691687)*(x1-1.682461827800748)"
+                "*(x1-0.33975329763079065)*(x1-0.5428224523212495)")
+        payload = {"name": "sliver", "kind": "lagrangian", "n": 1,
+                   "lagrangian": f"x1*y1 + (1e-6 - ({poly})^2)^2.5",
+                   "initial_state": [0.5673224384868281, 0.1],
+                   "integrator": {"scheme": "rk4", "t0": 0.0, "t1": 0.01, "h": 0.01}}
+        path = write_problem(tmp_path, payload)
+        assert main(["integrate", "--problem", path, "--out", str(tmp_path)]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: E_L conservation check: no sample point where xi(E_L) "
+                                "is defined after 10 resamples\n")
+
     @pytest.mark.parametrize("scheme,where", [
         ("rk4", "step 4, from t = 0.03 at x1 = 0.00982390791, y1 = -3.01019662: dy1/dt: "),
         ("symplectic-euler", "step 5, from t = 0.04 at x1 = -0.0203834642, "

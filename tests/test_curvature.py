@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from parakahler.expr import Const, parse, simplify
+from parakahler.expr import Compiled, Const, differentiate, parse, simplify
 from parakahler.curvature import (
     DegeneratePlaneError,
     IsotropicVectorError,
@@ -22,7 +22,8 @@ from parakahler.curvature import (
     sectional_curvature,
     symmetry_report,
 )
-from parakahler.geometry import Chart, Metric, model_metric, model_product_structure
+from parakahler.geometry import (Chart, Metric, ProductStructure, model_metric,
+                                 model_product_structure)
 
 import helpers
 
@@ -358,10 +359,50 @@ class TestSymmetryReport:
             "first_bianchi", "j_invariance"}
 
 
+def incompatible_metric():
+    rows = [["2 + x1^2", "1 + x1*y1"], ["1 + x1*y1", "3 + y1^2"]]
+    return Metric.from_rows(CHART1, [[parse(e, CHART1) for e in row] for row in rows])
+
+
 class TestNablaJ:
     def test_model_pair(self):
         chart = CHART2
         assert nabla_J(model_metric(chart), model_product_structure(chart)) == 0.0
+
+    @pytest.mark.parametrize("constant", [True, False], ids=["model-J", "J-reads-x1"])
+    def test_derives_dJ_only_when_J_reads_a_coordinate(self, monkeypatch, constant):
+        from parakahler import curvature
+        g = incompatible_metric()
+        J = model_product_structure(CHART1)
+        if not constant:   # J with an entry x1 - x1: its derivatives are zero, but derived
+            rows = [list(row) for row in J.entries]
+            rows[0][1] = parse("x1 - x1", CHART1)
+            J = ProductStructure.from_rows(CHART1, rows)
+        expected = nabla_J(g, J, trials=5, seed=3)
+        derived, compiled = [], []
+        monkeypatch.setattr(curvature, "differentiate",
+                            lambda e, v: derived.append(e) or differentiate(e, v))
+        monkeypatch.setattr(curvature, "Compiled",
+                            lambda *args: compiled.append(args) or Compiled(*args))
+        assert nabla_J(g, J, trials=5, seed=3) == expected
+        if constant:
+            assert (derived, compiled) == ([], [])
+        else:
+            assert (len(derived), len(compiled)) == (CHART1.dim ** 3, 1)
+
+    def test_model_J_value_is_the_full_formula(self):
+        # d_a J = 0 is left out; the full formula's max |.| is the same float
+        g, J = incompatible_metric(), model_product_structure(CHART1)
+        gamma, dim = christoffel(g), CHART1.dim
+        rng = random.Random(3)
+        worst = 0.0
+        for _ in range(5):
+            point = CHART1.sample_point(rng)
+            G, Jm = gamma.at(point), J.at(point)
+            full = (np.zeros((dim, dim, dim)) + np.einsum('bad,dc->abc', G, Jm)
+                    - np.einsum('dac,bd->abc', G, Jm))
+            worst = max(worst, float(np.max(np.abs(full))))
+        assert nabla_J(g, J, trials=5, seed=3) == worst > 0.0
 
     def test_potential_metric_parallel(self):
         assert nabla_J(quartic_metric(), model_product_structure(CHART1)) < 1e-6

@@ -213,10 +213,28 @@ def test_lagrangian_hessian_derived_once(derivations):
     L = LagrangianSystem.from_source("x1*y1 + 2*x2*y2 + 0.1*x1^3 + 0.2*x1*x2^2", chart)
     el = euler_lagrange_system(L)
     energy_is_conserved(L, el.semispray, trials=5)
-    # gradient, Hessian, and xi(E_L), which differentiates E_L once per coordinate
-    assert len(derivations) == dim + dim * dim + dim
+    # gradient, Hessian, and for xi(E_L) each distinct third derivative
+    # L_abc, a <= b <= c, as Hessian entry (a, b) along z_c
+    third = dim * (dim + 1) * (dim + 2) // 6
+    assert len(derivations) == dim + dim * dim + third
     assert len([e for e in derivations if e == L.L]) == dim
     assert len([e for e in derivations if e in L.gradient]) == dim * dim
+    assert [id(e) for e in derivations[dim + dim * dim:]] == \
+        [id(L.hessian[a][b]) for a in range(dim) for b in range(a, dim) for _ in range(b, dim)]
+
+
+def test_second_energy_verdict_derives_and_compiles_nothing(derivations, compilations,
+                                                            simplifications):
+    L = LagrangianSystem.from_source("x1*y1 + x2*y2 + 0.02*(x1*y1)^2 + 0.015*x1*x2*y1*y2",
+                                     Chart(2))
+    xi = euler_lagrange_system(L).semispray
+    first = energy_is_conserved(L, xi)
+    assert derivations and compilations[0] > 0
+    derivations.clear()
+    compilations[0] = 0
+    simplifications.clear()
+    assert energy_is_conserved(L, xi, seed=5) == first
+    assert (derivations, compilations[0], simplifications) == ([], 0, [])
 
 
 def test_second_run_on_one_system_compiles_and_simplifies_nothing(compilations,

@@ -210,6 +210,12 @@ SE_FAILURES = {
                                           1.0, NonFiniteStateError, 1,
                                           "Newton update overflows in step 1, "
                                           "from t = 0 at x1 = 0.5, y1 = 1e+308"),
+    # the same with a mixed term, so the general loop runs: its candidate
+    # past the largest double is named before H_x is read there
+    "newton-update-overflows-general": ("0.5*y1^2 - 7.976931348623159e+307*x1 + 1e-300*x1*y1",
+                                        [0.5, 1e308], 1.0, NonFiniteStateError, 1,
+                                        "Newton update overflows in step 1, "
+                                        "from t = 0 at x1 = 0.5, y1 = 1e+308"),
     # I + h*H_xy = 1 + 0.5*(-2) = 0, and I + 1.0*(-I) = 0 at n = 2
     "singular": ("-2*x1*y1", [0.3, 0.4], 0.5, NewtonConvergenceError, 1,
                  "singular Newton system in step 1, from t = 0 at x1 = 0.3, y1 = 0.4"),
