@@ -21,6 +21,7 @@ GOLDEN = os.path.join(ROOT, "tests", "golden")
 RUNS = [
     ("lagrangian_xy.json", "derive"),
     ("oscillator.json", "derive"),
+    ("lagrangian_n3.json", "derive"),
     ("model_space.json", "check"),
     ("potential.json", "check"),
     ("space_form.json", "check"),

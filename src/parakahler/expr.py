@@ -681,24 +681,28 @@ class Compiled:
         error.index, error.row = index, row
         return error
 
-    def __call__(self, values: Sequence[float]) -> list:
-        """Values at the coordinates given in the order of names."""
+    def __call__(self, values: Sequence[float], count: int | None = None) -> list:
+        """Values at the coordinates given in the order of names.
+
+        With count, only the first count expressions are checked and
+        returned, so a failure in a later one does not raise.
+        """
         if isinstance(values, np.ndarray):
             values = values.tolist()   # floats raise where numpy gives inf or nan
         try:
-            out = self.unchecked(*values)
+            out = self.unchecked(*values)[:count]
         except (ArithmeticError, ValueError, EvaluationError):
-            out = self._each(values)
+            out = self._each(values, count)
         if not all(map(math.isfinite, out)):
             index = next(i for i, v in enumerate(out) if not math.isfinite(v))
             raise self._error(index, f"non-finite value {out[index]}")
         return out
 
-    def _each(self, values: Sequence[float]) -> list:
+    def _each(self, values: Sequence[float], count: int | None = None) -> list:
         """The values one expression at a time, so a failure names the first that fails."""
         out = []
         try:
-            for code in self._codes:
+            for code in self._codes[:count]:
                 out.append(FunctionType(code, _SCALAR)(*values)[0])
         except (ArithmeticError, ValueError, EvaluationError) as exc:
             raise self._error(len(out), _reason(exc)) from exc

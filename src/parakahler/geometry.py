@@ -252,19 +252,6 @@ def function_form(chart: Chart, f) -> DifferentialForm:
     return DifferentialForm(chart, 0, {} if is_zero(f) else {(): f})
 
 
-def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
-    """Graded antisymmetric product a ^ b."""
-    _require_same_chart(a, b)
-    degree = a.degree + b.degree
-    if degree > a.chart.dim:
-        raise DegreeError(f"degree overflow: {a.degree} + {b.degree} > {a.chart.dim}")
-    terms = []
-    for ka, ca in a.coefficients.items():
-        for kb, cb in b.coefficients.items():
-            terms.append((ka + kb, ca * cb))
-    return make_form(a.chart, degree, terms)
-
-
 def exterior_derivative(w: DifferentialForm) -> DifferentialForm:
     """Coordinate exterior derivative; d of d is zero.
 
@@ -403,38 +390,6 @@ def model_dual_structure(chart: Chart) -> ProductStructure:
     return model_product_structure(chart)
 
 
-def metric_apply(g: Metric, X: VectorField, Y: VectorField) -> Expression:
-    """Bilinear pairing g(X, Y), simplified."""
-    _require_same_chart(g, X)
-    _require_same_chart(g, Y)
-    dim = g.chart.dim
-    terms = []
-    for a in range(dim):
-        for b in range(dim):
-            entry = g.entries[a][b]
-            if is_zero(entry):
-                continue
-            terms.append(entry * X.components[a] * Y.components[b])
-    if not terms:
-        return ZERO
-    return simplify(sum(terms[1:], start=terms[0]))
-
-
-def j_apply(J: ProductStructure, X: VectorField) -> VectorField:
-    """Componentwise matrix action of J on a vector field."""
-    _require_same_chart(J, X)
-    dim = J.chart.dim
-    components = []
-    for a in range(dim):
-        acc = ZERO
-        for b in range(dim):
-            if is_zero(J.entries[a][b]) or is_zero(X.components[b]):
-                continue
-            acc = acc + J.entries[a][b] * X.components[b]
-        components.append(simplify(acc))
-    return VectorField(J.chart, tuple(components))
-
-
 def j_dual_apply(Jd: ProductStructure, alpha: DifferentialForm) -> DifferentialForm:
     """Action on a 1-form: the new coefficient at b is sum_c J^c_b alpha_c."""
     _require_same_chart(Jd, alpha)
@@ -448,29 +403,6 @@ def j_dual_apply(Jd: ProductStructure, alpha: DifferentialForm) -> DifferentialF
                 continue
             terms.append(((b,), entry * coefficient))
     return make_form(alpha.chart, 1, terms)
-
-
-def insertion_operator(J: ProductStructure, w: DifferentialForm) -> DifferentialForm:
-    """Insert J into one argument slot at a time and sum (degrees 0 to 2).
-
-    Degree 0 has no slots, so the result is zero; on 1-forms this is the
-    dual action; on 2-forms it acts as a derivation over the wedge.
-    """
-    _require_same_chart(J, w)
-    if w.degree == 0:
-        return zero_form(w.chart, 0)
-    if w.degree == 1:
-        return j_dual_apply(J, w)
-    if w.degree == 2:
-        terms = []
-        for (p, q), coefficient in w.coefficients.items():
-            for b in range(J.chart.dim):
-                if not is_zero(J.entries[p][b]):
-                    terms.append(((b, q), J.entries[p][b] * coefficient))
-                if not is_zero(J.entries[q][b]):
-                    terms.append(((p, b), J.entries[q][b] * coefficient))
-        return make_form(w.chart, 2, terms)
-    raise DegreeError("insertion operator supports degrees 0 to 2 only")
 
 
 def compatibility_violation(g: Metric, J: ProductStructure, trials: int,

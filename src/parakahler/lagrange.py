@@ -46,14 +46,12 @@ from .expr import (
 from .geometry import (
     Chart,
     DifferentialForm,
-    ProductStructure,
     VectorField,
     exterior_derivative,
-    j_apply,
     make_form,
     vertical_derivative,
 )
-from .integrate import ODESystem, Trajectory, _StepFailure
+from .integrate import ODESystem, Trajectory, _StepFailure, _where
 
 REGULARITY_PROBES = 5
 REGULARITY_TOL = 1e-9
@@ -119,6 +117,16 @@ class LagrangianSystem:
         return tuple(g if a < n else simplify(-g) for a, g in enumerate(self.gradient))
 
     @cached_property
+    def numeric_semispray(self) -> "NumericSemispray":
+        """The Hessian system compiled once per system: Hessian rows, then semispray_rhs.
+
+        The rank probe, the numeric semispray beyond 2n = 4 and energy_rate
+        all read it.
+        """
+        return NumericSemispray(self.chart, [*(e for row in self.hessian for e in row),
+                                             *self.semispray_rhs])
+
+    @cached_property
     def energy_rate(self) -> Callable:
         """rate(*state): xi(E_L) at a state, on floats; derived and compiled once per system.
 
@@ -132,36 +140,36 @@ class LagrangianSystem:
 
             xi(E_L) = xi.grad L - sum_abc L_abc xi_a xi_b xi_c.
 
-        One Compiled holds the Hessian row by row, semispray_rhs, and each
-        third derivative L_abc, a <= b <= c, that is not symbolically zero:
-        L_abc is symmetric, so each is Hessian entry (a, b) differentiated
-        along z_c, derived once, and weighted by the number of orderings
-        of (a, b, c).  rate solves for xi with
-        linalg.elimination_function(dim), once per state, and checks
-        nothing: it raises ArithmeticError, ValueError or EvaluationError
-        where an entry is undefined or a pivot is exactly zero, and returns
-        a value that is not finite where an entry is not finite.
+        The Hessian and semispray_rhs come from numeric_semispray's system,
+        and one more Compiled holds each third derivative L_abc, a <= b <= c,
+        that is not symbolically zero: L_abc is symmetric, so each is
+        Hessian entry (a, b) differentiated along z_c, derived once, and
+        weighted by the number of orderings of (a, b, c).  rate solves for
+        xi once per state and checks nothing: it raises ArithmeticError,
+        ValueError or EvaluationError where an entry is undefined or a pivot
+        is exactly zero, and returns a value that is not finite where an
+        entry is not finite.
         """
         dim, n = self.chart.dim, self.chart.n
-        m = dim * dim + dim   # the Hessian and semispray_rhs: the solve's arguments
         variables = self.chart.variables()
         third, cubic = [], []
         for a, b, c in combinations_with_replacement(range(dim), 3):
             d = differentiate(self.hessian[a][b], variables[c])
             if not is_zero(d):
-                cubic.append((m + len(third), (1, 3, 6)[len({a, b, c}) - 1], a, b, c))
+                cubic.append((len(third), (1, 3, 6)[len({a, b, c}) - 1], a, b, c))
                 third.append(d)
-        hessian = [e for row in self.hessian for e in row]
-        evaluate = Compiled([*hessian, *self.semispray_rhs, *third], self.chart.names()).unchecked
-        solve = linalg.elimination_function(dim)
-        signs = [(a, m - dim + a, 1.0 if a < n else -1.0) for a in range(dim)]
+        semispray = self.numeric_semispray
+        evaluate, solve = semispray.system.unchecked, semispray.solve
+        evaluate_third = Compiled(third, self.chart.names()).unchecked
+        signs = [(a, dim * dim + a, 1.0 if a < n else -1.0) for a in range(dim)]
 
         def rate(*state) -> float:
             values = evaluate(*state)
-            xi = solve(*values[:m])
+            xi = solve(*values)
             v = 0.0
             for a, k, sign in signs:   # values[k] is s_a L_a
                 v += sign * xi[a] * values[k]
+            values = evaluate_third(*state)
             for k, w, a, b, c in cubic:
                 v -= w * values[k] * xi[a] * xi[b] * xi[c]
             return v
@@ -201,11 +209,6 @@ def kahler_form(L: LagrangianSystem) -> DifferentialForm:
     return exterior_derivative(vertical_derivative(L.L, L.chart)).scale(-1.0)
 
 
-def liouville_field(xi: Semispray, J: ProductStructure) -> VectorField:
-    """V = J xi: x-components preserved, y-components negated."""
-    return j_apply(J, xi.as_vector_field())
-
-
 def energy(L: LagrangianSystem, xi: Semispray) -> Expression:
     """E_L = sum_i X_i dL/dx_i - Y_i dL/dy_i - L, simplified."""
     n, grad = L.chart.n, L.gradient
@@ -236,24 +239,26 @@ def energy_differential(L: LagrangianSystem, xi: Semispray) -> DifferentialForm:
     return make_form(L.chart, 1, terms)
 
 
-def _numeric_rank(chart: Chart, entries: Compiled, seed: int = 20240502) -> int:
-    """Largest rank at the probe points of the Hessian, the first dim * dim entries.
+def _numeric_rank(L: LagrangianSystem, seed: int = 20240502) -> int:
+    """Largest rank of the Hessian at the probe points.
 
-    A probe where only a later entry fails (a gradient may, where the
-    Hessian does not) evaluates the Hessian alone.
+    Each probe evaluates only the Hessian rows of L.numeric_semispray's
+    system, so a point where only the right-hand side fails still counts;
+    a failing entry is named with its label and the probe point.
     """
     rng = random.Random(seed)
+    chart = L.chart
     dim = chart.dim
+    system = L.numeric_semispray.system
     rank = 0
     for _ in range(REGULARITY_PROBES):
-        point = chart.sample_point(rng)
+        state = list(chart.sample_point(rng).values())
         try:
-            values = entries.at(point)
+            values = system(state, dim * dim)
         except EvaluationError as exc:
-            if exc.index < dim * dim:
-                raise
-            values = Compiled(entries.exprs[:dim * dim]).at(point)
-        matrix = np.array(values[:dim * dim]).reshape(dim, dim)
+            raise EvaluationError(
+                f"{exc} at probe point {_where(chart.names(), state)}") from exc
+        matrix = np.array(values).reshape(dim, dim)
         rank = max(rank, int(np.linalg.matrix_rank(matrix, tol=REGULARITY_TOL)))
     return rank
 
@@ -307,20 +312,16 @@ def solve_semispray(L: LagrangianSystem) -> Semispray:
     """
     chart = L.chart
     dim = chart.dim
-    hess = L.hessian
-    rhs = L.semispray_rhs
-
-    hessian = [e for row in hess for e in row]
-    numeric = None if dim <= linalg.MAX_SYMBOLIC_DIM else NumericSemispray(chart, [*hessian, *rhs])
-    rank = _numeric_rank(chart, Compiled(hessian) if numeric is None else numeric.system)
+    symbolic = dim <= linalg.MAX_SYMBOLIC_DIM
+    rank = _numeric_rank(L)
     if rank < dim:
-        det = linalg.determinant(hess) if numeric is None else None
+        det = linalg.determinant(L.hessian) if symbolic else None
         if det is None or is_zero(det) or equal_on_samples(det, ZERO, trials=20, seed=3):
             raise DegenerateLagrangianError(rank, dim)
 
-    if numeric is None:
-        return Semispray(chart, linalg.cramer_solve(hess, rhs))
-    return Semispray(chart, None, numeric)
+    if symbolic:
+        return Semispray(chart, linalg.cramer_solve(L.hessian, L.semispray_rhs))
+    return Semispray(chart, None, L.numeric_semispray)
 
 
 @dataclass(frozen=True)
@@ -404,8 +405,13 @@ def energy_is_conserved(L: LagrangianSystem, xi: Semispray, trials: int = 40,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _FamilyReport:
-    """One number per index j for the x family and for the y family."""
+class ExponentialLawReport:
+    """Relative drift of (dL/dx_j) e^{-t} and (dL/dy_j) e^{t} along a flow.
+
+    Both products are constant along exact Euler-Lagrange trajectories;
+    drift is measured against max(1, |initial value|).  One number per
+    index j for the x family and for the y family.
+    """
 
     x_family: tuple
     y_family: tuple
@@ -413,57 +419,21 @@ class _FamilyReport:
     def as_dict(self) -> dict:
         return {"x_family": list(self.x_family), "y_family": list(self.y_family)}
 
-
-def _momenta_on_rows(L: LagrangianSystem, traj: Trajectory):
-    """Pairs (dL/dx_j, dL/dy_j) on every row of traj, from the system's compiled gradient."""
-    values = traj.evaluate(L.compiled_gradient)
-    return zip(values[:L.chart.n], values[L.chart.n:])
-
-
-@dataclass(frozen=True)
-class Proposition1Report(_FamilyReport):
-    """Residuals of the eigenvalue-paired first-order laws along a trajectory.
-
-    For each j the x-family residual is max_t |d/dt (dL/dx_j) - dL/dx_j|
-    and the y-family residual is max_t |d/dt (dL/dy_j) + dL/dy_j|, with
-    the time derivative taken by central differences on interior nodes.
-    The signs mirror the +1/-1 eigendirections of the product structure.
-    """
-
-
-def proposition1_report(L: LagrangianSystem, traj: Trajectory) -> Proposition1Report:
-    """Check the paired growth/decay laws of dL/dx_j and dL/dy_j."""
-    if traj.states.shape[0] < 3:
-        raise ValueError("trajectory too short: need at least 3 samples")
-    h = traj.h
-    x_res, y_res = [], []
-    for f, g in _momenta_on_rows(L, traj):
-        fdot = (f[2:] - f[:-2]) / (2.0 * h)
-        x_res.append(float(np.max(np.abs(fdot - f[1:-1]))))
-        gdot = (g[2:] - g[:-2]) / (2.0 * h)
-        y_res.append(float(np.max(np.abs(gdot + g[1:-1]))))
-    return Proposition1Report(tuple(x_res), tuple(y_res))
-
-
-@dataclass(frozen=True)
-class ExponentialLawReport(_FamilyReport):
-    """Relative drift of (dL/dx_j) e^{-t} and (dL/dy_j) e^{t} along a flow.
-
-    Both products are constant along exact Euler-Lagrange trajectories;
-    drift is measured against max(1, |initial value|).
-    """
-
     def max_drift(self) -> float:
         return max(self.x_family + self.y_family)
 
 
 def exponential_law_report(L: LagrangianSystem, traj: Trajectory) -> ExponentialLawReport:
-    """Drift of the exponentially-rescaled momenta along a trajectory."""
+    """Drift of the exponentially-rescaled momenta along a trajectory.
+
+    The momenta dL/dx_j and dL/dy_j come from the system's compiled gradient.
+    """
     times = traj.times
     decay = np.exp(-(times - times[0]))
     growth = np.exp(times - times[0])
+    values, n = traj.evaluate(L.compiled_gradient), L.chart.n
     x_drift, y_drift = [], []
-    for f, g in _momenta_on_rows(L, traj):
+    for f, g in zip(values[:n], values[n:]):
         scaled = f * decay
         x_drift.append(float(np.max(np.abs(scaled - scaled[0]))
                              / max(1.0, abs(scaled[0]))))

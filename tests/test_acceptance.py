@@ -31,8 +31,8 @@ from parakahler.geometry import (
     compatibility_check,
     exterior_derivative,
     function_form,
-    insertion_operator,
     interior_product,
+    j_dual_apply,
     model_dual_structure,
     model_metric,
     model_product_structure,
@@ -168,13 +168,13 @@ def test_criterion_03_space_form_recovery():
 
 
 def test_criterion_04_vertical_derivative_bracket():
-    """i_J applied to df reproduces the direct twisted differential."""
+    """i_J applied to df, the dual action J* on a 1-form, reproduces the twisted differential."""
     chart = Chart(2)
     Jd = model_dual_structure(chart)
     rng = random.Random(20240809)
     for trial in range(50):
         f = helpers.random_polynomial(rng, chart, max_degree=3)
-        lhs = insertion_operator(Jd, exterior_derivative(function_form(chart, f)))
+        lhs = j_dual_apply(Jd, exterior_derivative(function_form(chart, f)))
         rhs = vertical_derivative(f, chart)
         diff = lhs.subtract(rhs)
         points = sample_points(chart, 5, seed=trial)
@@ -287,6 +287,7 @@ def test_criterion_09_degeneracy_handling():
 REPORT_RUNS = [
     ("lagrangian_xy.json", "derive", "lagrangian-xy-derive.json", None),
     ("oscillator.json", "derive", "oscillator-derive.json", None),
+    ("lagrangian_n3.json", "derive", "lagrangian-n3-derive.json", None),
     ("model_space.json", "check", "model-space-check.json", None),
     ("potential.json", "check", "potential-quartic-check.json", None),
     ("space_form.json", "check", "space-form-check.json", None),

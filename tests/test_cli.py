@@ -257,6 +257,21 @@ class TestDeriveCommand:
         assert err.startswith("error: i_Z Phi - dH residual x1: overflow")
         assert err.endswith(" at sample point x1 = 1.37768741, y1 = 1.03181761\n")
 
+    @pytest.mark.parametrize("n,where", [
+        (1, "x1 = 0.567322438, y1 = 1.22188527"),
+        (3, "x1 = 0.567322438, x2 = 1.22188527, x3 = -0.931713535, "
+            "y1 = 0.50773832, y2 = 1.68246183, y3 = -1.63810632"),
+    ])
+    def test_rank_probe_names_entry_and_point(self, tmp_path, capsys, n, where):
+        # the symbolic (2n <= 4) and the numeric semispray share one probe
+        source = " + ".join(f"x{i}*y{i}" for i in range(1, n + 1)) \
+            + " + 1e308*exp(1e3*x1^2)*y1^2"
+        payload = lagrangian_payload(n=n, lagrangian=source, initial_state=[0.1] * (2 * n))
+        path = write_problem(tmp_path, payload)
+        assert main(["derive", "--problem", path]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == \
+            f"error: d2L/dx1dx1: non-finite value nan at probe point {where}\n"
+
     def test_json_format_has_required_keys(self, tmp_path, capsys):
         path = write_problem(tmp_path, lagrangian_payload())
         assert main(["derive", "--problem", path, "--format", "json"]) == EXIT_OK

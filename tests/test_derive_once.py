@@ -106,6 +106,20 @@ def mixed_blocks(monkeypatch):
     return built
 
 
+@pytest.fixture
+def compiled_sets(monkeypatch):
+    """The expressions of every Compiled built, one tuple per Compiled, in order."""
+    built = []
+
+    class Recording(expr.Compiled):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.exprs)
+
+    _patch_everywhere(monkeypatch, "Compiled", Recording)
+    return built
+
+
 def test_hamiltonian_flow_derives_gradient_and_mixed_block_once(derivations):
     chart = Chart(2)
     n = chart.n
@@ -221,6 +235,28 @@ def test_lagrangian_hessian_derived_once(derivations):
     assert len([e for e in derivations if e in L.gradient]) == dim * dim
     assert [id(e) for e in derivations[dim + dim * dim:]] == \
         [id(L.hessian[a][b]) for a in range(dim) for b in range(a, dim) for _ in range(b, dim)]
+
+
+# Lagrangians whose Hessians have non-constant entries; the n = 3 one is numeric
+COUPLED_L = {1: "x1*y1 + 0.1*x1^3 + 0.05*x1^2*y1^2",
+             2: "x1*y1 + x2*y2 + 0.02*(x1*y1)^2 + 0.015*x1*x2*y1*y2",
+             3: "x1*y1 + 2*x2*y2 + 1.5*x3*y3 + 0.1*x1*x2*y3 + 0.05*x2*x3*y1"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_each_hessian_entry_compiled_once(n, compiled_sets):
+    # the rank probe, the numeric semispray and energy_rate read one compiled
+    # Hessian system; a constant entry is a literal wherever it is compiled
+    L = LagrangianSystem.from_source(COUPLED_L[n], Chart(n))
+    el = euler_lagrange_system(L)
+    energy_is_conserved(L, el.semispray, trials=5)
+    if n == 3:
+        integrate_rk4(el.ode, [0.3, -0.2, 0.1, 0.4, -0.1, 0.2], 0.0, 0.05, 0.01)
+    entries = {id(e) for row in L.hessian for e in row if not isinstance(e, expr.Const)}
+    assert entries
+    for entry in entries:
+        holders = [exprs for exprs in compiled_sets if any(id(e) == entry for e in exprs)]
+        assert len(holders) == 1
 
 
 def test_second_energy_verdict_derives_and_compiles_nothing(derivations, compilations,

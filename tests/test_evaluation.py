@@ -93,6 +93,19 @@ def test_labels_and_index_name_the_failing_expression():
     assert info.value.index == 1
 
 
+def test_count_checks_only_the_leading_expressions():
+    # a later expression that raises or is not finite is not evaluated or checked
+    big = Product((Const(1e308), X1))
+    compiled = Compiled((big, X1, Quotient(Const(1.0), Y1), big), ("x1", "y1"),
+                        labels=("a", "b", "c", "d"))
+    assert compiled((1.0, 0.0), 2) == [1e308, 1.0]
+    assert compiled((1.0, 2.0), 3) == [1e308, 1.0, 0.5]
+    for point in ((10.0, 2.0), (10.0, 0.0)):
+        with pytest.raises(EvaluationError, match="^a: non-finite value inf") as info:
+            compiled(point, 2)
+        assert info.value.index == 0
+
+
 # ---------------------------------------------------------------------------
 # scalar, vector and sympy agree on random trees
 # ---------------------------------------------------------------------------

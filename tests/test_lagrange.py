@@ -22,7 +22,6 @@ from parakahler.geometry import (
     exterior_derivative,
     interior_product,
     make_form,
-    model_product_structure,
     zero_form,
 )
 from parakahler.integrate import Trajectory, conservation_report, integrate_rk4
@@ -36,8 +35,6 @@ from parakahler.lagrange import (
     euler_lagrange_system,
     exponential_law_report,
     kahler_form,
-    liouville_field,
-    proposition1_report,
     solve_semispray,
 )
 
@@ -118,30 +115,6 @@ class TestEnergy:
         e = energy(L, xi)
         target = parse("0.5*(x1^2 + y1^2)", CHART1)
         assert equal_on_samples(e, target)
-
-
-class TestLiouvilleField:
-    def test_negates_y_components(self):
-        xi = Semispray(CHART1, (parse("-x1", CHART1), parse("y1", CHART1)))
-        J = model_product_structure(CHART1)
-        V = liouville_field(xi, J)
-        assert to_source(simplify(V.components[0])) == "-x1"
-        assert to_source(simplify(V.components[1])) == "-y1"
-
-    def test_involution(self):
-        xi = Semispray(CHART1, (parse("x1 + y1", CHART1), parse("x1*y1", CHART1)))
-        J = model_product_structure(CHART1)
-        twice = liouville_field(
-            Semispray(CHART1, liouville_field(xi, J).components), J)
-        for a in range(2):
-            assert equal_on_samples(twice.components[a], xi.components[a])
-
-    def test_plus_one_eigenvector_fixed(self):
-        xi = Semispray(CHART1, (Const(1.0), Const(0.0)))
-        J = model_product_structure(CHART1)
-        V = liouville_field(xi, J)
-        assert simplify(V.components[0]) == Const(1.0)
-        assert simplify(V.components[1]) == Const(0.0)
 
 
 class TestEnergyDifferential:
@@ -227,36 +200,6 @@ class TestEulerLagrangeSystem:
             from parakahler.expr import evaluate
             for residual in el.residuals:
                 assert abs(evaluate(residual, point)) < 1e-12
-
-
-class TestProposition1Report:
-    def test_bilinear_exact_flow(self):
-        L = system("x1*y1")
-        el = euler_lagrange_system(L)
-        traj = integrate_rk4(el.ode, (1.0, 1.0), 0.0, 2.0, 1e-3)
-        rep = proposition1_report(L, traj)
-        assert max(rep.x_family + rep.y_family) < 1e-5
-
-    def test_quadratic_flow(self):
-        L = system("0.5*(x1^2 + y1^2)")
-        el = euler_lagrange_system(L)
-        traj = integrate_rk4(el.ode, (1.0, 1.0), 0.0, 2.0, 1e-3)
-        rep = proposition1_report(L, traj)
-        assert max(rep.x_family + rep.y_family) < 1e-5
-
-    def test_constant_trajectory_violates(self):
-        L = system("x1*y1")
-        states = np.tile([1.0, 1.0], (5, 1))
-        traj = Trajectory(0.0, 0.1, states, CHART1.names())
-        rep = proposition1_report(L, traj)
-        # f = dL/dx = y1 = 1 along the frozen curve, fdot = 0: residual 1
-        assert rep.x_family[0] == pytest.approx(1.0)
-
-    def test_too_short_trajectory(self):
-        L = system("x1*y1")
-        traj = Trajectory(0.0, 0.1, np.ones((2, 2)), CHART1.names())
-        with pytest.raises(ValueError):
-            proposition1_report(L, traj)
 
 
 class TestExponentialLaws:
