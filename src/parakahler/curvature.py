@@ -5,9 +5,11 @@ R^e_{abc} = d_a Gamma^e_{bc} - d_b Gamma^e_{ac} + Gamma^e_{ad} Gamma^d_{bc}
 - Gamma^e_{bd} Gamma^d_{ac}, lowered in the last slot to R_{abcd}.  The
 comparison tensor R0 is the constant-curvature model built from g and J;
 a space form is a metric whose curvature is a constant multiple of R0.
-Both are CurvatureTensors: only the entries with a < b and c < d are
-stored, each simplified once as it is built, and the two antisymmetries
-give the rest by sign.
+Both are CurvatureTensors whose components with a < b and c < d give the
+rest by sign, so the two antisymmetries hold exactly.  The curvature
+stores those entries, each simplified once as it is built; R0 stores
+none and evaluates its closed form from the numbers g and J at each
+point.
 
 Christoffel symbols and the curvature are evaluated per point with a
 numeric inverse of g, at any dimension, from one connection: the first
@@ -32,6 +34,7 @@ from .expr import (
     ZERO,
     Compiled,
     Const,
+    EvaluationError,
     Expression,
     as_expression,
     differentiate,
@@ -39,7 +42,8 @@ from .expr import (
     is_zero,
     simplify,
 )
-from .geometry import Chart, Metric, ProductStructure, _require_same_chart
+from .geometry import (Chart, Metric, ProductStructure, _at_point, _component,
+                       _require_same_chart, _values_at)
 
 SINGULARITY_PROBES = 5
 SINGULARITY_TOL = 1e-12
@@ -73,7 +77,9 @@ def _probe_points(chart: Chart, seed: int = 20240501):
 def _check_invertible(g: Metric):
     """Raise unless the metric is invertible at some probe point."""
     for point in _probe_points(g.chart):
-        if abs(np.linalg.det(g.at(point))) > SINGULARITY_TOL:
+        with np.errstate(all="ignore"):   # an overflowing det is inf, so not singular
+            det = np.linalg.det(g.at(point))
+        if abs(det) > SINGULARITY_TOL:
             return
     raise SingularMetricError("metric is singular at every probe point")
 
@@ -81,7 +87,9 @@ def _check_invertible(g: Metric):
 def _inverse_at(g: Metric, point: Mapping[str, float]) -> np.ndarray:
     """Numeric inverse of g at a point, unless |det g| <= SINGULARITY_TOL there."""
     gm = g.at(point)
-    if abs(np.linalg.det(gm)) <= SINGULARITY_TOL:
+    with np.errstate(all="ignore"):   # an overflowing det is inf, so not singular
+        det = np.linalg.det(gm)
+    if abs(det) <= SINGULARITY_TOL:
         raise SingularMetricError(f"metric singular at {point}")
     return np.linalg.inv(gm)
 
@@ -104,13 +112,16 @@ class ChristoffelSymbols:
 
     @cached_property
     def _compiled(self) -> Compiled:
-        return Compiled(e for plane in self.metric.derivatives for row in plane for e in row)
+        dim = self.chart.dim
+        return Compiled((e for plane in self.metric.derivatives for row in plane for e in row),
+                        labels=[f"d_{name} {_component('g', b, c)}" for name in self.chart.names()
+                                for b in range(dim) for c in range(dim)])
 
     def lowered(self, point: Mapping[str, float]) -> np.ndarray:
         """Numeric G_{d,bc} = (1/2)(d_b g_{dc} + d_c g_{bd} - d_d g_{bc}) array at a point."""
         dim = self.chart.dim
         # values[a, b, c] = d_a g_{bc}
-        values = np.array(self._compiled.at(point)).reshape(dim, dim, dim)
+        values = np.array(_values_at(self._compiled, point)).reshape(dim, dim, dim)
         return 0.5 * (np.einsum('bdc->dbc', values) + np.einsum('cbd->dbc', values) - values)
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
@@ -161,18 +172,25 @@ class CurvatureTensor:
 
     @cached_property
     def _compiled(self) -> Compiled:
-        return Compiled(self.canonical.values())
+        return Compiled(self.canonical.values(),
+                        labels=[_component("R", *key) for key in self.canonical])
 
     @cached_property
     def _keys(self) -> np.ndarray:
         upper = ~np.tri(self.chart.dim, dtype=bool)
         return np.multiply.outer(upper, upper)   # True where a < b and c < d
 
+    @staticmethod
+    def _by_sign(out: np.ndarray) -> np.ndarray:
+        """The components from those at the keys, every other one zero, by the antisymmetries."""
+        out = out - out.transpose(1, 0, 2, 3)
+        return out - out.transpose(0, 1, 3, 2)
+
     def at(self, point: Mapping[str, float]) -> np.ndarray:
         """Dense numeric component array at a point."""
         dim = self.chart.dim
         out = np.zeros((dim, dim, dim, dim))
-        for (a, b, c, d), v in zip(self.canonical, self._compiled.at(point)):
+        for (a, b, c, d), v in zip(self.canonical, _values_at(self._compiled, point)):
             out[a, b, c, d] = v
         if self.connection is not None:
             low = self.connection.lowered(point).reshape(dim, dim * dim)
@@ -180,8 +198,7 @@ class CurvatureTensor:
             # P[a, b, c, d] = g^{ef} G_{e,bd} G_{f,ac}, from the matrix [(a, c), (b, d)]
             P = (low.T @ (inverse @ low)).reshape((dim,) * 4).transpose(0, 2, 1, 3)
             out = np.where(self._keys, out + (P - P.transpose(1, 0, 2, 3)), 0.0)
-        out = out - out.transpose(1, 0, 2, 3)   # by sign from the keys
-        return out - out.transpose(0, 1, 3, 2)
+        return self._by_sign(out)
 
     def apply(self, u, v, z, w, point: Mapping[str, float]) -> float:
         return float(np.einsum('abcd,a,b,c,d->', self.at(point),
@@ -226,29 +243,52 @@ def riemann(g: Metric) -> CurvatureTensor:
     return CurvatureTensor(chart, entries, connection)
 
 
+@dataclass(frozen=True)
+class ComparisonTensor(CurvatureTensor):
+    """The comparison tensor R0 of g and J, in closed form at each point.
+
+    It stores no entries: at(point) evaluates the formula of r_zero from
+    g.at(point) and J.at(point), keeps the components with a < b and
+    c < d and gives the rest by sign, as CurvatureTensor.at does.  A
+    component that is not finite raises EvaluationError naming R0, the
+    component and the point.
+    """
+
+    metric: Optional[Metric] = None
+    structure: Optional[ProductStructure] = None
+
+    def is_zero(self) -> bool:
+        return False
+
+    def at(self, point: Mapping[str, float]) -> np.ndarray:
+        gm = self.metric.at(point)
+        with np.errstate(all="ignore"):   # the kept components are checked below
+            gj = gm @ self.structure.at(point)
+            # gg[a, c, b, d] = g_ac g_bd: at [a, b, c, d] its transpose by (0, 2, 1, 3)
+            # holds g_ac g_bd and by (0, 2, 3, 1) g_ad g_bc; jj likewise for gJ
+            gg, jj = np.multiply.outer(gm, gm), np.multiply.outer(gj, gj)
+            out = 0.25 * (gg.transpose(0, 2, 1, 3) - gg.transpose(0, 2, 3, 1)
+                          - jj.transpose(0, 2, 1, 3) + jj.transpose(0, 2, 3, 1) - 2.0 * jj)
+        out = np.where(self._keys, out, 0.0)
+        if not np.isfinite(out).all():
+            key = tuple(int(i) for i in np.argwhere(~np.isfinite(out))[0])
+            raise EvaluationError(
+                f"{_component('R0', *key)}: non-finite value {out[key]} {_at_point(point)}")
+        return self._by_sign(out)
+
+
 def r_zero(g: Metric, J: ProductStructure) -> CurvatureTensor:
     """Comparison tensor of constant paraholomorphic sectional curvature.
 
     On basis vectors: (1/4) { g_ac g_bd - g_ad g_bc - (gJ)_ac (gJ)_bd
-    + (gJ)_ad (gJ)_bc - 2 (gJ)_ab (gJ)_cd } with (gJ)_ab = g(e_a, J e_b).
+    + (gJ)_ad (gJ)_bc - 2 (gJ)_ab (gJ)_cd } with (gJ)_ab = g(e_a, J e_b),
+    the model tensor of para-Kahler space forms (Cruceanu, Fortuny and
+    Gadea, A survey on paracomplex geometry, Rocky Mountain J. Math. 26,
+    1996).  It is plain algebra in the values of g and J at a point, so
+    nothing is derived, simplified or compiled: see ComparisonTensor.
     """
     _require_same_chart(g, J)
-    chart = g.chart
-    dim = chart.dim
-    gj = [[simplify(sum((g.entries[a][e] * J.entries[e][b] for e in range(dim)),
-                        start=ZERO)) for b in range(dim)] for a in range(dim)]
-    gm = g.entries
-
-    entries = {}
-    for a, b in itertools.combinations(range(dim), 2):
-        for c, d in itertools.combinations(range(dim), 2):
-            bracket = (gm[a][c] * gm[b][d] - gm[a][d] * gm[b][c]
-                       - gj[a][c] * gj[b][d] + gj[a][d] * gj[b][c]
-                       - Const(2.0) * gj[a][b] * gj[c][d])
-            value = simplify(Const(0.25) * bracket)
-            if not is_zero(value):
-                entries[(a, b, c, d)] = value
-    return CurvatureTensor(chart, entries)
+    return ComparisonTensor(g.chart, {}, metric=g, structure=J)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +365,19 @@ def nabla_J(g: Metric, J: ProductStructure, trials: int = 10, seed: int = 0) -> 
     (nabla_a J)^b_c = d_a J^b_c + Gamma^b_{ad} J^d_c - Gamma^d_{ac} J^b_d.
     When no entry of J reads a coordinate, as for every J the CLI builds,
     d_a J is zero and is neither derived nor compiled; leaving out its
-    zeros can flip only the sign of a zero, which |.| does not see.
+    zeros can flip only the sign of a zero, which |.| does not see.  If
+    the connection is zero by construction too, every term is an exact
+    zero, so the exact 0.0 is returned without sampling.
     """
     _require_same_chart(g, J)
     chart = g.chart
     dim = chart.dim
     gamma = christoffel(g)
+    reads = any(free_variables(e) for row in J.entries for e in row)
+    if gamma.is_zero() and not reads:   # every term is an exact zero
+        return 0.0
     dJ = None
-    if any(free_variables(e) for row in J.entries for e in row):
+    if reads:
         dJ = Compiled(differentiate(J.entries[b][c], chart.variable(a))
                       for a in range(dim) for b in range(dim) for c in range(dim))
     rng = random.Random(seed)
@@ -404,9 +449,9 @@ def constant_c_test(R: CurvatureTensor, R0: CurvatureTensor, trials: int = 10,
     points, D = _sampled(R, trials, seed)
     scale = _scale(D)[:, None]
     A = (D.reshape(len(D), -1) / scale).ravel()
-    B = (np.array([R0.at(point) for point in points]).reshape(len(D), -1) / scale).ravel()
-    if float(np.max(np.abs(A))) < ZERO_TENSOR_TOL:
+    if float(np.max(np.abs(A))) < ZERO_TENSOR_TOL:   # decided before R0 is evaluated
         return 0.0
+    B = (np.array([R0.at(point) for point in points]).reshape(len(D), -1) / scale).ravel()
     denom = float(B @ B)
     if denom == 0.0:
         return None

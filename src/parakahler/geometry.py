@@ -22,6 +22,7 @@ from .expr import (
     ZERO,
     Compiled,
     Const,
+    EvaluationError,
     Expression,
     Product,
     Var,
@@ -95,6 +96,24 @@ class Chart:
 
     def sample_point(self, rng: random.Random, box: float = 2.0) -> dict:
         return {name: rng.uniform(-box, box) for name in self.names()}
+
+
+def _component(name: str, *indices: int) -> str:
+    """A label such as g_12 or R_1212: indices counted from 1, comma-separated past 9."""
+    numbers = [str(i + 1) for i in indices]
+    return f"{name}_{('' if all(i < 9 for i in indices) else ',').join(numbers)}"
+
+
+def _at_point(point: Mapping[str, float]) -> str:
+    return "at point " + ", ".join(f"{name} = {float(value):.9g}" for name, value in point.items())
+
+
+def _values_at(compiled: Compiled, point: Mapping[str, float]) -> list:
+    """compiled.at(point); a failing entry is named with its label and the point."""
+    try:
+        return compiled.at(point)
+    except EvaluationError as exc:
+        raise EvaluationError(f"{exc} {_at_point(point)}") from exc
 
 
 def _require_same_chart(a, b):
@@ -331,12 +350,13 @@ class Metric:
     @cached_property
     def _compiled(self) -> Compiled:
         dim = self.chart.dim
-        return Compiled(self.entries[min(a, b)][max(a, b)]
-                        for a in range(dim) for b in range(dim))
+        pairs = [(a, b) for a in range(dim) for b in range(dim)]
+        return Compiled((self.entries[min(a, b)][max(a, b)] for a, b in pairs),
+                        labels=[_component("g", *pair) for pair in pairs])
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
         dim = self.chart.dim
-        return np.array(self._compiled.at(point)).reshape(dim, dim)
+        return np.array(_values_at(self._compiled, point)).reshape(dim, dim)
 
     @cached_property
     def derivatives(self) -> tuple:
@@ -358,11 +378,13 @@ class ProductStructure:
 
     @cached_property
     def _compiled(self) -> Compiled:
-        return Compiled(e for row in self.entries for e in row)
+        dim = self.chart.dim
+        return Compiled((e for row in self.entries for e in row),
+                        labels=[_component("J", a, b) for a in range(dim) for b in range(dim)])
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
         dim = self.chart.dim
-        return np.array(self._compiled.at(point)).reshape(dim, dim)
+        return np.array(_values_at(self._compiled, point)).reshape(dim, dim)
 
 
 def model_metric(chart: Chart) -> Metric:

@@ -74,8 +74,33 @@ def forms_equal_on_samples(a: DifferentialForm, b: DifferentialForm,
                for key in sorted(keys))
 
 
+def symbolic_r_zero(g, J) -> CurvatureTensor:
+    """The comparison tensor R0 of g and J with every entry symbolic: an oracle for r_zero.
+
+    (1/4) { g_ac g_bd - g_ad g_bc - (gJ)_ac (gJ)_bd + (gJ)_ad (gJ)_bc
+    - 2 (gJ)_ab (gJ)_cd } built from the expressions of g and J, each
+    stored entry simplified once.
+    """
+    chart = g.chart
+    dim = chart.dim
+    gj = [[simplify(sum((g.entries[a][e] * J.entries[e][b] for e in range(dim)),
+                        start=ZERO)) for b in range(dim)] for a in range(dim)]
+    gm = g.entries
+
+    entries = {}
+    for a, b in itertools.combinations(range(dim), 2):
+        for c, d in itertools.combinations(range(dim), 2):
+            bracket = (gm[a][c] * gm[b][d] - gm[a][d] * gm[b][c]
+                       - gj[a][c] * gj[b][d] + gj[a][d] * gj[b][c]
+                       - Const(2.0) * gj[a][b] * gj[c][d])
+            value = simplify(Const(0.25) * bracket)
+            if not is_zero(value):
+                entries[(a, b, c, d)] = value
+    return CurvatureTensor(chart, entries)
+
+
 def scaled(R: CurvatureTensor, factor: float) -> CurvatureTensor:
-    """factor * R for a tensor whose entries are all symbolic, such as r_zero's."""
+    """factor * R for a tensor whose entries are all symbolic, such as symbolic_r_zero's."""
     assert R.connection is None
     entries = {}
     for key, value in R.canonical.items():

@@ -123,7 +123,7 @@ def test_criterion_02_comparison_tensor_and_symmetries():
     )
     assert expected[0, 2, 0, 2] == pytest.approx(-1.0, abs=1e-15)
     assert float(np.max(np.abs(R0.at(point) - expected))) < 1e-12
-    assert R0.canonical[(0, 2, 0, 2)].value == pytest.approx(-1.0)
+    assert helpers.symbolic_r_zero(g, J).canonical[(0, 2, 0, 2)].value == pytest.approx(-1.0)
 
     report = symmetry_report(R0, J, trials=20, seed=7)
     assert max(report.relative) < 1e-9
@@ -152,7 +152,7 @@ def test_criterion_03_space_form_recovery():
     gm = g.at(point)
 
     for c in (-3.0, 0.0, 2.5):
-        R = helpers.scaled(R0, c)
+        R = helpers.scaled(helpers.symbolic_r_zero(g, J), c)
         rng = random.Random(int(10 * c) + 100)
         found = 0
         while found < 20:

@@ -409,6 +409,26 @@ class TestCheckCommand:
         assert main(["check", "--problem", problem]) == EXIT_OK
         assert calls == ["probe", "compile"]
 
+    # numpy's overflow warnings would print lines of their own: here they are errors
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("potential,message", [
+        ("exp(400*x1*y1)",
+         "g_12: overflow: math range error at point x1 = 1.63898502, y1 = 1.9311419"),
+        ("x1*y1 + 1e-300*exp(700*x1)*y1^2",
+         "g_12: overflow: math range error at point x1 = 1.37768741, y1 = 1.03181761"),
+        ("x1*y1 + 1e160*(x1*y1)^2",
+         "R0_1212: non-finite value -inf at point x1 = 1.37768741, y1 = 1.03181761"),
+        ("x1*y1 + 1e300*(x1*y1)^3",
+         "R0_1212: non-finite value -inf at point x1 = 1.37768741, y1 = 1.03181761"),
+    ], ids=["g-exp400", "g-exp700", "r0", "r0-det-overflow"])
+    def test_numeric_failure_names_entry_and_point(self, tmp_path, capsys, potential, message):
+        path = write_problem(tmp_path, {"kind": "metric", "n": 1,
+                                        "metric": {"potential": potential}})
+        assert main(["check", "--problem", path]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("flags,message", [
         (["--tol", "nan"], "tol must be a finite positive number, got nan"),
         (["--tol", "inf"], "tol must be a finite positive number, got inf"),

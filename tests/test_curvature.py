@@ -1,12 +1,17 @@
 """Connection, curvature, the comparison tensor, and space-form tests."""
 
+import glob
+import json
+import os
 import random
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from parakahler.expr import Compiled, Const, differentiate, parse, simplify
+from parakahler.cli import _build_metric, load_problem
+from parakahler.expr import Compiled, Const, EvaluationError, differentiate, parse, simplify
 from parakahler.curvature import (
     DegeneratePlaneError,
     IsotropicVectorError,
@@ -29,6 +34,18 @@ import helpers
 
 CHART1 = Chart(1)
 CHART2 = Chart(2)
+EPS = np.finfo(float).eps
+PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
+
+
+def _kind(path):
+    with open(path) as handle:
+        return json.load(handle).get("kind")
+
+
+METRIC_PROBLEMS = sorted(os.path.basename(path)
+                         for path in glob.glob(os.path.join(PROBLEMS, "*.json"))
+                         if _kind(path) == "metric")
 
 
 def quartic_metric(chart=CHART1):
@@ -129,6 +146,28 @@ class TestChristoffel:
         with pytest.raises(SingularMetricError):
             christoffel(g)
 
+    @pytest.mark.parametrize("entry,quantity,point,message", [
+        ("1 + exp(800*x1)", "metric", (1.0, 0.3), "g_12: overflow: math range error"),
+        ("1 + (x1^2)^0.5", "connection", (0.0, 0.3),
+         "d_x1 g_12: non-integer exponent -0.5 is undefined at base 0.0"),
+        ("1 + (x1^2 + y1^2)^1.5", "curvature", (0.0, 0.0),
+         "R_1212: non-integer exponent -0.5 is undefined at base 0.0"),
+    ], ids=["g", "dg", "R"])
+    def test_failure_names_entry_and_point(self, entry, quantity, point, message):
+        # g_12 overflows at x1 = 1; at x1 = 0 only its first derivative fails, or
+        # at the origin only its second
+        g = Metric.from_rows(CHART1, [[parse(e, CHART1) for e in row]
+                                      for row in [["0", entry], [entry, "0"]]])
+        point = dict(zip(CHART1.names(), point))
+        with pytest.raises(EvaluationError) as info:
+            if quantity == "metric":
+                g.at(point)
+            elif quantity == "connection":
+                christoffel(g).lowered(point)
+            else:
+                riemann(g).at(point)
+        assert str(info.value) == f"{message} at point x1 = {point['x1']:g}, y1 = {point['y1']:g}"
+
     def test_numeric_fallback_beyond_dim_four(self):
         chart = Chart(3)
         phi = parse("x1*y1 + x2*y2 + x3*y3 + 0.1*(x1*y2)^2", chart)
@@ -190,7 +229,7 @@ class TestRiemann:
     def test_stored_entries_are_simplified_and_nonzero(self, chart, source):
         g = metric_from_potential(parse(source, chart), chart)
         J = model_product_structure(chart)
-        for R in (riemann(g), r_zero(g, J)):
+        for R in (riemann(g), helpers.symbolic_r_zero(g, J)):
             assert R.canonical
             for (a, b, c, d), value in R.canonical.items():
                 assert a < b and c < d
@@ -421,6 +460,23 @@ class TestNablaJ:
         assert nabla_J(g, J) == 0.0
         assert not compatibility_check(g, J)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_connection_and_constant_J_sample_nothing(self, monkeypatch, n):
+        # every term is an exact zero, so no point is drawn or evaluated
+        from parakahler import curvature
+        chart = Chart(n)
+        g, J = model_metric(chart), model_product_structure(chart)
+        christoffel(g)   # probes g's invertibility at sampled points, once per metric
+        monkeypatch.setattr(curvature.ChristoffelSymbols, "at", None)
+        monkeypatch.setattr(Chart, "sample_point", None)
+        value = nabla_J(g, J)
+        assert value == 0.0 and type(value) is float
+
+    def test_singular_constant_metric_still_rejected(self):
+        g = Metric.from_rows(CHART1, [[Const(0.0), Const(0.0)], [Const(0.0), Const(0.0)]])
+        with pytest.raises(SingularMetricError):
+            nabla_J(g, model_product_structure(CHART1))
+
 
 class TestRZero:
     def test_basis_value(self):
@@ -463,6 +519,56 @@ class TestRZero:
         point = CHART2.sample_point(random.Random(4))
         assert R0.at(point)[0, 1, 0, 1] == pytest.approx(0.0)
 
+    @staticmethod
+    def assert_matches_oracle(g, J, points):
+        # the closed form against the symbolic construction, to rounding of max |R0|
+        R0, oracle = r_zero(g, J), helpers.symbolic_r_zero(g, J)
+        for point in points:
+            expected = oracle.at(point)
+            bound = 8 * EPS * max(1.0, float(np.max(np.abs(expected))))
+            assert float(np.max(np.abs(R0.at(point) - expected))) <= bound
+
+    @pytest.mark.parametrize("name", METRIC_PROBLEMS)
+    def test_matches_symbolic_oracle_on_bundled_problems(self, name):
+        problem = load_problem(os.path.join(PROBLEMS, name))
+        chart = Chart(problem.n)
+        g = _build_metric(problem, chart)
+        self.assert_matches_oracle(g, model_product_structure(chart),
+                                   sample_points(chart, 20, seed=53, box=2.0))
+
+    @pytest.mark.parametrize("chart", [CHART1, CHART2, Chart(3)], ids=["n1", "n2", "n3"])
+    def test_matches_symbolic_oracle_on_space_forms(self, chart):
+        self.assert_matches_oracle(TestSpaceForm.space_form(chart),
+                                   model_product_structure(chart),
+                                   sample_points(chart, 20, seed=59, box=2.0))
+
+    @pytest.mark.parametrize("chart", [CHART1, CHART2], ids=["n1", "n2"])
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_matches_symbolic_oracle_on_polynomial_potentials(self, chart, seed):
+        rng = random.Random(seed)
+        g = metric_from_potential(helpers.random_polynomial(rng, chart, max_degree=4), chart)
+        self.assert_matches_oracle(g, model_product_structure(chart),
+                                   [chart.sample_point(rng) for _ in range(5)])
+
+    def test_antisymmetries_hold_exactly(self):
+        chart = Chart(3)
+        R0 = r_zero(TestSpaceForm.space_form(chart), model_product_structure(chart))
+        for point in sample_points(chart, 3, seed=29):
+            D = R0.at(point)
+            assert np.array_equal(D, -D.transpose(1, 0, 2, 3))
+            assert np.array_equal(D, -D.transpose(0, 1, 3, 2))
+            diagonal = np.arange(chart.dim)
+            assert not np.any(D[diagonal, diagonal]) and not np.any(D[:, :, diagonal, diagonal])
+
+    def test_non_finite_component_names_r0_and_point(self):
+        rows = [["0", "1e160"], ["1e160", "0"]]
+        g = Metric.from_rows(CHART1, [[parse(e, CHART1) for e in row] for row in rows])
+        R0 = r_zero(g, model_product_structure(CHART1))
+        with pytest.raises(EvaluationError) as info:
+            R0.at({"x1": 0.5, "y1": -0.25})
+        assert str(info.value) == "R0_1212: non-finite value -inf at point x1 = 0.5, y1 = -0.25"
+
 
 class TestSectionalCurvature:
     def test_model_plane_is_flat(self):
@@ -482,7 +588,7 @@ class TestSectionalCurvature:
     def test_scaled_r_zero_quotient(self):
         g = model_metric(CHART1)
         J = model_product_structure(CHART1)
-        R = helpers.scaled(r_zero(g, J), 2.5)
+        R = helpers.scaled(helpers.symbolic_r_zero(g, J), 2.5)
         plane = SectionalPlane({"x1": 0.0, "y1": 0.0}, (1.0, 0.0), (0.0, 1.0))
         assert sectional_curvature(R, g, plane) == pytest.approx(2.5)
 
@@ -506,7 +612,7 @@ class TestJSectionalCurvature:
     def test_recovers_constant_on_scaled_r_zero(self, c):
         g = model_metric(CHART2)
         J = model_product_structure(CHART2)
-        R = helpers.scaled(r_zero(g, J), c)
+        R = helpers.scaled(helpers.symbolic_r_zero(g, J), c)
         rng = random.Random(31)
         point = CHART2.sample_point(rng)
         gm = g.at(point)
@@ -533,7 +639,7 @@ class TestConstantCTest:
         g = model_metric(CHART2)
         J = model_product_structure(CHART2)
         R0 = r_zero(g, J)
-        value = constant_c_test(helpers.scaled(R0, c), R0)
+        value = constant_c_test(helpers.scaled(helpers.symbolic_r_zero(g, J), c), R0)
         assert value == pytest.approx(c, abs=1e-9)
 
     def test_perturbed_component_rejected(self):
@@ -550,6 +656,18 @@ class TestConstantCTest:
         g = quartic_metric()
         J = model_product_structure(CHART1)
         assert constant_c_test(riemann(g), r_zero(g, J)) is None
+
+    def test_zero_tensor_decided_before_r_zero_is_evaluated(self):
+        @dataclass(frozen=True)
+        class Unevaluable:
+            chart: Chart
+
+            def at(self, point):
+                raise AssertionError("R0 evaluated")
+
+        g = model_metric(CHART2)
+        value = constant_c_test(riemann(g), Unevaluable(CHART2))
+        assert value == 0.0 and type(value) is float
 
 
 class TestMetricFromPotential:

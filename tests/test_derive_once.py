@@ -4,18 +4,21 @@ Counting wrappers replace `differentiate`, `simplify` and `Compiled` in
 every package module that imports them, so a consumer that re-derives,
 re-simplifies or recompiles shows up as an extra call.  A separable H
 never derives or compiles its mixed block H_xy unless a step hands an
-overflow to the Newton loop.
+overflow to the Newton loop.  The comparison tensor R0 derives, simplifies
+and compiles nothing of its own.
 """
 
 import math
 import os
+import random
 import sys
 
 import pytest
 
 from parakahler import expr, integrate
 from parakahler.cli import EXIT_OK, main
-from parakahler.geometry import Chart
+from parakahler.curvature import constant_c_test, metric_from_potential, r_zero, riemann
+from parakahler.geometry import Chart, model_product_structure
 from parakahler.hamilton import HamiltonianSystem, hamilton_odes
 from parakahler.integrate import (
     NewtonConvergenceError,
@@ -316,3 +319,21 @@ def test_second_conservation_report_compiles_nothing(compilations):
     assert conservation_report(first, H.H) == report
     conservation_report(second, H.H)
     assert compilations[0] == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_r_zero_derives_simplifies_and_compiles_nothing(n, derivations, simplifications,
+                                                        compiled_sets):
+    # R0 is evaluated from g.at and J.at: besides J's own Compiled, nothing is built
+    chart = Chart(n)
+    terms = " + ".join(f"x{i}*y{i}" for i in range(1, n + 1))
+    g = metric_from_potential(expr.parse(f"ln(1 + {terms})", chart), chart)
+    J = model_product_structure(chart)
+    R = riemann(g)
+    R.at(chart.sample_point(random.Random(0)))   # compiles R's own part and g
+    derivations.clear()
+    simplifications.clear()
+    compiled_sets.clear()
+    assert constant_c_test(R, r_zero(g, J)) == pytest.approx(-2.0)
+    assert (derivations, simplifications) == ([], [])
+    assert compiled_sets == [J._compiled.exprs]

@@ -5,8 +5,8 @@ is simplified again at each use, every sort key is printed anew, and no
 node remembers an earlier call.  The memoized simplify must give the
 same source on trees that share subtrees by reference, on trees whose
 subtrees earlier calls already simplified, and on every input of the
-Riemann and comparison tensors of a coupled n=2 potential and every
-stored Riemann entry.  Counting wrappers check that each node is
+Riemann tensor of a coupled n=2 potential and of the symbolic oracle for
+its comparison tensor, and every stored Riemann entry.  Counting wrappers check that each node is
 simplified once and printed for a sort key once across all of those
 calls.  The memo is freed with its nodes, is not copied with them, and
 threads that simplify one tree agree.
@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parakahler import expr
-from parakahler.curvature import metric_from_potential, r_zero, riemann
+from parakahler.curvature import metric_from_potential, riemann
 from parakahler.expr import (
     ONE,
     ZERO,
@@ -49,6 +49,8 @@ from parakahler.expr import (
     to_source,
 )
 from parakahler.geometry import Chart, model_product_structure
+
+import helpers
 
 COUPLED = "x1*y1 + x2*y2 + 0.02*(x1*y1)^2 + 0.015*x1*x2*y1*y2"
 
@@ -388,9 +390,10 @@ def test_threads_simplifying_one_tree_agree():
 
 @pytest.fixture(scope="module")
 def riemann_run():
-    """riemann and r_zero on the coupled potential, with every simplify recorded.
+    """riemann and the R0 oracle on the coupled potential, with every simplify recorded.
 
-    They are the two symbolic tensors of a check.  Returns the Riemann
+    helpers.symbolic_r_zero builds R0's entries from g's, as r_zero once
+    did, so it meets nodes riemann simplified.  Returns the Riemann
     tensor, each top-level call's input and output, and per node, by id,
     how often the rules for sums, products, quotients and powers ran on
     it and how often it was printed for a sort key.  earlier_hits counts
@@ -444,8 +447,9 @@ def riemann_run():
             if name.startswith("parakahler.") and name != "parakahler.expr" \
                     and getattr(module, "simplify", None) is simplify:
                 mp.setattr(module, "simplify", top_level)
+        mp.setattr(helpers, "simplify", top_level)
         run.tensor = riemann(g)
-        r_zero(g, model_product_structure(chart))
+        helpers.symbolic_r_zero(g, model_product_structure(chart))
     return run
 
 
