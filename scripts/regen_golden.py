@@ -22,6 +22,7 @@ RUNS = [
     ("lagrangian_xy.json", "derive"),
     ("oscillator.json", "derive"),
     ("lagrangian_n3.json", "derive"),
+    ("separable_lagrangian.json", "derive"),
     ("model_space.json", "check"),
     ("potential.json", "check"),
     ("space_form.json", "check"),

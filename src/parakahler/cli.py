@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -177,12 +176,10 @@ def _residual_max(chart: Chart, residuals, seed: int, family: str) -> float:
     Residual b is labelled "<family> residual <name of coordinate b>"; a
     failing evaluation names it and the sample point.
     """
-    rng = random.Random(seed)
     names = chart.names()
     compiled = Compiled(residuals, names, [f"{family} residual {name}" for name in names])
     worst = 0.0
-    for _ in range(RESIDUAL_PROBES):
-        point = chart.sample_point(rng)
+    for point in chart.sample_points(RESIDUAL_PROBES, seed):
         try:
             values = compiled.at(point)
         except EvaluationError as exc:

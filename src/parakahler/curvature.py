@@ -23,7 +23,6 @@ exactly the zero tensor.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Mapping, Optional
@@ -69,14 +68,9 @@ class IsotropicVectorError(Exception):
 # Christoffel symbols
 # ---------------------------------------------------------------------------
 
-def _probe_points(chart: Chart, seed: int = 20240501):
-    rng = random.Random(seed)
-    return [chart.sample_point(rng) for _ in range(SINGULARITY_PROBES)]
-
-
 def _check_invertible(g: Metric):
     """Raise unless the metric is invertible at some probe point."""
-    for point in _probe_points(g.chart):
+    for point in g.chart.sample_points(SINGULARITY_PROBES, 20240501):
         with np.errstate(all="ignore"):   # an overflowing det is inf, so not singular
             det = np.linalg.det(g.at(point))
         if abs(det) > SINGULARITY_TOL:
@@ -296,7 +290,7 @@ def r_zero(g: Metric, J: ProductStructure) -> CurvatureTensor:
 # ---------------------------------------------------------------------------
 
 def _sampled(R, trials: int, seed: int) -> tuple:
-    """max(1, trials) points drawn from random.Random(seed), and R.at there as one array.
+    """R.chart.sample_points(max(1, trials), seed), and R.at there as one array.
 
     Evaluated once per (tensor, trials, seed) and kept on the tensor, so
     symmetry_report and constant_c_test on one R share the evaluations.
@@ -305,8 +299,7 @@ def _sampled(R, trials: int, seed: int) -> tuple:
     samples = vars(R).setdefault("_samples", {})
     key = (max(1, trials), seed)
     if key not in samples:
-        rng = random.Random(seed)
-        points = [R.chart.sample_point(rng) for _ in range(key[0])]
+        points = R.chart.sample_points(key[0], seed)
         samples[key] = points, np.array([R.at(point) for point in points])
     return samples[key]
 
@@ -380,10 +373,8 @@ def nabla_J(g: Metric, J: ProductStructure, trials: int = 10, seed: int = 0) -> 
     if reads:
         dJ = Compiled(differentiate(J.entries[b][c], chart.variable(a))
                       for a in range(dim) for b in range(dim) for c in range(dim))
-    rng = random.Random(seed)
     worst = 0.0
-    for _ in range(max(1, trials)):
-        point = chart.sample_point(rng)
+    for point in chart.sample_points(max(1, trials), seed):
         G = gamma.at(point)
         Jm = J.at(point)
         term2 = np.einsum('bad,dc->abc', G, Jm)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .expr import (
     ONE,
+    SAMPLE_BOX,
     ZERO,
     Compiled,
     Const,
@@ -94,8 +95,13 @@ class Chart:
     def differential_name(self, a: int) -> str:
         return "d" + self.variable(a).name
 
-    def sample_point(self, rng: random.Random, box: float = 2.0) -> dict:
+    def sample_point(self, rng: random.Random, box: float = SAMPLE_BOX) -> dict:
         return {name: rng.uniform(-box, box) for name in self.names()}
+
+    def sample_points(self, count: int, seed: int) -> list:
+        """count points drawn in turn by sample_point from a fresh random.Random(seed)."""
+        rng = random.Random(seed)
+        return [self.sample_point(rng) for _ in range(count)]
 
 
 def _component(name: str, *indices: int) -> str:
@@ -289,20 +295,6 @@ def exterior_derivative(w: DifferentialForm) -> DifferentialForm:
     return make_form(chart, w.degree + 1, terms)
 
 
-def vertical_derivative(f, chart: Chart) -> DifferentialForm:
-    """The J-twisted differential of a scalar.
-
-    Sum of (df/dx_i) dx_i minus (df/dy_i) dy_i; equals the commutator
-    [i_J, d] applied to f for the model structure.
-    """
-    f = as_expression(f)
-    terms = []
-    for i in range(chart.n):
-        terms.append(((i,), differentiate(f, chart.variable(i))))
-        terms.append(((chart.n + i,), -differentiate(f, chart.variable(chart.n + i))))
-    return make_form(chart, 1, terms)
-
-
 def interior_product(X: VectorField, w: DifferentialForm) -> DifferentialForm:
     """Contraction of the first slot: (i_X w)(...) = w(X, ...)."""
     _require_same_chart(X, w)
@@ -435,10 +427,8 @@ def compatibility_violation(g: Metric, J: ProductStructure, trials: int,
     zero exactly where J is g-compatible.
     """
     _require_same_chart(g, J)
-    rng = random.Random(seed)
     worst = 0.0
-    for _ in range(max(1, trials)):
-        point = g.chart.sample_point(rng)
+    for point in g.chart.sample_points(max(1, trials), seed):
         gm = g.at(point)
         jm = J.at(point)
         worst = max(worst, float(np.max(np.abs(jm.T @ gm + gm @ jm))))

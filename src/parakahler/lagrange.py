@@ -1,8 +1,9 @@
 """From a Lagrangian L(x, y) to its para-Kahler form, energy, and flow.
 
-Pipeline: the twisted differential d_J L yields the 2-form Phi_L = -d(d_J L);
-the energy is E_L = sum_i X_i dL/dx_i - Y_i dL/dy_i - L for a semispray with
-components (X, Y); requiring i_xi Phi_L = dE_L reduces to the linear system
+Pipeline: the 2-form Phi_L = -d(d_J L) = 2 sum_ij L_{x_i y_j} dx_i ^ dy_j is
+read from L's Hessian, derived once per system; the energy is
+E_L = sum_i X_i dL/dx_i - Y_i dL/dy_i - L for a semispray with components
+(X, Y); requiring i_xi Phi_L = dE_L reduces to the linear system
 
     Hess(L) (X, Y) = (dL/dx, -dL/dy)
 
@@ -47,9 +48,7 @@ from .geometry import (
     Chart,
     DifferentialForm,
     VectorField,
-    exterior_derivative,
     make_form,
-    vertical_derivative,
 )
 from .integrate import ODESystem, Trajectory, _StepFailure, _where
 
@@ -205,8 +204,17 @@ class Semispray:
 
 
 def kahler_form(L: LagrangianSystem) -> DifferentialForm:
-    """Phi_L = -d(d_J L), a closed 2-form, degenerate iff L is."""
-    return exterior_derivative(vertical_derivative(L.L, L.chart)).scale(-1.0)
+    """Phi_L = -d(d_J L), a closed 2-form, degenerate iff L is.
+
+    With d_J L = sum_i L_{x_i} dx_i - L_{y_i} dy_i for the model J, the
+    dx ^ dx and dy ^ dy terms of d(d_J L) cancel because second partials
+    commute, leaving Phi_L = 2 sum_ij L_{x_i y_j} dx_i ^ dy_j.  It is read
+    from the mixed block of L.hessian, so it derives nothing once the
+    Hessian is built.
+    """
+    n = L.chart.n
+    return make_form(L.chart, 2, [((i, n + j), 2.0 * L.hessian[i][n + j])
+                                  for i in range(n) for j in range(n)])
 
 
 def energy(L: LagrangianSystem, xi: Semispray) -> Expression:
@@ -246,13 +254,12 @@ def _numeric_rank(L: LagrangianSystem, seed: int = 20240502) -> int:
     system, so a point where only the right-hand side fails still counts;
     a failing entry is named with its label and the probe point.
     """
-    rng = random.Random(seed)
     chart = L.chart
     dim = chart.dim
     system = L.numeric_semispray.system
     rank = 0
-    for _ in range(REGULARITY_PROBES):
-        state = list(chart.sample_point(rng).values())
+    for point in chart.sample_points(REGULARITY_PROBES, seed):
+        state = list(point.values())
         try:
             values = system(state, dim * dim)
         except EvaluationError as exc:

@@ -17,7 +17,7 @@ from parakahler.expr import (
     is_zero,
     simplify,
 )
-from parakahler.geometry import Chart, DifferentialForm
+from parakahler.geometry import Chart, DifferentialForm, exterior_derivative, make_form
 from parakahler.linalg import determinant
 
 
@@ -60,6 +60,29 @@ def random_regular_lagrangian(rng: random.Random, chart: Chart):
     noise = random_polynomial(rng, chart, max_degree=3, terms=3,
                               coeff_box=0.05, variables=family)
     return simplify(Sum((*core, noise)))
+
+
+def vertical_derivative(f, chart: Chart) -> DifferentialForm:
+    """The J-twisted differential of a scalar.
+
+    Sum of (df/dx_i) dx_i minus (df/dy_i) dy_i; equals the commutator
+    [i_J, d] applied to f for the model structure.
+    """
+    terms = []
+    for i in range(chart.n):
+        terms.append(((i,), differentiate(f, chart.variable(i))))
+        terms.append(((chart.n + i,), -differentiate(f, chart.variable(chart.n + i))))
+    return make_form(chart, 1, terms)
+
+
+def twisted_kahler_form(L) -> DifferentialForm:
+    """Phi_L = -d(d_J L) built through the twisted differential: an oracle for kahler_form.
+
+    It derives L's gradient and its whole Hessian afresh and leaves the
+    dx ^ dx and dy ^ dy terms to simplify, so a key outside (i, n + j)
+    may survive where simplify cannot cancel it.
+    """
+    return exterior_derivative(vertical_derivative(L.L, L.chart)).scale(-1.0)
 
 
 def forms_equal_on_samples(a: DifferentialForm, b: DifferentialForm,

@@ -36,7 +36,6 @@ from parakahler.geometry import (
     model_dual_structure,
     model_metric,
     model_product_structure,
-    vertical_derivative,
 )
 from parakahler.hamilton import (
     HamiltonianSystem,
@@ -175,7 +174,7 @@ def test_criterion_04_vertical_derivative_bracket():
     for trial in range(50):
         f = helpers.random_polynomial(rng, chart, max_degree=3)
         lhs = j_dual_apply(Jd, exterior_derivative(function_form(chart, f)))
-        rhs = vertical_derivative(f, chart)
+        rhs = helpers.vertical_derivative(f, chart)
         diff = lhs.subtract(rhs)
         points = sample_points(chart, 5, seed=trial)
         assert max_form_violation(diff, chart, points) < 1e-9
@@ -288,6 +287,7 @@ REPORT_RUNS = [
     ("lagrangian_xy.json", "derive", "lagrangian-xy-derive.json", None),
     ("oscillator.json", "derive", "oscillator-derive.json", None),
     ("lagrangian_n3.json", "derive", "lagrangian-n3-derive.json", None),
+    ("separable_lagrangian.json", "derive", "separable-lagrangian-derive.json", None),
     ("model_space.json", "check", "model-space-check.json", None),
     ("potential.json", "check", "potential-quartic-check.json", None),
     ("space_form.json", "check", "space-form-check.json", None),

@@ -288,6 +288,18 @@ class TestDeriveCommand:
         assert report["kahler_form_zero"] is True
         assert report["odes"] == {"x1": "x1", "y1": "-y1"}
 
+    def test_separable_lagrangian_phi_is_zero(self, tmp_path, capsys):
+        # no mixed x-y term, so Phi_L vanishes although the Hessian is regular
+        payload = lagrangian_payload(n=2, lagrangian="(x1*x2 + 1)^3 + y1^2 + y2^2",
+                                     initial_state=[0.5, 0.5, 0.0, 0.0])
+        path = write_problem(tmp_path, payload)
+        assert main(["derive", "--problem", path, "--out", str(tmp_path)]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert "Phi_L = 0" in out
+        assert "Phi_L degenerate: yes" in out
+        with open(os.path.join(tmp_path, "sample-derive.json")) as handle:
+            assert json.load(handle)["kahler_form_zero"] is True
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         payload = lagrangian_payload(lagrangian="x1*z9")
         path = write_problem(tmp_path, payload)

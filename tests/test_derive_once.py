@@ -33,6 +33,7 @@ from parakahler.lagrange import (
     energy_is_conserved,
     euler_lagrange_system,
     exponential_law_report,
+    kahler_form,
 )
 
 QUARTIC = "0.5*(y1^2 + y2^2) + 0.25*(x1^2 + x2^2)^2 + 0.1*x1*x2*y1*y2"
@@ -238,6 +239,10 @@ def test_lagrangian_hessian_derived_once(derivations):
     assert len([e for e in derivations if e in L.gradient]) == dim * dim
     assert [id(e) for e in derivations[dim + dim * dim:]] == \
         [id(L.hessian[a][b]) for a in range(dim) for b in range(a, dim) for _ in range(b, dim)]
+    # Phi_L is read from the Hessian already built
+    derived = len(derivations)
+    kahler_form(L)
+    assert len(derivations) == derived
 
 
 # Lagrangians whose Hessians have non-constant entries; the n = 3 one is numeric

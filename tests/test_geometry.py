@@ -23,7 +23,6 @@ from parakahler.geometry import (
     model_dual_structure,
     model_metric,
     model_product_structure,
-    vertical_derivative,
     zero_form,
 )
 
@@ -172,7 +171,7 @@ class TestVerticalDerivative:
     def test_product_example(self):
         # f = x1*y1 gives y1 dx1 - x1 dy1
         f = parse("x1*y1", CHART1)
-        w = vertical_derivative(f, CHART1)
+        w = helpers.vertical_derivative(f, CHART1)
         assert to_source(simplify(w.coefficient((0,)))) == "y1"
         assert to_source(simplify(w.coefficient((1,)))) == "-x1"
 
@@ -185,7 +184,7 @@ class TestVerticalDerivative:
         Jd = model_dual_structure(CHART2)
         df = exterior_derivative(function_form(CHART2, f))
         bracket = j_dual_apply(Jd, df)
-        direct = vertical_derivative(f, CHART2)
+        direct = helpers.vertical_derivative(f, CHART2)
         assert helpers.forms_equal_on_samples(bracket, direct, seed=seed)
 
 

@@ -6,7 +6,8 @@ import parakahler
 
 # helpers that no command reached, deleted from the package
 REMOVED = ["wedge", "metric_apply", "j_apply", "insertion_operator",
-           "liouville_field", "Proposition1Report", "proposition1_report"]
+           "liouville_field", "Proposition1Report", "proposition1_report",
+           "vertical_derivative"]
 
 
 def test_every_listed_name_resolves():
