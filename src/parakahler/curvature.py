@@ -27,8 +27,6 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
-import numpy as np
-
 from .expr import (
     ZERO,
     Compiled,
@@ -70,6 +68,7 @@ class IsotropicVectorError(Exception):
 
 def _check_invertible(g: Metric):
     """Raise unless the metric is invertible at some probe point."""
+    import numpy as np
     for point in g.chart.sample_points(SINGULARITY_PROBES, 20240501):
         with np.errstate(all="ignore"):   # an overflowing det is inf, so not singular
             det = np.linalg.det(g.at(point))
@@ -80,6 +79,7 @@ def _check_invertible(g: Metric):
 
 def _inverse_at(g: Metric, point: Mapping[str, float]) -> np.ndarray:
     """Numeric inverse of g at a point, unless |det g| <= SINGULARITY_TOL there."""
+    import numpy as np
     gm = g.at(point)
     with np.errstate(all="ignore"):   # an overflowing det is inf, so not singular
         det = np.linalg.det(gm)
@@ -113,6 +113,7 @@ class ChristoffelSymbols:
 
     def lowered(self, point: Mapping[str, float]) -> np.ndarray:
         """Numeric G_{d,bc} = (1/2)(d_b g_{dc} + d_c g_{bd} - d_d g_{bc}) array at a point."""
+        import numpy as np
         dim = self.chart.dim
         # values[a, b, c] = d_a g_{bc}
         values = np.array(_values_at(self._compiled, point)).reshape(dim, dim, dim)
@@ -120,6 +121,7 @@ class ChristoffelSymbols:
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
         """Numeric Gamma^a_{bc} array at a point."""
+        import numpy as np
         return np.einsum('ad,dbc->abc', _inverse_at(self.metric, point), self.lowered(point))
 
 
@@ -171,6 +173,7 @@ class CurvatureTensor:
 
     @cached_property
     def _keys(self) -> np.ndarray:
+        import numpy as np
         upper = ~np.tri(self.chart.dim, dtype=bool)
         return np.multiply.outer(upper, upper)   # True where a < b and c < d
 
@@ -182,6 +185,7 @@ class CurvatureTensor:
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
         """Dense numeric component array at a point."""
+        import numpy as np
         dim = self.chart.dim
         out = np.zeros((dim, dim, dim, dim))
         for (a, b, c, d), v in zip(self.canonical, _values_at(self._compiled, point)):
@@ -195,6 +199,7 @@ class CurvatureTensor:
         return self._by_sign(out)
 
     def apply(self, u, v, z, w, point: Mapping[str, float]) -> float:
+        import numpy as np
         return float(np.einsum('abcd,a,b,c,d->', self.at(point),
                                np.asarray(u, float), np.asarray(v, float),
                                np.asarray(z, float), np.asarray(w, float)))
@@ -255,6 +260,7 @@ class ComparisonTensor(CurvatureTensor):
         return False
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
+        import numpy as np
         gm = self.metric.at(point)
         with np.errstate(all="ignore"):   # the kept components are checked below
             gj = gm @ self.structure.at(point)
@@ -296,6 +302,7 @@ def _sampled(R, trials: int, seed: int) -> tuple:
     symmetry_report and constant_c_test on one R share the evaluations.
     R is anything with a chart and at(point).
     """
+    import numpy as np
     samples = vars(R).setdefault("_samples", {})
     key = (max(1, trials), seed)
     if key not in samples:
@@ -306,6 +313,7 @@ def _sampled(R, trials: int, seed: int) -> tuple:
 
 def _scale(D: np.ndarray) -> np.ndarray:
     """max(1, max |R|) per sample of D[sample, a, b, c, d]: near a pole of g, |R| grows."""
+    import numpy as np
     return np.maximum(1.0, np.abs(D).reshape(len(D), -1).max(axis=1))
 
 
@@ -341,6 +349,7 @@ def symmetry_report(R: CurvatureTensor, J: ProductStructure, trials: int = 10,
     R(JX, JY, Z, V) = -R(X, Y, Z, V) that the comparison tensor and every
     para-Kahler curvature satisfy.
     """
+    import numpy as np
     points, D = _sampled(R, trials, seed)
     Jm = np.array([J.at(point) for point in points])
     twisted = np.einsum('spa,sqb,spqcd->sabcd', Jm, Jm, D)
@@ -362,6 +371,7 @@ def nabla_J(g: Metric, J: ProductStructure, trials: int = 10, seed: int = 0) -> 
     the connection is zero by construction too, every term is an exact
     zero, so the exact 0.0 is returned without sampling.
     """
+    import numpy as np
     _require_same_chart(g, J)
     chart = g.chart
     dim = chart.dim
@@ -398,6 +408,7 @@ class SectionalPlane:
     v: tuple
 
     def vectors(self):
+        import numpy as np
         return np.asarray(self.u, float), np.asarray(self.v, float)
 
 
@@ -419,6 +430,7 @@ def sectional_curvature(R: CurvatureTensor, g: Metric, plane: SectionalPlane) ->
 def j_sectional_curvature(R: CurvatureTensor, g: Metric, J: ProductStructure,
                           u, point: Mapping[str, float]) -> float:
     """Sectional curvature of the J-plane span{u, Ju} for non-isotropic u."""
+    import numpy as np
     u = np.asarray(u, float)
     gm = g.at(point)
     if abs(float(u @ gm @ u)) <= ISOTROPY_TOL:
@@ -437,6 +449,7 @@ def constant_c_test(R: CurvatureTensor, R0: CurvatureTensor, trials: int = 10,
     exact 0.0 when R itself vanishes numerically, and None otherwise
     ("not a space form").
     """
+    import numpy as np
     points, D = _sampled(R, trials, seed)
     scale = _scale(D)[:, None]
     A = (D.reshape(len(D), -1) / scale).ravel()

@@ -20,11 +20,9 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from types import CodeType, FunctionType
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 SAMPLE_BOX = 2.0          # sample points drawn uniformly from [-2, 2] per coordinate
 SAMPLE_REL_TOL = 1e-9
@@ -498,13 +496,22 @@ def _fpow(b: float, p: float) -> float:
     return math.pow(b, p)
 
 
-# What generated code's names mean on floats and on numpy columns; where
-# math raises, numpy gives inf or nan, which Compiled.columns then reports.
+# What generated code's names mean on floats and, in _vector(), on numpy
+# columns; where math raises, numpy gives inf or nan, which
+# Compiled.columns then reports.
 _SCALAR = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": _ln,
            "sinh": math.sinh, "cosh": math.cosh, "fpow": _fpow,
            "inf": math.inf, "nan": math.nan}
-_VECTOR = {**_SCALAR, "sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log,
-           "sinh": np.sinh, "cosh": np.cosh, "fpow": np.power}
+
+
+@cache
+def _vector() -> dict:
+    """_SCALAR's namespace on numpy columns, built on the first Compiled.columns call."""
+    import numpy as np
+    return {**_SCALAR, "sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log,
+            "sinh": np.sinh, "cosh": np.cosh, "fpow": np.power}
+
+
 _FUNCTIONS = ("sin", "cos", "exp", "ln", "sinh", "cosh")
 
 # Operands per line of a long sum or product, and the nesting depth that
@@ -650,7 +657,8 @@ class Compiled:
     an EvaluationError carries the failing expression's index and label.
     Each expression's own code object is compiled on first use, by
     columns (numpy columns, naming also the first failing row) and to
-    name the expression when a call fails.
+    name the expression when a call fails.  Only columns imports numpy;
+    a call takes an ndarray through its tolist, not by naming numpy.
     exprs keeps the expressions, in order.  names orders a call's
     arguments; by default they are the variables read.
     """
@@ -687,8 +695,8 @@ class Compiled:
         With count, only the first count expressions are checked and
         returned, so a failure in a later one does not raise.
         """
-        if isinstance(values, np.ndarray):
-            values = values.tolist()   # floats raise where numpy gives inf or nan
+        if hasattr(values, "tolist"):   # an ndarray, whose floats raise where numpy gives inf or nan
+            values = values.tolist()
         try:
             out = self.unchecked(*values)[:count]
         except (ArithmeticError, ValueError, EvaluationError):
@@ -714,12 +722,13 @@ class Compiled:
 
     def columns(self, columns: Mapping[str, np.ndarray]) -> list:
         """Values over parallel coordinate arrays, one array per expression."""
+        import numpy as np
         args = _lookup(columns, self.names)
         out = []
         with np.errstate(all="ignore"):
             for index, code in enumerate(self._codes):
                 try:
-                    value = np.asarray(FunctionType(code, _VECTOR)(*args)[0], dtype=float)
+                    value = np.asarray(FunctionType(code, _vector())(*args)[0], dtype=float)
                 except (ArithmeticError, ValueError) as exc:   # fails on every row
                     raise self._error(index, _reason(exc), 0) from exc
                 bad = np.flatnonzero(~np.isfinite(value))

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .expr import (
     ONE,
     SAMPLE_BOX,
@@ -151,6 +149,7 @@ class VectorField:
         return Compiled(self.components)
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
+        import numpy as np
         return np.array(self._compiled.at(point))
 
     def is_zero(self) -> bool:
@@ -347,6 +346,7 @@ class Metric:
                         labels=[_component("g", *pair) for pair in pairs])
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
+        import numpy as np
         dim = self.chart.dim
         return np.array(_values_at(self._compiled, point)).reshape(dim, dim)
 
@@ -375,6 +375,7 @@ class ProductStructure:
                         labels=[_component("J", a, b) for a in range(dim) for b in range(dim)])
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
+        import numpy as np
         dim = self.chart.dim
         return np.array(_values_at(self._compiled, point)).reshape(dim, dim)
 
@@ -426,6 +427,7 @@ def compatibility_violation(g: Metric, J: ProductStructure, trials: int,
     J^T g + g J is the matrix of (X, Y) -> g(JX, Y) + g(X, JY), so this is
     zero exactly where J is g-compatible.
     """
+    import numpy as np
     _require_same_chart(g, J)
     worst = 0.0
     for point in g.chart.sample_points(max(1, trials), seed):

@@ -45,8 +45,6 @@ from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .expr import Compiled, EvaluationError, Expression, generated_function, to_source
 from .geometry import Chart
 from .linalg import elimination_function
@@ -117,6 +115,7 @@ class Trajectory:
     names: tuple
 
     def __post_init__(self):
+        import numpy as np
         states = np.asarray(self.states, float)
         if states.ndim != 2 or states.shape[1] != len(self.names):
             raise ValueError("states must be (steps+1) x len(names)")
@@ -130,6 +129,7 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
+        import numpy as np
         return self.t0 + self.h * np.arange(self.states.shape[0])
 
     def columns(self) -> dict:
@@ -144,6 +144,7 @@ class Trajectory:
 
         A row where one is not finite is reported by its step, t and state.
         """
+        import numpy as np
         try:
             values = compiled.columns(self.columns())
         except EvaluationError as exc:
@@ -205,6 +206,7 @@ def _run(step: tuple, state0: Sequence[float], t0: float, t1: float, h: float,
     step and the t and state it started from.  The buffer is viewed as the
     (steps + 1) x len(names) array at the end.
     """
+    import numpy as np
     steps = _step_count(t0, t1, h)
     dim = len(names)
     state = np.asarray(state0, float)
@@ -510,6 +512,7 @@ def _compiled_quantity(quantity: Expression) -> Compiled:
 
 def conservation_report(traj: Trajectory, quantity: Expression) -> ConservationReport:
     """Evaluate a would-be first integral on every row and report drift."""
+    import numpy as np
     values = traj.evaluate(_compiled_quantity(quantity))[0]
     first = float(values[0])
     drift = float(np.max(np.abs(values - first))) / max(1.0, abs(first))
@@ -519,6 +522,7 @@ def conservation_report(traj: Trajectory, quantity: Expression) -> ConservationR
 
 def canonical_matrix(chart: Chart) -> np.ndarray:
     """Constant coefficient matrix of the canonical 2-form dx_i ^ dy_i."""
+    import numpy as np
     n = chart.n
     omega = np.zeros((2 * n, 2 * n))
     omega[:n, n:] = np.eye(n)
@@ -533,6 +537,7 @@ def symplecticity_check(H, scheme: str, state0: Sequence[float], h: float,
     Computes the flow Jacobian M by central finite differences and returns
     the max entry of |M^T Omega M - Omega|.
     """
+    import numpy as np
     chart = H.chart
     if scheme == "symplectic-euler":
         step = _symplectic_euler_step(H, h)
@@ -595,6 +600,7 @@ def write_trajectory_csv(traj: Trajectory, path: str):
     Each block of _CSV_BLOCK rows is formatted by one template, so no
     string per value or per row is built and few floats exist at once.
     """
+    import numpy as np
     times, states = traj.times, traj.states
     row = ",".join(["%.17g"] * (1 + len(traj.names))) + "\n"
     chunks = ["t," + ",".join(traj.names) + "\n"]

@@ -18,13 +18,12 @@ of E_L.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import combinations_with_replacement
 from typing import Callable, Optional
-
-import numpy as np
 
 from . import linalg
 from .expr import (
@@ -54,6 +53,9 @@ from .integrate import ODESystem, Trajectory, _StepFailure, _where
 
 REGULARITY_PROBES = 5
 REGULARITY_TOL = 1e-9
+# _full_rank's margin over REGULARITY_TOL, and its bound on ||H||_F ||X||_F
+_RANK_MARGIN = 2.0
+_RANK_CONDITION = 1e8
 
 
 class DegenerateLagrangianError(Exception):
@@ -247,27 +249,60 @@ def energy_differential(L: LagrangianSystem, xi: Semispray) -> DifferentialForm:
     return make_form(L.chart, 1, terms)
 
 
+def _full_rank(entries: list, dim: int) -> bool:
+    """Whether the dim x dim matrix H of entries, row by row, is shown to have full rank.
+
+    X is H's inverse by linalg.elimination_function(dim), column by
+    column, and R = I - H X.  When ||R||_F <= 1/2, H X = I - R is
+    invertible and ||H^-1||_2 <= ||X||_F / (1 - ||R||_F), so every singular
+    value of H is at least (1 - ||R||_F) / ||X||_F.  Full rank is claimed
+    when that bound exceeds _RANK_MARGIN * REGULARITY_TOL and
+    ||H||_F ||X||_F <= _RANK_CONDITION: below that condition the rounding
+    of R, and numpy's singular values (off by about eps * sigma_max), stay
+    far inside the margin, so numpy.linalg.matrix_rank(H, tol=REGULARITY_TOL)
+    finds full rank too.  False claims nothing: an exact zero pivot, a
+    non-finite or ill-conditioned inverse and a small singular value all
+    give False.
+    """
+    solve = linalg.elimination_function(dim)
+    rows = [entries[i * dim:(i + 1) * dim] for i in range(dim)]
+    try:
+        inverse = [solve(*entries, *(float(i == j) for i in range(dim))) for j in range(dim)]
+    except ZeroDivisionError:
+        return False
+    R = [float(i == j) - sum(a * x for a, x in zip(row, column))
+         for i, row in enumerate(rows) for j, column in enumerate(inverse)]
+    residual, size, norm = (math.sqrt(sum(v * v for v in values))   # * overflows to inf, ** raises
+                            for values in (R, entries, [x for column in inverse for x in column]))
+    return (residual <= 0.5 and norm / (1.0 - residual) < 1.0 / (_RANK_MARGIN * REGULARITY_TOL)
+            and size * norm <= _RANK_CONDITION)
+
+
 def _numeric_rank(L: LagrangianSystem, seed: int = 20240502) -> int:
     """Largest rank of the Hessian at the probe points.
 
     Each probe evaluates only the Hessian rows of L.numeric_semispray's
     system, so a point where only the right-hand side fails still counts;
-    a failing entry is named with its label and the probe point.
+    a failing entry is named with its label and the probe point.  Every
+    probe is evaluated first; when _full_rank shows full rank at one, the
+    rank is dim, else numpy.linalg.matrix_rank decides it at each probe.
     """
     chart = L.chart
     dim = chart.dim
     system = L.numeric_semispray.system
-    rank = 0
+    matrices = []
     for point in chart.sample_points(REGULARITY_PROBES, seed):
         state = list(point.values())
         try:
-            values = system(state, dim * dim)
+            matrices.append(system(state, dim * dim))
         except EvaluationError as exc:
             raise EvaluationError(
                 f"{exc} at probe point {_where(chart.names(), state)}") from exc
-        matrix = np.array(values).reshape(dim, dim)
-        rank = max(rank, int(np.linalg.matrix_rank(matrix, tol=REGULARITY_TOL)))
-    return rank
+    if any(_full_rank(values, dim) for values in matrices):
+        return dim
+    import numpy as np
+    return max(int(np.linalg.matrix_rank(np.array(values).reshape(dim, dim), tol=REGULARITY_TOL))
+               for values in matrices)
 
 
 class NumericSemispray:
@@ -282,7 +317,7 @@ class NumericSemispray:
     floats, checks every entry first, so a non-finite one raises
     system's EvaluationError, and an exactly singular Hessian raises the
     step failure that becomes DegenerateLagrangianError, naming its rank
-    (the one numpy call, on that path only), step, t and state.
+    (numpy's matrix_rank, imported on that path only), step, t and state.
     Integrators run unchecked and call again only when that fails, as
     they do for a Compiled flow.
     """
@@ -302,6 +337,7 @@ class NumericSemispray:
         try:
             return self.solve(*values)
         except ZeroDivisionError:   # an exact zero pivot
+            import numpy as np
             dim = self.dim
             matrix = np.array(values[:dim * dim]).reshape(dim, dim)
             rank = int(np.linalg.matrix_rank(matrix))
@@ -435,6 +471,7 @@ def exponential_law_report(L: LagrangianSystem, traj: Trajectory) -> Exponential
 
     The momenta dL/dx_j and dL/dy_j come from the system's compiled gradient.
     """
+    import numpy as np
     times = traj.times
     decay = np.exp(-(times - times[0]))
     growth = np.exp(times - times[0])

@@ -25,6 +25,7 @@ from parakahler.geometry import (
 )
 from parakahler.integrate import Trajectory, conservation_report, integrate_rk4
 from parakahler.lagrange import (
+    REGULARITY_TOL,
     DegenerateLagrangianError,
     LagrangianSystem,
     Semispray,
@@ -35,6 +36,7 @@ from parakahler.lagrange import (
     exponential_law_report,
     kahler_form,
     solve_semispray,
+    _full_rank,
 )
 
 import helpers
@@ -166,6 +168,43 @@ class TestSolveSemispray:
         el = euler_lagrange_system(L)
         for residual in el.residuals:
             assert equal_on_samples(residual, Const(0.0), trials=15, seed=seed)
+
+
+@st.composite
+def probe_matrices(draw):
+    """Square matrices of dimension 2-6: random, or rank-deficient plus a
+    perturbation near REGULARITY_TOL; either scaled by 10^k, |k| <= 150."""
+    dim = draw(st.integers(2, 6))
+    entries = lambda count: np.array(draw(st.lists(
+        st.floats(-10.0, 10.0, allow_nan=False), min_size=count, max_size=count)))
+    if draw(st.booleans()):
+        m = entries(dim * dim).reshape(dim, dim)
+    else:
+        rank = draw(st.integers(0, dim - 1))
+        m = entries(dim * rank).reshape(dim, rank) @ entries(rank * dim).reshape(rank, dim)
+        eps = REGULARITY_TOL * 10.0 ** draw(st.floats(-3.0, 3.0))
+        m = m + eps * entries(dim * dim).reshape(dim, dim)
+    return m * 10.0 ** draw(st.sampled_from([0, 0, -150, 150, draw(st.integers(-150, 150))]))
+
+
+class TestFullRankCertificate:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(probe_matrices())
+    def test_never_claims_more_than_matrix_rank(self, m):
+        if _full_rank(m.ravel().tolist(), len(m)):
+            assert np.linalg.matrix_rank(m, tol=REGULARITY_TOL) == len(m)
+
+    @pytest.mark.parametrize("dim", range(2, 7))
+    def test_claims_well_conditioned_and_rejects_singular(self, dim):
+        rng = np.random.default_rng(dim)
+        m = np.eye(dim) + 0.2 * rng.uniform(-1.0, 1.0, (dim, dim))
+        for scale in (1.0, 1e-6, 1e150):
+            assert _full_rank((scale * m).ravel().tolist(), dim)
+        assert not _full_rank((1e-150 * m).ravel().tolist(), dim)   # sigma_min below the tol
+        singular = m.copy()
+        singular[-1] = 3.0 * singular[0]
+        assert not _full_rank(singular.ravel().tolist(), dim)
+        assert not _full_rank([0.0] * (dim * dim), dim)
 
 
 class TestEulerLagrangeSystem:
