@@ -27,6 +27,7 @@ RUNS = [
     ("potential.json", "check"),
     ("space_form.json", "check"),
     ("space_form_n3.json", "check"),
+    ("space_form_matrix.json", "check"),
     ("space_form.json", "check", 7),
     ("space_form.json", "check", 17),
     ("space_form_n3.json", "check", 7),

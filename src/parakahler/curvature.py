@@ -13,11 +13,11 @@ point.
 
 Christoffel symbols and the curvature are evaluated per point with a
 numeric inverse of g, at any dimension, from one connection: the first
-derivatives of g, derived once per metric, give its lowered symbols at
-a point.  The curvature stores its part linear in the second
-derivatives of g symbolically and adds its part quadratic in the first
-derivatives from those symbols at each point; a constant metric gives
-exactly the zero tensor.
+derivatives of g, read from g's table of partials (Metric.partial),
+give its lowered symbols at a point.  The curvature stores its part
+linear in the second derivatives of g, from that table, symbolically
+and adds its part quadratic in the first derivatives from those symbols
+at each point; a constant metric gives exactly the zero tensor.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class ChristoffelSymbols:
     """Levi-Civita connection of a metric, evaluated per point at any dimension.
 
     lowered(point) gives the lowered symbols G_{d,bc} from the compiled
-    first derivatives of the metric (Metric.derivatives), and at(point)
+    first derivatives of the metric (Metric.partial), and at(point)
     the coefficients Gamma^a_{bc} = g^{ad} G_{d,bc}, with a numeric
     inverse of g; both are symmetric in the lower pair.
     """
@@ -102,14 +102,15 @@ class ChristoffelSymbols:
     metric: Metric
 
     def is_zero(self) -> bool:
-        return all(is_zero(e) for plane in self.metric.derivatives for row in plane for e in row)
+        return all(is_zero(self.metric.partial((a,), b, c))
+                   for a, b, c in itertools.product(range(self.chart.dim), repeat=3) if b <= c)
 
     @cached_property
     def _compiled(self) -> Compiled:
-        dim = self.chart.dim
-        return Compiled((e for plane in self.metric.derivatives for row in plane for e in row),
-                        labels=[f"d_{name} {_component('g', b, c)}" for name in self.chart.names()
-                                for b in range(dim) for c in range(dim)])
+        triples = list(itertools.product(range(self.chart.dim), repeat=3))
+        return Compiled((self.metric.partial((a,), b, c) for a, b, c in triples),
+                        labels=[f"d_{self.chart.names()[a]} {_component('g', b, c)}"
+                                for a, b, c in triples])
 
     def lowered(self, point: Mapping[str, float]) -> np.ndarray:
         """Numeric G_{d,bc} = (1/2)(d_b g_{dc} + d_c g_{bd} - d_d g_{bc}) array at a point."""
@@ -128,8 +129,8 @@ class ChristoffelSymbols:
 def christoffel(g: Metric) -> ChristoffelSymbols:
     """Levi-Civita connection coefficients of g, evaluated per point.
 
-    One connection per metric, kept on g as Metric.derivatives is, so g's
-    invertibility is probed and its first derivatives compiled once.
+    One connection per metric, kept on g as its table of partials is, so
+    g's invertibility is probed and its first derivatives compiled once.
     """
     kept = vars(g)
     if "connection" not in kept:
@@ -213,30 +214,20 @@ def riemann(g: Metric) -> CurvatureTensor:
     R_{abcd} = (1/2)(d_a d_c g_{bd} + d_b d_d g_{ac} - d_a d_d g_{bc}
     - d_b d_c g_{ad}) + sum_{ef} g^{ef} (G_{e,bd} G_{f,ac} - G_{e,ad} G_{f,bc}),
     where G_{d,bc} are the lowered symbols of christoffel(g).  The linear
-    part is stored, simplified; CurvatureTensor.at adds the quadratic
-    part from that connection, at any dimension.  A constant metric
-    gives the zero tensor.
+    part, read from g.partial, is stored simplified; CurvatureTensor.at
+    adds the quadratic part from that connection, at any dimension.  A
+    constant metric gives the zero tensor.
     """
     chart = g.chart
     dim = chart.dim
     connection = christoffel(g)
     if connection.is_zero():
         return CurvatureTensor.zero(chart)
-    dg = g.derivatives
-    cache: dict = {}
-
-    def second(a, c, b, d):
-        # d_a d_c g_{bd}, symmetric in (a, c) and in (b, d)
-        (a, c), (b, d) = sorted((a, c)), sorted((b, d))
-        if (a, c, b, d) not in cache:
-            cache[a, c, b, d] = differentiate(dg[a][b][d], chart.variable(c))
-        return cache[a, c, b, d]
-
     entries = {}
     for a, b in itertools.combinations(range(dim), 2):
         for c, d in itertools.combinations(range(dim), 2):
-            value = simplify(Const(0.5) * (second(a, c, b, d) + second(b, d, a, c)
-                                           - second(a, d, b, c) - second(b, c, a, d)))
+            value = simplify(Const(0.5) * (g.partial((a, c), b, d) + g.partial((b, d), a, c)
+                                           - g.partial((a, d), b, c) - g.partial((b, c), a, d)))
             if not is_zero(value):
                 entries[(a, b, c, d)] = value
     return CurvatureTensor(chart, entries, connection)
@@ -470,15 +461,9 @@ def metric_from_potential(phi: Expression, chart: Chart) -> Metric:
     The x-y block is the mixed Hessian of phi and the diagonal blocks are
     zero, so the model product structure stays skew-compatible; whether
     the result is para-Kahler is a property to verify (via nabla_J), not
-    an assumption.  The potential x1*y1 reproduces the flat model.
+    an assumption.  The potential x1*y1 reproduces the flat model.  The
+    metric keeps phi's table, from which Metric.partial reads.
     """
-    phi = as_expression(phi)
-    n, dim = chart.n, chart.dim
-    rows = [[ZERO] * dim for _ in range(dim)]
-    for i in range(n):
-        dphi = differentiate(phi, chart.variable(i))
-        for j in range(n):
-            h = differentiate(dphi, chart.variable(n + j))
-            rows[i][n + j] = h
-            rows[n + j][i] = h
-    return Metric.from_rows(chart, rows)
+    K, n, dim = chart.partials(as_expression(phi)), chart.n, chart.dim
+    return Metric(chart, tuple(tuple(K(a, b) if min(a, b) < n <= max(a, b) else ZERO
+                                     for b in range(dim)) for a in range(dim)), K)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Optional
 
 from .expr import (
     ONE,
@@ -100,6 +100,23 @@ class Chart:
         """count points drawn in turn by sample_point from a fresh random.Random(seed)."""
         rng = random.Random(seed)
         return [self.sample_point(rng) for _ in range(count)]
+
+    def partials(self, f: Expression) -> Callable:
+        """partial(*index): f differentiated along the coordinates at index, in any order.
+
+        A table of its own per call, keyed by the sorted index tuple: each
+        entry is derived once, as its parent (the tuple less its last
+        index) differentiated along that last index.
+        """
+        table = {(): f}
+
+        def partial(*index) -> Expression:
+            key = tuple(sorted(index))
+            if key not in table:
+                table[key] = differentiate(partial(*key[:-1]), self.variable(key[-1]))
+            return table[key]
+
+        return partial
 
 
 def _component(name: str, *indices: int) -> str:
@@ -325,10 +342,15 @@ def _matrix_rows(chart: Chart, rows) -> tuple:
 
 @dataclass(frozen=True)
 class Metric:
-    """Symmetric (0,2)-tensor; symmetry is imposed from the upper triangle."""
+    """Symmetric (0,2)-tensor; symmetry is imposed from the upper triangle.
+
+    potential, if set, is the Chart.partials table of a potential K whose
+    K_{x_i y_j} are the x-y entries, the diagonal blocks being zero.
+    """
 
     chart: Chart
     entries: tuple
+    potential: Optional[Callable] = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_rows(chart: Chart, rows) -> "Metric":
@@ -350,11 +372,20 @@ class Metric:
         dim = self.chart.dim
         return np.array(_values_at(self._compiled, point)).reshape(dim, dim)
 
+    def partial(self, index: tuple, b: int, c: int) -> Expression:
+        """d_index g_{bc}, each distinct partial derived once per metric.
+
+        K's table at index + (b, c) for an x-y pair of a potential metric,
+        ZERO for its other pairs; else the table of upper entry g_{bc}.
+        """
+        b, c = sorted((b, c))
+        if self.potential is None:
+            return self._tables[b][c](*index)
+        return self.potential(*index, b, c) if b < self.chart.n <= c else ZERO
+
     @cached_property
-    def derivatives(self) -> tuple:
-        """dg[a][b][c] = partial_a g_{bc}, simplified, derived once per metric."""
-        return tuple(tuple(tuple(differentiate(e, v) for e in row) for row in self.entries)
-                     for v in self.chart.variables())
+    def _tables(self) -> tuple:
+        return tuple(tuple(map(self.chart.partials, row)) for row in self.entries)
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,15 @@ i_{Z_H} Phi = dH, giving the flow xdot_i = dH/dy_i, ydot_i = -dH/dx_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 from .expr import (
     Compiled,
     Const,
     Expression,
     as_expression,
-    differentiate,
     free_variables,
     parse,
     simplify,
@@ -39,9 +39,11 @@ class HamiltonianSystem:
 
     chart: Chart
     H: Expression
+    partials: Callable = field(init=False, repr=False, compare=False)   # Chart.partials(H)
 
     def __post_init__(self):
         object.__setattr__(self, "H", as_expression(self.H))
+        object.__setattr__(self, "partials", self.chart.partials(self.H))
         for v in free_variables(self.H):
             try:
                 self.chart.index(v)
@@ -55,19 +57,18 @@ class HamiltonianSystem:
 
     @cached_property
     def gradient(self) -> tuple:
-        """(dH/dx_1, .., dH/dy_n), derived once per system."""
-        return tuple(differentiate(self.H, v) for v in self.chart.variables())
+        """(dH/dx_1, .., dH/dy_n), read from H's table."""
+        return tuple(map(self.partials, range(self.chart.dim)))
 
     @cached_property
     def mixed_hessian(self) -> tuple:
         """d2H/dx_i dy_j as rows i, the symplectic Euler Jacobian block.
 
-        Derived on first use, only when the Newton loop can run: the
-        explicit step of a separable H never reads it.
+        Read from H's table on first use, only when the Newton loop can
+        run: the explicit step of a separable H never reads it.
         """
         n = self.chart.n
-        return tuple(tuple(differentiate(self.gradient[i], self.chart.variable(n + j))
-                           for j in range(n)) for i in range(n))
+        return tuple(tuple(self.partials(i, n + j) for j in range(n)) for i in range(n))
 
     @cached_property
     def compiled_blocks(self) -> tuple:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import combinations_with_replacement
 from typing import Callable, Optional
@@ -36,7 +36,6 @@ from .expr import (
     Expression,
     SamplingError,
     as_expression,
-    differentiate,
     equal_on_samples,
     free_variables,
     is_zero,
@@ -81,9 +80,11 @@ class LagrangianSystem:
 
     chart: Chart
     L: Expression
+    partials: Callable = field(init=False, repr=False, compare=False)   # Chart.partials(L)
 
     def __post_init__(self):
         object.__setattr__(self, "L", as_expression(self.L))
+        object.__setattr__(self, "partials", self.chart.partials(self.L))
         for v in free_variables(self.L):
             try:
                 self.chart.index(v)
@@ -97,8 +98,8 @@ class LagrangianSystem:
 
     @cached_property
     def gradient(self) -> tuple:
-        """(dL/dx_1, .., dL/dy_n), derived once per system."""
-        return tuple(differentiate(self.L, v) for v in self.chart.variables())
+        """(dL/dx_1, .., dL/dy_n), read from L's table."""
+        return tuple(map(self.partials, range(self.chart.dim)))
 
     @cached_property
     def compiled_gradient(self) -> Compiled:
@@ -107,9 +108,9 @@ class LagrangianSystem:
 
     @cached_property
     def hessian(self) -> tuple:
-        """Rows a of d2L/dz_a dz_b in chart order, derived once per system."""
-        return tuple(tuple(differentiate(g, v) for v in self.chart.variables())
-                     for g in self.gradient)
+        """Rows a of d2L/dz_a dz_b in chart order, read from L's table: (b, a) is (a, b)."""
+        dim = self.chart.dim
+        return tuple(tuple(self.partials(a, b) for b in range(dim)) for a in range(dim))
 
     @cached_property
     def semispray_rhs(self) -> tuple:
@@ -143,19 +144,18 @@ class LagrangianSystem:
 
         The Hessian and semispray_rhs come from numeric_semispray's system,
         and one more Compiled holds each third derivative L_abc, a <= b <= c,
-        that is not symbolically zero: L_abc is symmetric, so each is
-        Hessian entry (a, b) differentiated along z_c, derived once, and
-        weighted by the number of orderings of (a, b, c).  rate solves for
-        xi once per state and checks nothing: it raises ArithmeticError,
+        that is not symbolically zero: L_abc is symmetric, so each is read
+        once from L's table, as Hessian entry (a, b) differentiated along
+        z_c, and weighted by the number of orderings of (a, b, c).  rate
+        solves for xi once per state and checks nothing: it raises ArithmeticError,
         ValueError or EvaluationError where an entry is undefined or a pivot
         is exactly zero, and returns a value that is not finite where an
         entry is not finite.
         """
         dim, n = self.chart.dim, self.chart.n
-        variables = self.chart.variables()
         third, cubic = [], []
         for a, b, c in combinations_with_replacement(range(dim), 3):
-            d = differentiate(self.hessian[a][b], variables[c])
+            d = self.partials(a, b, c)
             if not is_zero(d):
                 cubic.append((len(third), (1, 3, 6)[len({a, b, c}) - 1], a, b, c))
                 third.append(d)

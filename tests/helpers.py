@@ -226,7 +226,9 @@ def symbolic_riemann(g) -> CurvatureTensor:
         return value if (i + j) % 2 == 0 else simplify(-value)
 
     adj = [[cofactor(j, i) for j in range(dim)] for i in range(dim)]
-    dg = g.derivatives
+    # dg[a][b][c] = d_a g_{bc}, derived here rather than read from g.partial's table
+    dg = [[[differentiate(m[b][c], v) for c in range(dim)] for b in range(dim)]
+          for v in chart.variables()]
     low = [[[simplify(Const(0.5) * (dg[b][d][c] + dg[c][b][d] - dg[d][b][c]))
              for c in range(dim)] for b in range(dim)] for d in range(dim)]
 

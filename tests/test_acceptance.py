@@ -292,6 +292,7 @@ REPORT_RUNS = [
     ("potential.json", "check", "potential-quartic-check.json", None),
     ("space_form.json", "check", "space-form-check.json", None),
     ("space_form_n3.json", "check", "space-form-n3-check.json", None),
+    ("space_form_matrix.json", "check", "space-form-matrix-check.json", None),
     ("space_form.json", "check", "space-form-check.json", 7),
     ("space_form.json", "check", "space-form-check.json", 17),
     ("space_form_n3.json", "check", "space-form-n3-check.json", 7),

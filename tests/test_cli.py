@@ -389,6 +389,7 @@ class TestCheckCommand:
     @pytest.mark.parametrize("name,seed", [
         *(("space_form.json", seed) for seed in range(20)),
         *(("space_form_n3.json", seed) for seed in (0, 7, 17)),
+        *(("space_form_matrix.json", seed) for seed in (0, 7, 17)),
     ])
     def test_paper_space_form(self, capsys, name, seed):
         problem = os.path.join(PROBLEMS, name)

@@ -46,6 +46,9 @@ def _kind(path):
 METRIC_PROBLEMS = sorted(os.path.basename(path)
                          for path in glob.glob(os.path.join(PROBLEMS, "*.json"))
                          if _kind(path) == "metric")
+# the metrics that the program derives (from a potential, or the model), not given as a matrix
+DERIVED_METRIC_PROBLEMS = [name for name in METRIC_PROBLEMS
+                           if "matrix" not in load_problem(os.path.join(PROBLEMS, name)).metric]
 
 
 def quartic_metric(chart=CHART1):
@@ -105,7 +108,7 @@ class TestChristoffel:
             assert np.allclose(gm, np.einsum("abc->acb", gm))
 
     def test_reads_the_connection_first_derivatives(self, monkeypatch):
-        # nabla_J and riemann on one metric derive each d_a g_{bc} once
+        # nabla_J and riemann on one metric derive d_a g_{bc} once per (a, b <= c)
         from parakahler import curvature, geometry
         rows = [["2 + x1^2", "1 + x1*y1"], ["1 + x1*y1", "3 + y1^2"]]
         g = Metric.from_rows(CHART1, [[parse(e, CHART1) for e in row] for row in rows])
@@ -122,7 +125,9 @@ class TestChristoffel:
             monkeypatch.setattr(module, "differentiate", counting)
         nabla_J(g, model_product_structure(CHART1))
         riemann(g)
-        assert len(derived) == CHART1.dim ** 3
+        dim = CHART1.dim
+        assert len(derived) == dim * dim * (dim + 1) // 2
+        assert len({(id(e), v) for e, v in derived}) == len(derived)
 
     def test_matches_finite_difference_oracle(self):
         g = quartic_metric()
@@ -444,11 +449,11 @@ class TestNablaJ:
         assert nabla_J(g, J, trials=5, seed=3) == worst > 0.0
 
     def test_potential_metric_parallel(self):
-        assert nabla_J(quartic_metric(), model_product_structure(CHART1)) < 1e-6
+        assert nabla_J(quartic_metric(), model_product_structure(CHART1)) == 0.0
 
     def test_potential_metric_n2_parallel(self):
         assert nabla_J(two_potential_metric(),
-                       model_product_structure(CHART2)) < 1e-6
+                       model_product_structure(CHART2)) == 0.0
 
     def test_euclidean_metric_flat_but_incompatible(self):
         # identity metric: flat so nabla_J = 0; compatibility is what fails
@@ -528,7 +533,10 @@ class TestRZero:
             bound = 8 * EPS * max(1.0, float(np.max(np.abs(expected))))
             assert float(np.max(np.abs(R0.at(point) - expected))) <= bound
 
-    @pytest.mark.parametrize("name", METRIC_PROBLEMS)
+    # the oracle simplifies products of g's entries, and on space_form_matrix.json's
+    # unsimplified two-term entries its own rounding reaches 15.6 eps of max |R0| at
+    # a seed-53 point (against a 50-digit evaluation; the closed form: 5.9 eps)
+    @pytest.mark.parametrize("name", DERIVED_METRIC_PROBLEMS)
     def test_matches_symbolic_oracle_on_bundled_problems(self, name):
         problem = load_problem(os.path.join(PROBLEMS, name))
         chart = Chart(problem.n)

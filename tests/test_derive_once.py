@@ -42,7 +42,8 @@ SEPARABLE = {1: "0.5*y1^2 + 0.25*x1^4",
              2: "0.5*(y1^2 + y2^2) + 0.25*(x1^2 + x2^2)^2",
              3: "0.5*(y1^2 + y2^2 + y3^2) + 0.25*x1^4 + 0.1*x1*x2*x3 + 0.5*x3^2"}
 NONSEPARABLE = {1: "0.5*y1^2 + 0.25*x1^4 + 0.1*x1^2*y1^2", 2: QUARTIC}
-QUARTIC_SE = os.path.join(os.path.dirname(__file__), os.pardir, "problems", "quartic_se.json")
+PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
+QUARTIC_SE = os.path.join(PROBLEMS, "quartic_se.json")
 
 
 def _patch_everywhere(monkeypatch, name, replacement):
@@ -231,18 +232,41 @@ def test_lagrangian_hessian_derived_once(derivations):
     L = LagrangianSystem.from_source("x1*y1 + 2*x2*y2 + 0.1*x1^3 + 0.2*x1*x2^2", chart)
     el = euler_lagrange_system(L)
     energy_is_conserved(L, el.semispray, trials=5)
-    # gradient, Hessian, and for xi(E_L) each distinct third derivative
-    # L_abc, a <= b <= c, as Hessian entry (a, b) along z_c
-    third = dim * (dim + 1) * (dim + 2) // 6
-    assert len(derivations) == dim + dim * dim + third
-    assert len([e for e in derivations if e == L.L]) == dim
-    assert len([e for e in derivations if e in L.gradient]) == dim * dim
-    assert [id(e) for e in derivations[dim + dim * dim:]] == \
+    # from L's table: the gradient, the Hessian's upper triangle, and for
+    # xi(E_L) each third derivative L_abc, a <= b <= c, as entry (a, b) along z_c
+    upper, third = dim * (dim + 1) // 2, dim * (dim + 1) * (dim + 2) // 6
+    assert len(derivations) == dim + upper + third
+    assert len([e for e in derivations if e is L.L]) == dim
+    assert len([e for e in derivations if any(e is d for d in L.gradient)]) == upper
+    assert [id(e) for e in derivations[-third:]] == \
         [id(L.hessian[a][b]) for a in range(dim) for b in range(a, dim) for _ in range(b, dim)]
+    assert all(L.hessian[b][a] is L.hessian[a][b] for a in range(dim) for b in range(a))
     # Phi_L is read from the Hessian already built
     derived = len(derivations)
     kahler_form(L)
     assert len(derivations) == derived
+
+
+@pytest.mark.parametrize("problem,partials", [("space_form.json", 40),
+                                              ("space_form_n3.json", 139)])
+def test_check_derives_each_partial_of_the_potential_once(problem, partials, monkeypatch,
+                                                          tmp_path, capsys):
+    # g, its first derivatives and Riemann's stored part are entries of the
+    # potential's table: one differentiate call per distinct partial read or
+    # on a read partial's chain of parents (at n = 2: 17 of order 4, 14 of
+    # order 3, 7 of order 2 and 2 of order 1)
+    calls = []
+    original = expr.differentiate
+
+    def recording(e, v):
+        calls.append((id(e), v))
+        return original(e, v)
+
+    _patch_everywhere(monkeypatch, "differentiate", recording)
+    assert main(["check", "--problem", os.path.join(PROBLEMS, problem),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == len(set(calls)) == partials
 
 
 # Lagrangians whose Hessians have non-constant entries; the n = 3 one is numeric

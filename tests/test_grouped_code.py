@@ -288,13 +288,13 @@ def test_set_of_any_size_is_one_code_object(codes):
 
 
 def test_space_form_n3_riemann_is_one_code_object(codes):
-    # the stored linear part of the n=3 space form's curvature: 195 entries
-    # of 13,134 node objects that hold 704 distinct values
+    # the stored linear part of the n=3 space form's curvature: 153 entries
+    # of 1,405 node objects that hold 399 distinct values
     chart = Chart(3)
     R = riemann(metric_from_potential(parse("ln(1 + x1*y1 + x2*y2 + x3*y3)", chart), chart))
     before = len(codes)
     compiled = R._compiled
-    assert codes[before:] == [len(R.canonical)] and len(R.canonical) == 195
+    assert codes[before:] == [len(R.canonical)] and len(R.canonical) == 153
     alone = [Compiled((e,), compiled.names) for e in compiled.exprs]
     rng = random.Random(3)
     for _ in range(5):
