@@ -34,6 +34,8 @@ RUNS = [
     ("space_form_n3.json", "check", 17),
     ("potential.json", "check", 7),
     ("potential.json", "check", 17),
+    ("space_form_matrix.json", "check", 7),
+    ("space_form_matrix.json", "check", 17),
     ("lagrangian_xy.json", "integrate"),
     ("oscillator.json", "integrate"),
     ("lagrangian_n3.json", "integrate"),
