@@ -11,13 +11,19 @@ stores those entries, each simplified once as it is built; R0 stores
 none and evaluates its closed form from the numbers g and J at each
 point.
 
-Christoffel symbols and the curvature are evaluated per point with a
-numeric inverse of g, at any dimension, from one connection: the first
-derivatives of g, read from g's table of partials (Metric.partial),
-give its lowered symbols at a point.  The curvature stores its part
-linear in the second derivatives of g, from that table, symbolically
-and adds its part quadratic in the first derivatives from those symbols
-at each point; a constant metric gives exactly the zero tensor.
+Christoffel symbols and the curvature are evaluated numerically, at any
+dimension, from one connection: the first derivatives of g, read from
+g's table of partials (Metric.partial), give its lowered symbols.  The
+curvature stores its part linear in the second derivatives of g, from
+that table, symbolically and adds its part quadratic in the first
+derivatives from those symbols; a constant metric gives exactly the zero
+tensor.
+
+The checks read one sample record per (g, trials, seed), kept on g
+(geometry.sample_record): g, J, g^-1 (one batched inverse) and the
+lowered symbols at the sample points, each compiled set run once per
+point and stacked, so the numpy algebra runs once per stack; at(point)
+is the one-point case of the same code.
 """
 
 from __future__ import annotations
@@ -39,8 +45,8 @@ from .expr import (
     is_zero,
     simplify,
 )
-from .geometry import (Chart, Metric, ProductStructure, _at_point, _component,
-                       _require_same_chart, _values_at)
+from .geometry import (Chart, Metric, ProductStructure, SampleRecord, _at_point, _component,
+                       _require_same_chart, _stack, sample_record)
 
 SINGULARITY_PROBES = 5
 SINGULARITY_TOL = 1e-12
@@ -77,25 +83,15 @@ def _check_invertible(g: Metric):
     raise SingularMetricError("metric is singular at every probe point")
 
 
-def _inverse_at(g: Metric, point: Mapping[str, float]) -> np.ndarray:
-    """Numeric inverse of g at a point, unless |det g| <= SINGULARITY_TOL there."""
-    import numpy as np
-    gm = g.at(point)
-    with np.errstate(all="ignore"):   # an overflowing det is inf, so not singular
-        det = np.linalg.det(gm)
-    if abs(det) <= SINGULARITY_TOL:
-        raise SingularMetricError(f"metric singular at {point}")
-    return np.linalg.inv(gm)
-
-
 @dataclass(frozen=True)
 class ChristoffelSymbols:
-    """Levi-Civita connection of a metric, evaluated per point at any dimension.
+    """Levi-Civita connection of a metric, evaluated on sample records at any dimension.
 
-    lowered(point) gives the lowered symbols G_{d,bc} from the compiled
-    first derivatives of the metric (Metric.partial), and at(point)
-    the coefficients Gamma^a_{bc} = g^{ad} G_{d,bc}, with a numeric
-    inverse of g; both are symmetric in the lower pair.
+    stacks(record) gives g^{-1} and the lowered symbols G_{d,bc}, from the
+    compiled first derivatives of the metric (Metric.partial), at each
+    point of a SampleRecord of the metric, and stack(record) the
+    coefficients Gamma^a_{bc} = g^{ad} G_{d,bc}; both are symmetric in the
+    lower pair.  lowered(point) and at(point) are the one-point cases.
     """
 
     chart: Chart
@@ -112,18 +108,43 @@ class ChristoffelSymbols:
                         labels=[f"d_{self.chart.names()[a]} {_component('g', b, c)}"
                                 for a, b, c in triples])
 
-    def lowered(self, point: Mapping[str, float]) -> np.ndarray:
-        """Numeric G_{d,bc} = (1/2)(d_b g_{dc} + d_c g_{bd} - d_d g_{bc}) array at a point."""
-        import numpy as np
+    def _lowered(self, points: list) -> np.ndarray:
+        """Numeric G_{d,bc} = (1/2)(d_b g_{dc} + d_c g_{bd} - d_d g_{bc}) at each point."""
         dim = self.chart.dim
-        # values[a, b, c] = d_a g_{bc}
-        values = np.array(_values_at(self._compiled, point)).reshape(dim, dim, dim)
-        return 0.5 * (np.einsum('bdc->dbc', values) + np.einsum('cbd->dbc', values) - values)
+        values = _stack(self._compiled, points, dim, dim, dim)   # values[s, a, b, c] = d_a g_{bc}
+        return 0.5 * (values.transpose(0, 2, 1, 3) + values.transpose(0, 3, 2, 1) - values)
+
+    def stacks(self, record: SampleRecord) -> tuple:
+        """(g^{-1}, G_{d,bc}) at the record's points, kept on the record.
+
+        g^{-1} is one batched inverse.  The first point where |det g| <=
+        SINGULARITY_TOL raises SingularMetricError, unless d g fails at an
+        earlier one, as evaluating point by point would.
+        """
+        import numpy as np
+        kept = vars(record)
+        if "connection" not in kept:
+            G = record.metric
+            with np.errstate(all="ignore"):   # an overflowing det is inf, so not singular
+                det = np.abs(np.linalg.det(G))
+            first = next((s for s, d in enumerate(det) if d <= SINGULARITY_TOL), len(G))
+            lowered = self._lowered(record.points[:first])
+            if first < len(G):
+                raise SingularMetricError(f"metric singular: |det g| = {det[first]:.3e} <= "
+                                          f"{SINGULARITY_TOL:g} {_at_point(record.points[first])}")
+            kept["connection"] = np.linalg.inv(G), lowered
+        return kept["connection"]
+
+    def stack(self, record: SampleRecord) -> np.ndarray:
+        """Numeric Gamma^a_{bc} at the record's points, (S, dim, dim, dim)."""
+        import numpy as np
+        return np.einsum('sad,sdbc->sabc', *self.stacks(record))
+
+    def lowered(self, point: Mapping[str, float]) -> np.ndarray:
+        return self._lowered([point])[0]
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
-        """Numeric Gamma^a_{bc} array at a point."""
-        import numpy as np
-        return np.einsum('ad,dbc->abc', _inverse_at(self.metric, point), self.lowered(point))
+        return self.stack(SampleRecord([point], self.metric))[0]
 
 
 def christoffel(g: Metric) -> ChristoffelSymbols:
@@ -149,10 +170,10 @@ class CurvatureTensor:
 
     canonical maps keys (a, b, c, d) with a < b and c < d to simplified,
     nonzero entries.  When connection is set, they are only the linear
-    part: at() adds to each key g^{ef} (G_{e,bd} G_{f,ac} - G_{e,ad}
-    G_{f,bc}) from the connection's lowered symbols G and a numeric
-    inverse of g.  Every other component follows from the two
-    antisymmetries by sign, so they hold exactly.
+    part: stack() adds to each key g^{ef} (G_{e,bd} G_{f,ac} - G_{e,ad}
+    G_{f,bc}) from the connection's lowered symbols G and inverse of g.
+    Every other component follows from the two antisymmetries by sign, so
+    they hold exactly.
     """
 
     chart: Chart
@@ -166,6 +187,11 @@ class CurvatureTensor:
     def is_zero(self) -> bool:
         """Whether the tensor is zero by construction."""
         return not self.canonical and self.connection is None
+
+    @property
+    def metric(self) -> Optional[Metric]:
+        """The metric whose sample records stack reads, if any."""
+        return None if self.connection is None else self.connection.metric
 
     @cached_property
     def _compiled(self) -> Compiled:
@@ -181,23 +207,28 @@ class CurvatureTensor:
     @staticmethod
     def _by_sign(out: np.ndarray) -> np.ndarray:
         """The components from those at the keys, every other one zero, by the antisymmetries."""
-        out = out - out.transpose(1, 0, 2, 3)
-        return out - out.transpose(0, 1, 3, 2)
+        out = out - out.swapaxes(-4, -3)
+        return out - out.swapaxes(-2, -1)
+
+    def stack(self, record: SampleRecord) -> np.ndarray:
+        """Dense numeric components at the record's points, (S, dim, dim, dim, dim)."""
+        import numpy as np
+        dim, count = self.chart.dim, len(record.points)
+        out = np.zeros((count,) + (dim,) * 4)
+        keys = np.array(list(self.canonical), dtype=int).reshape(-1, 4).T
+        out[(slice(None), *keys)] = _stack(self._compiled, record.points, len(self.canonical))
+        if self.connection is not None:
+            inverse, low = self.connection.stacks(record)
+            low = low.reshape(count, dim, dim * dim)
+            # P[s, a, b, c, d] = g^{ef} G_{e,bd} G_{f,ac}, from the matrices [(a, c), (b, d)]
+            P = (low.transpose(0, 2, 1) @ (inverse @ low)).reshape(out.shape)
+            P = P.transpose(0, 1, 3, 2, 4)
+            out = np.where(self._keys, out + (P - P.swapaxes(1, 2)), 0.0)
+        return self._by_sign(out)
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
         """Dense numeric component array at a point."""
-        import numpy as np
-        dim = self.chart.dim
-        out = np.zeros((dim, dim, dim, dim))
-        for (a, b, c, d), v in zip(self.canonical, _values_at(self._compiled, point)):
-            out[a, b, c, d] = v
-        if self.connection is not None:
-            low = self.connection.lowered(point).reshape(dim, dim * dim)
-            inverse = _inverse_at(self.connection.metric, point)
-            # P[a, b, c, d] = g^{ef} G_{e,bd} G_{f,ac}, from the matrix [(a, c), (b, d)]
-            P = (low.T @ (inverse @ low)).reshape((dim,) * 4).transpose(0, 2, 1, 3)
-            out = np.where(self._keys, out + (P - P.transpose(1, 0, 2, 3)), 0.0)
-        return self._by_sign(out)
+        return self.stack(SampleRecord([point], self.metric))[0]
 
     def apply(self, u, v, z, w, point: Mapping[str, float]) -> float:
         import numpy as np
@@ -237,11 +268,11 @@ def riemann(g: Metric) -> CurvatureTensor:
 class ComparisonTensor(CurvatureTensor):
     """The comparison tensor R0 of g and J, in closed form at each point.
 
-    It stores no entries: at(point) evaluates the formula of r_zero from
-    g.at(point) and J.at(point), keeps the components with a < b and
-    c < d and gives the rest by sign, as CurvatureTensor.at does.  A
-    component that is not finite raises EvaluationError naming R0, the
-    component and the point.
+    It stores no entries: stack(record) evaluates the formula of r_zero
+    from the stacks of g and J on a SampleRecord of g, keeps the
+    components with a < b and c < d and gives the rest by sign, as
+    CurvatureTensor.stack does.  A component that is not finite raises
+    EvaluationError naming R0, the component and the first point with one.
     """
 
     metric: Optional[Metric] = None
@@ -250,21 +281,21 @@ class ComparisonTensor(CurvatureTensor):
     def is_zero(self) -> bool:
         return False
 
-    def at(self, point: Mapping[str, float]) -> np.ndarray:
+    def stack(self, record: SampleRecord) -> np.ndarray:
         import numpy as np
-        gm = self.metric.at(point)
+        gm = record.metric
         with np.errstate(all="ignore"):   # the kept components are checked below
-            gj = gm @ self.structure.at(point)
-            # gg[a, c, b, d] = g_ac g_bd: at [a, b, c, d] its transpose by (0, 2, 1, 3)
-            # holds g_ac g_bd and by (0, 2, 3, 1) g_ad g_bc; jj likewise for gJ
-            gg, jj = np.multiply.outer(gm, gm), np.multiply.outer(gj, gj)
-            out = 0.25 * (gg.transpose(0, 2, 1, 3) - gg.transpose(0, 2, 3, 1)
-                          - jj.transpose(0, 2, 1, 3) + jj.transpose(0, 2, 3, 1) - 2.0 * jj)
+            gj = gm @ record.structure(self.structure)
+            # gg[s, a, c, b, d] = g_ac g_bd: at [s, a, b, c, d] its transpose by (0, 1, 3, 2, 4)
+            # holds g_ac g_bd and by (0, 1, 3, 4, 2) g_ad g_bc; jj likewise for gJ
+            gg, jj = (m[:, :, :, None, None] * m[:, None, None] for m in (gm, gj))
+            out = 0.25 * (gg.transpose(0, 1, 3, 2, 4) - gg.transpose(0, 1, 3, 4, 2)
+                          - jj.transpose(0, 1, 3, 2, 4) + jj.transpose(0, 1, 3, 4, 2) - 2.0 * jj)
         out = np.where(self._keys, out, 0.0)
         if not np.isfinite(out).all():
-            key = tuple(int(i) for i in np.argwhere(~np.isfinite(out))[0])
-            raise EvaluationError(
-                f"{_component('R0', *key)}: non-finite value {out[key]} {_at_point(point)}")
+            s, *key = (int(i) for i in np.argwhere(~np.isfinite(out))[0])
+            raise EvaluationError(f"{_component('R0', *key)}: non-finite value"
+                                  f" {out[(s, *key)]} {_at_point(record.points[s])}")
         return self._by_sign(out)
 
 
@@ -286,19 +317,24 @@ def r_zero(g: Metric, J: ProductStructure) -> CurvatureTensor:
 # symmetry diagnostics
 # ---------------------------------------------------------------------------
 
-def _sampled(R, trials: int, seed: int) -> tuple:
-    """R.chart.sample_points(max(1, trials), seed), and R.at there as one array.
+def _record(R, trials: int, seed: int) -> SampleRecord:
+    """sample_record of the metric R reads, or, if it reads none, a record of R's own."""
+    g = getattr(R, "metric", None)
+    return (SampleRecord(R.chart.sample_points(max(1, trials), seed)) if g is None
+            else sample_record(g, trials, seed))
 
-    Evaluated once per (tensor, trials, seed) and kept on the tensor, so
-    symmetry_report and constant_c_test on one R share the evaluations.
-    R is anything with a chart and at(point).
+
+def _sampled(R, trials: int, seed: int) -> tuple:
+    """(record, D): _record(R, trials, seed) and R.stack there, kept on R per (trials, seed).
+
+    So symmetry_report and constant_c_test on one R share D.  R is
+    anything with a chart and stack(record).
     """
-    import numpy as np
     samples = vars(R).setdefault("_samples", {})
     key = (max(1, trials), seed)
     if key not in samples:
-        points = R.chart.sample_points(key[0], seed)
-        samples[key] = points, np.array([R.at(point) for point in points])
+        record = _record(R, *key)
+        samples[key] = record, R.stack(record)
     return samples[key]
 
 
@@ -341,8 +377,8 @@ def symmetry_report(R: CurvatureTensor, J: ProductStructure, trials: int = 10,
     para-Kahler curvature satisfy.
     """
     import numpy as np
-    points, D = _sampled(R, trials, seed)
-    Jm = np.array([J.at(point) for point in points])
+    record, D = _sampled(R, trials, seed)
+    Jm = record.structure(J)
     twisted = np.einsum('spa,sqb,spqcd->sabcd', Jm, Jm, D)
     excess = np.abs([D + D.transpose(0, 2, 1, 3, 4), D + D.transpose(0, 1, 2, 4, 3),
                      D + D.transpose(0, 2, 3, 1, 4) + D.transpose(0, 3, 1, 2, 4),
@@ -370,20 +406,15 @@ def nabla_J(g: Metric, J: ProductStructure, trials: int = 10, seed: int = 0) -> 
     reads = any(free_variables(e) for row in J.entries for e in row)
     if gamma.is_zero() and not reads:   # every term is an exact zero
         return 0.0
-    dJ = None
+    record = sample_record(g, trials, seed)
+    G, Jm = gamma.stack(record), record.structure(J)
+    term2 = np.einsum('sbad,sdc->sabc', G, Jm)
     if reads:
         dJ = Compiled(differentiate(J.entries[b][c], chart.variable(a))
                       for a in range(dim) for b in range(dim) for c in range(dim))
-    worst = 0.0
-    for point in chart.sample_points(max(1, trials), seed):
-        G = gamma.at(point)
-        Jm = J.at(point)
-        term2 = np.einsum('bad,dc->abc', G, Jm)
-        if dJ is not None:
-            term2 = np.array(dJ.at(point)).reshape(dim, dim, dim) + term2
-        term3 = np.einsum('dac,bd->abc', G, Jm)
-        worst = max(worst, float(np.max(np.abs(term2 - term3))))
-    return worst
+        term2 = _stack(dJ, record.points, dim, dim, dim) + term2
+    term3 = np.einsum('sdac,sbd->sabc', G, Jm)
+    return float(np.max(np.abs(term2 - term3)))
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +472,12 @@ def constant_c_test(R: CurvatureTensor, R0: CurvatureTensor, trials: int = 10,
     ("not a space form").
     """
     import numpy as np
-    points, D = _sampled(R, trials, seed)
+    D = _sampled(R, trials, seed)[1]
     scale = _scale(D)[:, None]
     A = (D.reshape(len(D), -1) / scale).ravel()
     if float(np.max(np.abs(A))) < ZERO_TENSOR_TOL:   # decided before R0 is evaluated
         return 0.0
-    B = (np.array([R0.at(point) for point in points]).reshape(len(D), -1) / scale).ravel()
+    B = (R0.stack(_record(R0, trials, seed)).reshape(len(D), -1) / scale).ravel()
     denom = float(B @ B)
     if denom == 0.0:
         return None

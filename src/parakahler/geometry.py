@@ -129,12 +129,16 @@ def _at_point(point: Mapping[str, float]) -> str:
     return "at point " + ", ".join(f"{name} = {float(value):.9g}" for name, value in point.items())
 
 
-def _values_at(compiled: Compiled, point: Mapping[str, float]) -> list:
-    """compiled.at(point); a failing entry is named with its label and the point."""
-    try:
-        return compiled.at(point)
-    except EvaluationError as exc:
-        raise EvaluationError(f"{exc} {_at_point(point)}") from exc
+def _stack(compiled: Compiled, points: list, *shape: int) -> np.ndarray:
+    """compiled.at at each point in turn, as (len(points), *shape); a failure names its point."""
+    import numpy as np
+    values = []
+    for point in points:
+        try:
+            values.append(compiled.at(point))
+        except EvaluationError as exc:
+            raise EvaluationError(f"{exc} {_at_point(point)}") from exc
+    return np.array(values, dtype=float).reshape(len(points), *shape)
 
 
 def _require_same_chart(a, b):
@@ -340,8 +344,18 @@ def _matrix_rows(chart: Chart, rows) -> tuple:
     return rows
 
 
+class _MatrixField:
+    """A dim x dim matrix of expressions whose _compiled set holds its entries row by row."""
+
+    def stack(self, points: list) -> np.ndarray:
+        return _stack(self._compiled, points, self.chart.dim, self.chart.dim)
+
+    def at(self, point: Mapping[str, float]) -> np.ndarray:
+        return self.stack([point])[0]
+
+
 @dataclass(frozen=True)
-class Metric:
+class Metric(_MatrixField):
     """Symmetric (0,2)-tensor; symmetry is imposed from the upper triangle.
 
     potential, if set, is the Chart.partials table of a potential K whose
@@ -367,11 +381,6 @@ class Metric:
         return Compiled((self.entries[min(a, b)][max(a, b)] for a, b in pairs),
                         labels=[_component("g", *pair) for pair in pairs])
 
-    def at(self, point: Mapping[str, float]) -> np.ndarray:
-        import numpy as np
-        dim = self.chart.dim
-        return np.array(_values_at(self._compiled, point)).reshape(dim, dim)
-
     def partial(self, index: tuple, b: int, c: int) -> Expression:
         """d_index g_{bc}, each distinct partial derived once per metric.
 
@@ -389,7 +398,7 @@ class Metric:
 
 
 @dataclass(frozen=True)
-class ProductStructure:
+class ProductStructure(_MatrixField):
     """(1,1)-tensor J with J squared the identity."""
 
     chart: Chart
@@ -404,11 +413,6 @@ class ProductStructure:
         dim = self.chart.dim
         return Compiled((e for row in self.entries for e in row),
                         labels=[_component("J", a, b) for a in range(dim) for b in range(dim)])
-
-    def at(self, point: Mapping[str, float]) -> np.ndarray:
-        import numpy as np
-        dim = self.chart.dim
-        return np.array(_values_at(self._compiled, point)).reshape(dim, dim)
 
 
 def model_metric(chart: Chart) -> Metric:
@@ -451,6 +455,40 @@ def j_dual_apply(Jd: ProductStructure, alpha: DifferentialForm) -> DifferentialF
     return make_form(alpha.chart, 1, terms)
 
 
+class SampleRecord:
+    """Values at a list of points, each evaluated once, stacked over the points.
+
+    metric is g there, (S, dim, dim), and structure(J) a product structure,
+    one stack per J; curvature keeps g's inverse and lowered symbols here.
+    """
+
+    def __init__(self, points: list, g: Optional[Metric] = None):
+        self.points, self.g = points, g
+        self._structures = {}
+
+    @cached_property
+    def metric(self) -> np.ndarray:
+        return self.g.stack(self.points)
+
+    def structure(self, J: ProductStructure) -> np.ndarray:
+        if id(J) not in self._structures:   # J is kept with its stack, so its id stays its own
+            self._structures[id(J)] = J, J.stack(self.points)
+        return self._structures[id(J)][1]
+
+
+def sample_record(g: Metric, trials: int, seed: int) -> SampleRecord:
+    """The record at g.chart.sample_points(max(1, trials), seed), kept on g.
+
+    The checks of g at those points share one evaluation of g, J, g^-1
+    and the connection.
+    """
+    records = vars(g).setdefault("_records", {})
+    key = (max(1, trials), seed)
+    if key not in records:
+        records[key] = SampleRecord(g.chart.sample_points(*key), g)
+    return records[key]
+
+
 def compatibility_violation(g: Metric, J: ProductStructure, trials: int,
                             seed: int) -> float:
     """Max entry of |J^T g + g J| over seeded sample points.
@@ -460,12 +498,9 @@ def compatibility_violation(g: Metric, J: ProductStructure, trials: int,
     """
     import numpy as np
     _require_same_chart(g, J)
-    worst = 0.0
-    for point in g.chart.sample_points(max(1, trials), seed):
-        gm = g.at(point)
-        jm = J.at(point)
-        worst = max(worst, float(np.max(np.abs(jm.T @ gm + gm @ jm))))
-    return worst
+    record = sample_record(g, trials, seed)
+    G, Jm = record.metric, record.structure(J)
+    return float(np.max(np.abs(Jm.transpose(0, 2, 1) @ G + G @ Jm)))
 
 
 def compatibility_check(g: Metric, J: ProductStructure, trials: int = 20,

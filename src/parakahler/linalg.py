@@ -31,22 +31,29 @@ def _minor(m, row: int, col: int):
                  for i, r in enumerate(m) if i != row)
 
 
-def _det(m) -> Expression:
+def _det(m, memo: dict) -> Expression:
+    """Laplace expansion along the first row.
+
+    memo, keyed by the ids of a minor's entries, gives a minor met again as
+    the same object, so simplify's per-node memo serves it once.
+    """
     size = len(m)
     if size == 1:
         return m[0][0]
-    terms = []
-    for col in range(size):
-        cofactor = _det(_minor(m, 0, col))
-        term = Product((m[0][col], cofactor))
-        terms.append(term if col % 2 == 0 else -term)
-    return Sum(tuple(terms))
+    key = tuple(id(e) for row in m for e in row)
+    if key not in memo:
+        terms = []
+        for col in range(size):
+            term = Product((m[0][col], _det(_minor(m, 0, col), memo)))
+            terms.append(term if col % 2 == 0 else -term)
+        memo[key] = Sum(tuple(terms))
+    return memo[key]
 
 
 def determinant(m) -> Expression:
     """Determinant by Laplace expansion, simplified."""
     _check_square(m)
-    return simplify(_det(m))
+    return simplify(_det(m, {}))
 
 
 def cramer_solve(m, rhs):
@@ -59,12 +66,13 @@ def cramer_solve(m, rhs):
     if len(rhs) != size:
         raise ValueError("right-hand side length must match matrix size")
     rhs = tuple(as_expression(b) for b in rhs)
-    det = determinant(m)
+    memo = {}   # the 1 + size expansions share their minors
+    det = simplify(_det(m, memo))
     solution = []
     for col in range(size):
         replaced = tuple(tuple(rhs[i] if c == col else m[i][c] for c in range(size))
                          for i in range(size))
-        solution.append(simplify(Quotient(determinant(replaced), det)))
+        solution.append(simplify(Quotient(simplify(_det(replaced, memo)), det)))
     return tuple(solution)
 
 

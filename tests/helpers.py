@@ -5,10 +5,11 @@ import random
 
 import numpy as np
 
-from parakahler.curvature import CurvatureTensor
+from parakahler.curvature import SINGULARITY_TOL, SingularMetricError, CurvatureTensor
 from parakahler.expr import (
     ZERO,
     Const,
+    EvaluationError,
     Product,
     Sum,
     Var,
@@ -17,7 +18,8 @@ from parakahler.expr import (
     is_zero,
     simplify,
 )
-from parakahler.geometry import Chart, DifferentialForm, exterior_derivative, make_form
+from parakahler.geometry import (Chart, DifferentialForm, _at_point, _component,
+                                 exterior_derivative, make_form)
 from parakahler.linalg import determinant
 
 
@@ -249,3 +251,129 @@ def symbolic_riemann(g) -> CurvatureTensor:
             if not is_zero(value):
                 entries[(a, b, c, d)] = value
     return CurvatureTensor(chart, entries)
+
+
+# ---------------------------------------------------------------------------
+# the check's numerics point by point: an oracle for the sample record
+# ---------------------------------------------------------------------------
+#
+# These are the per-point loops that a SampleRecord replaced: each function
+# draws its own points and evaluates what it reads afresh at each one, so
+# g is evaluated once per diagnostic and g^-1 and d g once per reader.
+
+def _values_at(compiled, point: dict) -> list:
+    """compiled.at(point); a failing entry is named with its label and the point."""
+    try:
+        return compiled.at(point)
+    except EvaluationError as exc:
+        raise EvaluationError(f"{exc} {_at_point(point)}") from exc
+
+
+def pointwise_matrix(field, point: dict) -> np.ndarray:
+    """A Metric or ProductStructure at a point, from its compiled entries."""
+    dim = field.chart.dim
+    return np.array(_values_at(field._compiled, point)).reshape(dim, dim)
+
+
+def pointwise_inverse(g, point: dict) -> np.ndarray:
+    gm = pointwise_matrix(g, point)
+    with np.errstate(all="ignore"):
+        det = np.linalg.det(gm)
+    if abs(det) <= SINGULARITY_TOL:
+        raise SingularMetricError(f"metric singular: |det g| = {abs(det):.3e}"
+                                  f" <= {SINGULARITY_TOL:g} {_at_point(point)}")
+    return np.linalg.inv(gm)
+
+
+def pointwise_lowered(gamma, point: dict) -> np.ndarray:
+    dim = gamma.chart.dim
+    values = np.array(_values_at(gamma._compiled, point)).reshape(dim, dim, dim)
+    return 0.5 * (np.einsum('bdc->dbc', values) + np.einsum('cbd->dbc', values) - values)
+
+
+def pointwise_christoffel(gamma, point: dict) -> np.ndarray:
+    return np.einsum('ad,dbc->abc', pointwise_inverse(gamma.metric, point),
+                     pointwise_lowered(gamma, point))
+
+
+def _by_sign(out: np.ndarray) -> np.ndarray:
+    out = out - out.transpose(1, 0, 2, 3)
+    return out - out.transpose(0, 1, 3, 2)
+
+
+def _keys(dim: int) -> np.ndarray:
+    upper = ~np.tri(dim, dtype=bool)
+    return np.multiply.outer(upper, upper)
+
+
+def pointwise_riemann(R, point: dict) -> np.ndarray:
+    """R's dense components at a point: the stored part, then the connection's quadratic part."""
+    dim = R.chart.dim
+    out = np.zeros((dim, dim, dim, dim))
+    for (a, b, c, d), v in zip(R.canonical, _values_at(R._compiled, point)):
+        out[a, b, c, d] = v
+    if R.connection is not None:
+        low = pointwise_lowered(R.connection, point).reshape(dim, dim * dim)
+        inverse = pointwise_inverse(R.connection.metric, point)
+        P = (low.T @ (inverse @ low)).reshape((dim,) * 4).transpose(0, 2, 1, 3)
+        out = np.where(_keys(dim), out + (P - P.transpose(1, 0, 2, 3)), 0.0)
+    return _by_sign(out)
+
+
+def pointwise_r_zero(R0, point: dict) -> np.ndarray:
+    """The closed form of R0 at a point, from g and J evaluated there."""
+    gm = pointwise_matrix(R0.metric, point)
+    with np.errstate(all="ignore"):
+        gj = gm @ pointwise_matrix(R0.structure, point)
+        gg, jj = np.multiply.outer(gm, gm), np.multiply.outer(gj, gj)
+        out = 0.25 * (gg.transpose(0, 2, 1, 3) - gg.transpose(0, 2, 3, 1)
+                      - jj.transpose(0, 2, 1, 3) + jj.transpose(0, 2, 3, 1) - 2.0 * jj)
+    out = np.where(_keys(R0.chart.dim), out, 0.0)
+    if not np.isfinite(out).all():
+        key = tuple(int(i) for i in np.argwhere(~np.isfinite(out))[0])
+        raise EvaluationError(
+            f"{_component('R0', *key)}: non-finite value {out[key]} {_at_point(point)}")
+    return _by_sign(out)
+
+
+def pointwise_check(g, J, trials: int, seed: int) -> tuple:
+    """compatibility, nabla J, the symmetry report's rows and c, as check computes them.
+
+    Each diagnostic loops over Chart.sample_points(max(1, trials), seed)
+    of its own, in check's order, on R = riemann(g) and R0 = r_zero(g, J).
+    J must be constant, as check's is.
+    """
+    from parakahler.curvature import (SPACE_FORM_TOL, ZERO_TENSOR_TOL, christoffel, r_zero,
+                                      riemann)
+    points = g.chart.sample_points(max(1, trials), seed)
+    compat = 0.0
+    for point in points:
+        gm, jm = pointwise_matrix(g, point), pointwise_matrix(J, point)
+        compat = max(compat, float(np.max(np.abs(jm.T @ gm + gm @ jm))))
+    gamma = christoffel(g)
+    parallel = 0.0
+    if not gamma.is_zero():   # J is constant, so d J is zero
+        for point in points:
+            G, jm = pointwise_christoffel(gamma, point), pointwise_matrix(J, point)
+            term = np.einsum('bad,dc->abc', G, jm) - np.einsum('dac,bd->abc', G, jm)
+            parallel = max(parallel, float(np.max(np.abs(term))))
+    R = riemann(g)
+    D = np.array([pointwise_riemann(R, point) for point in points])
+    Jm = np.array([pointwise_matrix(J, point) for point in points])
+    twisted = np.einsum('spa,sqb,spqcd->sabcd', Jm, Jm, D)
+    excess = np.abs([D + D.transpose(0, 2, 1, 3, 4), D + D.transpose(0, 1, 2, 4, 3),
+                     D + D.transpose(0, 2, 3, 1, 4) + D.transpose(0, 3, 1, 2, 4),
+                     twisted + D]).reshape(4, len(D), -1).max(axis=2)
+    scale = np.maximum(1.0, np.abs(D).reshape(len(D), -1).max(axis=1))
+    rows = tuple(map(float, excess.max(axis=1))), tuple(map(float, (excess / scale).max(axis=1)))
+    A = (D.reshape(len(D), -1) / scale[:, None]).ravel()
+    if float(np.max(np.abs(A))) < ZERO_TENSOR_TOL:
+        return compat, parallel, rows, 0.0
+    R0 = r_zero(g, J)
+    B = np.array([pointwise_r_zero(R0, point) for point in points])
+    B = (B.reshape(len(D), -1) / scale[:, None]).ravel()
+    denom = float(B @ B)
+    if denom == 0.0:
+        return compat, parallel, rows, None
+    c = float(A @ B) / denom
+    return compat, parallel, rows, c if float(np.max(np.abs(A - c * B))) < SPACE_FORM_TOL else None

@@ -299,6 +299,8 @@ REPORT_RUNS = [
     ("space_form_n3.json", "check", "space-form-n3-check.json", 17),
     ("potential.json", "check", "potential-quartic-check.json", 7),
     ("potential.json", "check", "potential-quartic-check.json", 17),
+    ("space_form_matrix.json", "check", "space-form-matrix-check.json", 7),
+    ("space_form_matrix.json", "check", "space-form-matrix-check.json", 17),
     ("lagrangian_xy.json", "integrate", "lagrangian-xy-integrate.json", None),
     ("oscillator.json", "integrate", "oscillator-integrate.json", None),
     ("lagrangian_n3.json", "integrate", "lagrangian-n3-integrate.json", None),

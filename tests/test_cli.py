@@ -349,18 +349,18 @@ class TestCheckCommand:
         from parakahler import curvature
         from parakahler.cli import CHECK_TRIALS
         tensors, evaluated = [], []
-        riemann, at = curvature.riemann, curvature.CurvatureTensor.at
+        riemann, stack = curvature.riemann, curvature.CurvatureTensor.stack
 
         def recording(g):
             tensors.append(riemann(g))
             return tensors[-1]
 
-        def counting(self, point):
-            evaluated.append(self)
-            return at(self, point)
+        def counting(self, record):
+            evaluated.extend([self] * len(record.points))
+            return stack(self, record)
 
         monkeypatch.setattr(curvature, "riemann", recording)
-        monkeypatch.setattr(curvature.CurvatureTensor, "at", counting)
+        monkeypatch.setattr(curvature.CurvatureTensor, "stack", counting)
         assert main(["check", "--problem", os.path.join(PROBLEMS, "potential.json")]) == EXIT_OK
         assert sum(R is tensors[0] for R in evaluated) == CHECK_TRIALS
 

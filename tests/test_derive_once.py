@@ -247,6 +247,32 @@ def test_lagrangian_hessian_derived_once(derivations):
     assert len(derivations) == derived
 
 
+def test_cramer_solve_builds_each_distinct_minor_once(monkeypatch):
+    # det(m) and its column replacements expand along their first rows; a minor of
+    # size >= 2 met again, from the same entry objects, is built once per solve
+    from parakahler import linalg
+    L = LagrangianSystem.from_source(QUARTIC, Chart(2))
+    m, rhs = L.hessian, L.semispray_rhs
+    size = len(m)
+    distinct = set()
+
+    def expand(matrix):
+        key = tuple(id(e) for row in matrix for e in row)
+        if len(matrix) > 1 and key not in distinct:
+            distinct.add(key)
+            for col in range(len(matrix)):
+                expand([row[:col] + row[col + 1:] for row in matrix[1:]])
+
+    for col in [None, *range(size)]:
+        expand([[rhs[i] if c == col else m[i][c] for c in range(size)] for i in range(size)])
+    built = []
+    monkeypatch.setattr(linalg, "Sum", lambda terms: built.append(terms) or expr.Sum(terms))
+    linalg.cramer_solve(m, rhs)
+    assert len(built) == len(distinct)
+    # without sharing, each of the 1 + size expansions builds its own minors
+    assert len(built) < (1 + size) * sum(math.perm(size, k) for k in range(size - 1))
+
+
 @pytest.mark.parametrize("problem,partials", [("space_form.json", 40),
                                               ("space_form_n3.json", 139)])
 def test_check_derives_each_partial_of_the_potential_once(problem, partials, monkeypatch,
