@@ -23,8 +23,8 @@ from . import integrate as integrate_mod
 from . import lagrange as lagrange_mod
 from .expr import (Compiled, EvaluationError, ParseError, SamplingError, Var, equal_on_samples,
                    parse, to_source)
-from .geometry import (COMPAT_TOL, Chart, Metric, compatibility_violation, form_to_text,
-                       model_product_structure)
+from .geometry import (COMPAT_TOL, Chart, Metric, _values, compatibility_violation,
+                       form_to_text, model_product_structure)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -178,16 +178,8 @@ def _residual_max(chart: Chart, residuals, seed: int, family: str) -> float:
     """
     names = chart.names()
     compiled = Compiled(residuals, names, [f"{family} residual {name}" for name in names])
-    worst = 0.0
-    for point in chart.sample_points(RESIDUAL_PROBES, seed):
-        try:
-            values = compiled.at(point)
-        except EvaluationError as exc:
-            raise EvaluationError(
-                f"{exc} at sample point {integrate_mod._where(names, point.values())}") from exc
-        for value in values:
-            worst = max(worst, abs(value))
-    return worst
+    values = _values(compiled, chart.sample_points(RESIDUAL_PROBES, seed), "sample point")
+    return max(abs(value) for row in values for value in row)
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,12 @@ that table, symbolically and adds its part quadratic in the first
 derivatives from those symbols; a constant metric gives exactly the zero
 tensor.
 
-The checks read one sample record per (g, trials, seed), kept on g
-(geometry.sample_record): g, J, g^-1 (one batched inverse) and the
-lowered symbols at the sample points, each compiled set run once per
-point and stacked, so the numpy algebra runs once per stack; at(point)
-is the one-point case of the same code.
+The checks read one sample record of g (geometry.sample_record; g keeps
+its latest).  record.of(x) is x.stack(record), computed once and kept
+with x: g, J, the connection's pair (g^-1 from one batched inverse, the
+lowered symbols) and R at the sample points, each compiled set run once
+per point and stacked, so the numpy algebra runs once per stack;
+at(point) is the one-point case of the same code.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .expr import (
     simplify,
 )
 from .geometry import (Chart, Metric, ProductStructure, SampleRecord, _at_point, _component,
-                       _require_same_chart, _stack, sample_record)
+                       _require_same_chart, _Sampled, _stack, sample_record)
 
 SINGULARITY_PROBES = 5
 SINGULARITY_TOL = 1e-12
@@ -87,11 +88,11 @@ def _check_invertible(g: Metric):
 class ChristoffelSymbols:
     """Levi-Civita connection of a metric, evaluated on sample records at any dimension.
 
-    stacks(record) gives g^{-1} and the lowered symbols G_{d,bc}, from the
-    compiled first derivatives of the metric (Metric.partial), at each
-    point of a SampleRecord of the metric, and stack(record) the
-    coefficients Gamma^a_{bc} = g^{ad} G_{d,bc}; both are symmetric in the
-    lower pair.  lowered(point) and at(point) are the one-point cases.
+    stack(record) is the pair (g^{-1}, G_{d,bc}) at the points of a
+    SampleRecord, the lowered symbols G from the compiled first
+    derivatives of the metric (Metric.partial).  coefficients(pair) gives
+    Gamma^a_{bc} = g^{ad} G_{d,bc}, symmetric in the lower pair, and
+    at(point) gives them at one point.
     """
 
     chart: Chart
@@ -108,43 +109,34 @@ class ChristoffelSymbols:
                         labels=[f"d_{self.chart.names()[a]} {_component('g', b, c)}"
                                 for a, b, c in triples])
 
-    def _lowered(self, points: list) -> np.ndarray:
-        """Numeric G_{d,bc} = (1/2)(d_b g_{dc} + d_c g_{bd} - d_d g_{bc}) at each point."""
-        dim = self.chart.dim
-        values = _stack(self._compiled, points, dim, dim, dim)   # values[s, a, b, c] = d_a g_{bc}
-        return 0.5 * (values.transpose(0, 2, 1, 3) + values.transpose(0, 3, 2, 1) - values)
+    def stack(self, record: SampleRecord) -> tuple:
+        """(g^{-1}, G_{d,bc}) at the record's points, g^{-1} from one batched inverse.
 
-    def stacks(self, record: SampleRecord) -> tuple:
-        """(g^{-1}, G_{d,bc}) at the record's points, kept on the record.
-
-        g^{-1} is one batched inverse.  The first point where |det g| <=
-        SINGULARITY_TOL raises SingularMetricError, unless d g fails at an
-        earlier one, as evaluating point by point would.
+        G_{d,bc} = (1/2)(d_b g_{dc} + d_c g_{bd} - d_d g_{bc}).  The first
+        point where |det g| <= SINGULARITY_TOL raises SingularMetricError,
+        unless d g fails at an earlier one, as evaluating point by point
+        would.
         """
         import numpy as np
-        kept = vars(record)
-        if "connection" not in kept:
-            G = record.metric
-            with np.errstate(all="ignore"):   # an overflowing det is inf, so not singular
-                det = np.abs(np.linalg.det(G))
-            first = next((s for s, d in enumerate(det) if d <= SINGULARITY_TOL), len(G))
-            lowered = self._lowered(record.points[:first])
-            if first < len(G):
-                raise SingularMetricError(f"metric singular: |det g| = {det[first]:.3e} <= "
-                                          f"{SINGULARITY_TOL:g} {_at_point(record.points[first])}")
-            kept["connection"] = np.linalg.inv(G), lowered
-        return kept["connection"]
+        G, dim = record.of(self.metric), self.chart.dim
+        with np.errstate(all="ignore"):   # an overflowing det is inf, so not singular
+            det = np.abs(np.linalg.det(G))
+        first = next((s for s, d in enumerate(det) if d <= SINGULARITY_TOL), len(G))
+        values = _stack(self._compiled, record.points[:first], dim, dim, dim)   # d_a g_{bc}
+        if first < len(G):
+            raise SingularMetricError(f"metric singular: |det g| = {det[first]:.3e} <= "
+                                      f"{SINGULARITY_TOL:g} {_at_point(record.points[first])}")
+        return np.linalg.inv(G), 0.5 * (values.transpose(0, 2, 1, 3)
+                                        + values.transpose(0, 3, 2, 1) - values)
 
-    def stack(self, record: SampleRecord) -> np.ndarray:
-        """Numeric Gamma^a_{bc} at the record's points, (S, dim, dim, dim)."""
+    @staticmethod
+    def coefficients(pair: tuple) -> np.ndarray:
+        """Gamma^a_{bc} from a stack (g^{-1}, G), (S, dim, dim, dim)."""
         import numpy as np
-        return np.einsum('sad,sdbc->sabc', *self.stacks(record))
-
-    def lowered(self, point: Mapping[str, float]) -> np.ndarray:
-        return self._lowered([point])[0]
+        return np.einsum('sad,sdbc->sabc', *pair)
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
-        return self.stack(SampleRecord([point], self.metric))[0]
+        return self.coefficients(self.stack(SampleRecord([point])))[0]
 
 
 def christoffel(g: Metric) -> ChristoffelSymbols:
@@ -165,7 +157,7 @@ def christoffel(g: Metric) -> ChristoffelSymbols:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CurvatureTensor:
+class CurvatureTensor(_Sampled):
     """(0,4)-tensor R_{abcd} in canonical storage.
 
     canonical maps keys (a, b, c, d) with a < b and c < d to simplified,
@@ -218,17 +210,13 @@ class CurvatureTensor:
         keys = np.array(list(self.canonical), dtype=int).reshape(-1, 4).T
         out[(slice(None), *keys)] = _stack(self._compiled, record.points, len(self.canonical))
         if self.connection is not None:
-            inverse, low = self.connection.stacks(record)
+            inverse, low = record.of(self.connection)
             low = low.reshape(count, dim, dim * dim)
             # P[s, a, b, c, d] = g^{ef} G_{e,bd} G_{f,ac}, from the matrices [(a, c), (b, d)]
             P = (low.transpose(0, 2, 1) @ (inverse @ low)).reshape(out.shape)
             P = P.transpose(0, 1, 3, 2, 4)
             out = np.where(self._keys, out + (P - P.swapaxes(1, 2)), 0.0)
         return self._by_sign(out)
-
-    def at(self, point: Mapping[str, float]) -> np.ndarray:
-        """Dense numeric component array at a point."""
-        return self.stack(SampleRecord([point], self.metric))[0]
 
     def apply(self, u, v, z, w, point: Mapping[str, float]) -> float:
         import numpy as np
@@ -245,7 +233,7 @@ def riemann(g: Metric) -> CurvatureTensor:
     R_{abcd} = (1/2)(d_a d_c g_{bd} + d_b d_d g_{ac} - d_a d_d g_{bc}
     - d_b d_c g_{ad}) + sum_{ef} g^{ef} (G_{e,bd} G_{f,ac} - G_{e,ad} G_{f,bc}),
     where G_{d,bc} are the lowered symbols of christoffel(g).  The linear
-    part, read from g.partial, is stored simplified; CurvatureTensor.at
+    part, read from g.partial, is stored simplified; CurvatureTensor.stack
     adds the quadratic part from that connection, at any dimension.  A
     constant metric gives the zero tensor.
     """
@@ -283,9 +271,9 @@ class ComparisonTensor(CurvatureTensor):
 
     def stack(self, record: SampleRecord) -> np.ndarray:
         import numpy as np
-        gm = record.metric
+        gm = record.of(self.metric)
         with np.errstate(all="ignore"):   # the kept components are checked below
-            gj = gm @ record.structure(self.structure)
+            gj = gm @ record.of(self.structure)
             # gg[s, a, c, b, d] = g_ac g_bd: at [s, a, b, c, d] its transpose by (0, 1, 3, 2, 4)
             # holds g_ac g_bd and by (0, 1, 3, 4, 2) g_ad g_bc; jj likewise for gJ
             gg, jj = (m[:, :, :, None, None] * m[:, None, None] for m in (gm, gj))
@@ -322,20 +310,6 @@ def _record(R, trials: int, seed: int) -> SampleRecord:
     g = getattr(R, "metric", None)
     return (SampleRecord(R.chart.sample_points(max(1, trials), seed)) if g is None
             else sample_record(g, trials, seed))
-
-
-def _sampled(R, trials: int, seed: int) -> tuple:
-    """(record, D): _record(R, trials, seed) and R.stack there, kept on R per (trials, seed).
-
-    So symmetry_report and constant_c_test on one R share D.  R is
-    anything with a chart and stack(record).
-    """
-    samples = vars(R).setdefault("_samples", {})
-    key = (max(1, trials), seed)
-    if key not in samples:
-        record = _record(R, *key)
-        samples[key] = record, R.stack(record)
-    return samples[key]
 
 
 def _scale(D: np.ndarray) -> np.ndarray:
@@ -377,8 +351,9 @@ def symmetry_report(R: CurvatureTensor, J: ProductStructure, trials: int = 10,
     para-Kahler curvature satisfy.
     """
     import numpy as np
-    record, D = _sampled(R, trials, seed)
-    Jm = record.structure(J)
+    _require_same_chart(R, J)
+    record = _record(R, trials, seed)
+    D, Jm = record.of(R), record.of(J)
     twisted = np.einsum('spa,sqb,spqcd->sabcd', Jm, Jm, D)
     excess = np.abs([D + D.transpose(0, 2, 1, 3, 4), D + D.transpose(0, 1, 2, 4, 3),
                      D + D.transpose(0, 2, 3, 1, 4) + D.transpose(0, 3, 1, 2, 4),
@@ -407,11 +382,13 @@ def nabla_J(g: Metric, J: ProductStructure, trials: int = 10, seed: int = 0) -> 
     if gamma.is_zero() and not reads:   # every term is an exact zero
         return 0.0
     record = sample_record(g, trials, seed)
-    G, Jm = gamma.stack(record), record.structure(J)
+    G, Jm = gamma.coefficients(record.of(gamma)), record.of(J)
     term2 = np.einsum('sbad,sdc->sabc', G, Jm)
     if reads:
-        dJ = Compiled(differentiate(J.entries[b][c], chart.variable(a))
-                      for a in range(dim) for b in range(dim) for c in range(dim))
+        triples = list(itertools.product(range(dim), repeat=3))
+        names = chart.names()
+        dJ = Compiled((differentiate(J.entries[b][c], chart.variable(a)) for a, b, c in triples),
+                      names, [f"d_{names[a]} {_component('J', b, c)}" for a, b, c in triples])
         term2 = _stack(dJ, record.points, dim, dim, dim) + term2
     term3 = np.einsum('sdac,sbd->sabc', G, Jm)
     return float(np.max(np.abs(term2 - term3)))
@@ -472,7 +449,8 @@ def constant_c_test(R: CurvatureTensor, R0: CurvatureTensor, trials: int = 10,
     ("not a space form").
     """
     import numpy as np
-    D = _sampled(R, trials, seed)[1]
+    _require_same_chart(R, R0)
+    D = _record(R, trials, seed).of(R)
     scale = _scale(D)[:, None]
     A = (D.reshape(len(D), -1) / scale).ravel()
     if float(np.max(np.abs(A))) < ZERO_TENSOR_TOL:   # decided before R0 is evaluated

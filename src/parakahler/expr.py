@@ -716,9 +716,9 @@ class Compiled:
             raise self._error(len(out), _reason(exc)) from exc
         return out
 
-    def at(self, point: Mapping[str, float]) -> list:
-        """Values at a coordinate assignment given as {name: value}."""
-        return self([float(v) for v in _lookup(point, self.names)])
+    def at(self, point: Mapping[str, float], count: int | None = None) -> list:
+        """Values at a coordinate assignment given as {name: value}; count as for a call."""
+        return self([float(v) for v in _lookup(point, self.names)], count)
 
     def columns(self, columns: Mapping[str, np.ndarray]) -> list:
         """Values over parallel coordinate arrays, one array per expression."""

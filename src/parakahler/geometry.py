@@ -125,20 +125,31 @@ def _component(name: str, *indices: int) -> str:
     return f"{name}_{('' if all(i < 9 for i in indices) else ',').join(numbers)}"
 
 
-def _at_point(point: Mapping[str, float]) -> str:
-    return "at point " + ", ".join(f"{name} = {float(value):.9g}" for name, value in point.items())
+def _where(names, values) -> str:
+    """name = value pairs, each value to 9 significant digits."""
+    return ", ".join(f"{name} = {float(value):.9g}" for name, value in zip(names, values))
 
 
-def _stack(compiled: Compiled, points: list, *shape: int) -> np.ndarray:
-    """compiled.at at each point in turn, as (len(points), *shape); a failure names its point."""
-    import numpy as np
+def _at_point(point: Mapping[str, float], kind: str = "point") -> str:
+    return f"at {kind} {_where(point, point.values())}"
+
+
+def _values(compiled: Compiled, points: list, kind: str = "point",
+            count: Optional[int] = None) -> list:
+    """compiled.at(point, count) at each point in turn; a failure names its kind of point."""
     values = []
     for point in points:
         try:
-            values.append(compiled.at(point))
+            values.append(compiled.at(point, count))
         except EvaluationError as exc:
-            raise EvaluationError(f"{exc} {_at_point(point)}") from exc
-    return np.array(values, dtype=float).reshape(len(points), *shape)
+            raise EvaluationError(f"{exc} {_at_point(point, kind)}") from exc
+    return values
+
+
+def _stack(compiled: Compiled, points: list, *shape: int) -> np.ndarray:
+    """_values(compiled, points) as an array (len(points), *shape)."""
+    import numpy as np
+    return np.array(_values(compiled, points), dtype=float).reshape(len(points), *shape)
 
 
 def _require_same_chart(a, b):
@@ -344,14 +355,19 @@ def _matrix_rows(chart: Chart, rows) -> tuple:
     return rows
 
 
-class _MatrixField:
-    """A dim x dim matrix of expressions whose _compiled set holds its entries row by row."""
-
-    def stack(self, points: list) -> np.ndarray:
-        return _stack(self._compiled, points, self.chart.dim, self.chart.dim)
+class _Sampled:
+    """Evaluated on a SampleRecord by stack(record), stacked over its points."""
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
-        return self.stack([point])[0]
+        """The one-point case of stack."""
+        return self.stack(SampleRecord([point]))[0]
+
+
+class _MatrixField(_Sampled):
+    """A dim x dim matrix of expressions whose _compiled set holds its entries row by row."""
+
+    def stack(self, record: SampleRecord) -> np.ndarray:
+        return _stack(self._compiled, record.points, self.chart.dim, self.chart.dim)
 
 
 @dataclass(frozen=True)
@@ -458,35 +474,32 @@ def j_dual_apply(Jd: ProductStructure, alpha: DifferentialForm) -> DifferentialF
 class SampleRecord:
     """Values at a list of points, each evaluated once, stacked over the points.
 
-    metric is g there, (S, dim, dim), and structure(J) a product structure,
-    one stack per J; curvature keeps g's inverse and lowered symbols here.
+    of(x) is x.stack(self), computed on first use and kept with x, so the
+    checks that read x at these points share one evaluation.
     """
 
-    def __init__(self, points: list, g: Optional[Metric] = None):
-        self.points, self.g = points, g
-        self._structures = {}
+    def __init__(self, points: list):
+        self.points = points
+        self._kept = {}
 
-    @cached_property
-    def metric(self) -> np.ndarray:
-        return self.g.stack(self.points)
-
-    def structure(self, J: ProductStructure) -> np.ndarray:
-        if id(J) not in self._structures:   # J is kept with its stack, so its id stays its own
-            self._structures[id(J)] = J, J.stack(self.points)
-        return self._structures[id(J)][1]
+    def of(self, x) -> object:
+        if id(x) not in self._kept:   # x is kept with its stack, so its id stays its own
+            self._kept[id(x)] = x, x.stack(self)
+        return self._kept[id(x)][1]
 
 
 def sample_record(g: Metric, trials: int, seed: int) -> SampleRecord:
     """The record at g.chart.sample_points(max(1, trials), seed), kept on g.
 
-    The checks of g at those points share one evaluation of g, J, g^-1
-    and the connection.
+    The checks of g at those points share one evaluation of g, J, the
+    connection and the curvature.  g keeps its latest record only, so a
+    sweep over seeds holds one record at a time.
     """
-    records = vars(g).setdefault("_records", {})
     key = (max(1, trials), seed)
-    if key not in records:
-        records[key] = SampleRecord(g.chart.sample_points(*key), g)
-    return records[key]
+    kept = vars(g).get("record")
+    if kept is None or kept[0] != key:
+        kept = vars(g)["record"] = key, SampleRecord(g.chart.sample_points(*key))
+    return kept[1]
 
 
 def compatibility_violation(g: Metric, J: ProductStructure, trials: int,
@@ -499,7 +512,7 @@ def compatibility_violation(g: Metric, J: ProductStructure, trials: int,
     import numpy as np
     _require_same_chart(g, J)
     record = sample_record(g, trials, seed)
-    G, Jm = record.metric, record.structure(J)
+    G, Jm = record.of(g), record.of(J)
     return float(np.max(np.abs(Jm.transpose(0, 2, 1) @ G + G @ Jm)))
 
 

@@ -46,7 +46,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 from .expr import Compiled, EvaluationError, Expression, generated_function, to_source
-from .geometry import Chart
+from .geometry import Chart, _where
 from .linalg import elimination_function
 
 MAX_STEPS = 10_000_000
@@ -155,10 +155,6 @@ class Trajectory:
                 f"{to_source(compiled.exprs[exc.index])} is not finite at step {k} "
                 f"(t = {self.times[k]:.9g}, {_where(self.names, self.states[k])})") from exc
         return [np.broadcast_to(v, self.times.shape) for v in values]
-
-
-def _where(names, state) -> str:
-    return ", ".join(f"{name} = {value:.9g}" for name, value in zip(names, state))
 
 
 def _step_count(t0: float, t1: float, h: float) -> int:

@@ -46,9 +46,10 @@ from .geometry import (
     Chart,
     DifferentialForm,
     VectorField,
+    _values,
     make_form,
 )
-from .integrate import ODESystem, Trajectory, _StepFailure, _where
+from .integrate import ODESystem, Trajectory, _StepFailure
 
 REGULARITY_PROBES = 5
 REGULARITY_TOL = 1e-9
@@ -289,15 +290,8 @@ def _numeric_rank(L: LagrangianSystem, seed: int = 20240502) -> int:
     """
     chart = L.chart
     dim = chart.dim
-    system = L.numeric_semispray.system
-    matrices = []
-    for point in chart.sample_points(REGULARITY_PROBES, seed):
-        state = list(point.values())
-        try:
-            matrices.append(system(state, dim * dim))
-        except EvaluationError as exc:
-            raise EvaluationError(
-                f"{exc} at probe point {_where(chart.names(), state)}") from exc
+    matrices = _values(L.numeric_semispray.system, chart.sample_points(REGULARITY_PROBES, seed),
+                       "probe point", dim * dim)
     if any(_full_rank(values, dim) for values in matrices):
         return dim
     import numpy as np

@@ -28,8 +28,8 @@ from parakahler.curvature import (
     sectional_curvature,
     symmetry_report,
 )
-from parakahler.geometry import (Chart, Metric, ProductStructure, model_metric,
-                                 model_product_structure)
+from parakahler.geometry import (Chart, DimensionMismatchError, Metric, ProductStructure,
+                                 model_metric, model_product_structure)
 
 import helpers
 
@@ -166,7 +166,7 @@ class TestChristoffel:
             if quantity == "metric":
                 g.at(point)
             elif quantity == "connection":
-                christoffel(g).lowered(point)
+                christoffel(g).at(point)
             else:
                 riemann(g).at(point)
         assert str(info.value) == f"{message} at point x1 = {point['x1']:g}, y1 = {point['y1']:g}"
@@ -479,6 +479,27 @@ class TestNablaJ:
         g = Metric.from_rows(CHART1, [[Const(0.0), Const(0.0)], [Const(0.0), Const(0.0)]])
         with pytest.raises(SingularMetricError):
             nabla_J(g, model_product_structure(CHART1))
+
+    def test_failing_derivative_of_J_names_its_entry(self):
+        # d_x1 J_11 = 40*c*x1^39 overflows at a sample where J_11 = c*x1^40 does not
+        rows = [list(row) for row in model_product_structure(CHART1).entries]
+        rows[0][0] = parse("(1e308/1.6525^40)*x1^40", CHART1)
+        J = ProductStructure.from_rows(CHART1, rows)
+        with pytest.raises(EvaluationError) as info:
+            nabla_J(model_metric(CHART1), J, seed=0)
+        assert str(info.value) == ("d_x1 J_11: non-finite value inf"
+                                   " at point x1 = 1.63245154, y1 = 0.0187474233")
+
+
+@pytest.mark.parametrize("diagnostic", ["nabla_J", "symmetry_report", "constant_c_test"])
+def test_operands_on_different_charts_rejected(diagnostic):
+    g2, J2 = model_metric(CHART2), model_product_structure(CHART2)
+    R1 = riemann(quartic_metric())
+    run = {"nabla_J": lambda: nabla_J(quartic_metric(), J2),
+           "symmetry_report": lambda: symmetry_report(R1, J2),
+           "constant_c_test": lambda: constant_c_test(R1, r_zero(g2, J2))}[diagnostic]
+    with pytest.raises(DimensionMismatchError, match="chart mismatch: n=1 vs n=2"):
+        run()
 
 
 def digits_r_zero(mpmath, gm, jm) -> np.ndarray:

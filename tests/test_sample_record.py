@@ -7,16 +7,18 @@ the same arrays bit for bit, the same four results, and the same first
 failure, in sample order.
 """
 
+import gc
 import json
 import os
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from parakahler.cli import CHECK_TRIALS, EXIT_NUMERIC, EXIT_OK, _build_metric, main
-from parakahler.curvature import (SingularMetricError, _record, _sampled, christoffel,
-                                  constant_c_test, nabla_J, r_zero, riemann, symmetry_report)
+from parakahler.curvature import (SingularMetricError, _record, christoffel, constant_c_test,
+                                  nabla_J, r_zero, riemann, symmetry_report)
 from parakahler.expr import Compiled, EvaluationError
 from parakahler.geometry import (Chart, compatibility_violation, model_product_structure,
                                  sample_record)
@@ -108,19 +110,19 @@ def test_record_matches_pointwise_oracle(case):
     record = sample_record(g, CHECK_TRIALS, seed)
     points = record.points
     assert points == g.chart.sample_points(CHECK_TRIALS, seed)
-    assert_equal_arrays(record.metric, np.array([helpers.pointwise_matrix(g, p) for p in points]))
-    assert_equal_arrays(record.structure(J),
+    assert_equal_arrays(record.of(g), np.array([helpers.pointwise_matrix(g, p) for p in points]))
+    assert_equal_arrays(record.of(J),
                         np.array([helpers.pointwise_matrix(J, p) for p in points]))
     gamma = christoffel(g)
     if not gamma.is_zero():
-        inverse, lowered = gamma.stacks(record)
+        inverse, lowered = record.of(gamma)
         assert_equal_arrays(inverse, np.array([helpers.pointwise_inverse(g, p) for p in points]))
         assert_equal_arrays(lowered,
                             np.array([helpers.pointwise_lowered(gamma, p) for p in points]))
-        assert_equal_arrays(gamma.stack(record),
+        assert_equal_arrays(gamma.coefficients(record.of(gamma)),
                             np.array([helpers.pointwise_christoffel(gamma, p) for p in points]))
     R, R0 = riemann(g), r_zero(g, J)
-    assert_equal_arrays(_sampled(R, CHECK_TRIALS, seed)[1],
+    assert_equal_arrays(record.of(R),
                         np.array([helpers.pointwise_riemann(R, p) for p in points]))
     stacked = outcome(lambda: R0.stack(record))
     pointwise = outcome(lambda: np.array([helpers.pointwise_r_zero(R0, p) for p in points]))
@@ -158,9 +160,9 @@ def test_check_evaluates_each_compiled_set_once_per_sample(monkeypatch, capsys):
     calls = {}
     at = Compiled.at
 
-    def counting(compiled, point):
+    def counting(compiled, point, count=None):
         calls[compiled.labels[0]] = calls.get(compiled.labels[0], 0) + 1
-        return at(compiled, point)
+        return at(compiled, point, count)
 
     monkeypatch.setattr(Compiled, "at", counting)
     assert main(["check", "--problem", os.path.join(PROBLEMS, "space_form.json")]) == EXIT_OK
@@ -172,8 +174,19 @@ def test_one_record_per_metric_trials_and_seed():
     g, J = build(2, {"potential": "ln(1 + x1*y1 + x2*y2)"})
     record = sample_record(g, CHECK_TRIALS, 5)
     assert sample_record(g, CHECK_TRIALS, 5) is record
-    assert sample_record(g, 0, 5) is sample_record(g, 1, 5) is not record
-    assert record.structure(J) is record.structure(J)
+    assert record.of(J) is record.of(J)
     recorded_check(g, J, 5)
-    assert _sampled(riemann(g), CHECK_TRIALS, 5)[0] is record
+    assert _record(riemann(g), CHECK_TRIALS, 5) is record
     assert _record(r_zero(g, J), CHECK_TRIALS, 5) is record
+    assert sample_record(g, 0, 5) is sample_record(g, 1, 5) is not record
+    assert sample_record(g, CHECK_TRIALS, 5) is not record   # the latest replaced it
+
+
+def test_a_metric_keeps_one_record():
+    # a sweep over seeds holds one record, not one per seed
+    g, J = build(2, {"potential": "ln(1 + x1*y1 + x2*y2)"})
+    recorded_check(g, J, 0)
+    kept = weakref.ref(sample_record(g, CHECK_TRIALS, 0))
+    recorded_check(g, J, 1)
+    gc.collect()
+    assert kept() is None
