@@ -108,6 +108,9 @@ def load_problem(path: str) -> ProblemFile:
         name = os.path.splitext(os.path.basename(path))[0]
     if not isinstance(name, str) or not name:
         raise ProblemError("name must be a non-empty string")
+    if name in (".", "..") or set(name) & {"/", os.sep, os.altsep, "\0"}:
+        # the name prefixes the files written to --out, so it must not lead out of it
+        raise ProblemError(f"name must not be . or .. or hold a path separator, got {name!r}")
 
     source_key = {"lagrangian": "lagrangian", "hamiltonian": "hamiltonian"}.get(kind)
     source = None
@@ -321,32 +324,25 @@ def cmd_check(problem: ProblemFile, seed: int, tol: Optional[float]):
     curvature_tol = tol if tol is not None else CURVATURE_TOL
     compat_tol = tol if tol is not None else COMPAT_TOL
 
-    identities = {}
+    def identity(violation: float, decided: float, tol: float = curvature_tol) -> dict:
+        return {"violation": violation, "pass": bool(decided < tol), "tol": tol}
+
     compat = compatibility_violation(g, J, CHECK_TRIALS, seed)
-    identities["compatibility"] = {
-        "violation": compat,
-        "pass": bool(compat < compat_tol),
-        "tol": compat_tol,
-    }
-
     parallel = curvature_mod.nabla_J(g, J, trials=CHECK_TRIALS, seed=seed)
-    identities["j-parallelism"] = {
-        "violation": parallel,
-        "pass": bool(parallel < curvature_tol),
-        "tol": curvature_tol,
-    }
-
+    identities = {"compatibility": identity(compat, compat, compat_tol),
+                  "j-parallelism": identity(parallel, parallel)}
     R = curvature_mod.riemann(g)
     rep = curvature_mod.symmetry_report(R, J, trials=CHECK_TRIALS, seed=seed)
     for (name, value), relative in zip(rep.as_dict().items(), rep.relative):
-        identities[name.replace("_", "-")] = {
-            "violation": value,
-            "pass": bool(relative < curvature_tol),
-            "tol": curvature_tol,
-        }
-    R0 = curvature_mod.r_zero(g, J)
-    c = curvature_mod.constant_c_test(R, R0, trials=CHECK_TRIALS, seed=seed)
-    space_form = {"is_space_form": c is not None, "c": c}
+        identities[name.replace("_", "-")] = identity(value, relative)
+    c = curvature_mod.constant_c_test(R, curvature_mod.r_zero(g, J), trials=CHECK_TRIALS,
+                                      seed=seed)
+    h_j = curvature_mod.j_sectional_curvature(R, g, J, CHECK_TRIALS, seed)
+    low, high = h_j.bounds()
+    # where R = c R0, H_J = c at every kept u, decided on the identities' relative basis
+    identities["j-sectional-curvature"] = {
+        "min": low, "max": high, "rejected": h_j.rejected,
+        "pass": c is None or bool(h_j.excess(c) < curvature_tol), "tol": curvature_tol}
 
     failing = [name for name, row in identities.items() if not row["pass"]]
     report = {
@@ -356,16 +352,16 @@ def cmd_check(problem: ProblemFile, seed: int, tol: Optional[float]):
         "metric": problem.metric if problem.metric is not None else {"model": True},
         "seed": seed,
         "identities": identities,
-        "space_form": space_form,
+        "space_form": {"is_space_form": c is not None, "c": c},
         "all_identities_pass": not failing,
     }
 
-    lines = [f"{'PASS' if row['pass'] else 'FAIL'} {name} (max violation {row['violation']:.3e})"
+    span = "every u rejected" if low is None else f"H_J from {low:.6g} to {high:.6g}"
+    lines = [f"{'PASS' if row['pass'] else 'FAIL'} {name} ("
+             + (f"max violation {row['violation']:.3e})" if "violation" in row
+                else f"{span}, {row['rejected']} of {CHECK_TRIALS} u rejected)")
              for name, row in identities.items()]
-    if space_form["is_space_form"]:
-        lines.append(f"space form: c = {space_form['c']:g}")
-    else:
-        lines.append("not a space form")
+    lines.append("not a space form" if c is None else f"space form: c = {c:g}")
     if failing:
         lines.append(f"first failing identity: {failing[0]}")
         return EXIT_IDENTITY, report, lines

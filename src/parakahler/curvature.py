@@ -24,12 +24,14 @@ its latest).  record.of(x) is x.stack(record), computed once and kept
 with x: g, J, the connection's pair (g^-1 from one batched inverse, the
 lowered symbols) and R at the sample points, each compiled set run once
 per point and stacked, so the numpy algebra runs once per stack;
-at(point) is the one-point case of the same code.
+at(point) is the one-point case of the same code.  The J-sectional
+curvature H_J, the paper's title quantity, is read from those stacks too.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Mapping, Optional
@@ -51,22 +53,13 @@ from .geometry import (Chart, Metric, ProductStructure, SampleRecord, _at_point,
 
 SINGULARITY_PROBES = 5
 SINGULARITY_TOL = 1e-12
-PLANE_TOL = 1e-9
-ISOTROPY_TOL = 1e-9
+ISOTROPY_RATIO = 1e-3   # |g(u, u)| / (|u|^2 max |g|) at or below which u counts as isotropic
 SPACE_FORM_TOL = 1e-6
 ZERO_TENSOR_TOL = 1e-9
 
 
 class SingularMetricError(Exception):
     """The metric matrix is numerically singular at every probe point."""
-
-
-class DegeneratePlaneError(Exception):
-    """The plane's induced Gram determinant is below threshold."""
-
-
-class IsotropicVectorError(Exception):
-    """g(u, u) vanishes, so the J-plane of u is inadmissible."""
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +210,6 @@ class CurvatureTensor(_Sampled):
             P = P.transpose(0, 1, 3, 2, 4)
             out = np.where(self._keys, out + (P - P.swapaxes(1, 2)), 0.0)
         return self._by_sign(out)
-
-    def apply(self, u, v, z, w, point: Mapping[str, float]) -> float:
-        import numpy as np
-        return float(np.einsum('abcd,a,b,c,d->', self.at(point),
-                               np.asarray(u, float), np.asarray(v, float),
-                               np.asarray(z, float), np.asarray(w, float)))
 
 
 def riemann(g: Metric) -> CurvatureTensor:
@@ -395,48 +382,8 @@ def nabla_J(g: Metric, J: ProductStructure, trials: int = 10, seed: int = 0) -> 
 
 
 # ---------------------------------------------------------------------------
-# sectional curvature and the space-form test
+# the space-form test and the J-sectional curvature
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SectionalPlane:
-    """A 2-plane span{u, v} in the tangent space at a base point."""
-
-    point: Mapping[str, float]
-    u: tuple
-    v: tuple
-
-    def vectors(self):
-        import numpy as np
-        return np.asarray(self.u, float), np.asarray(self.v, float)
-
-
-def sectional_curvature(R: CurvatureTensor, g: Metric, plane: SectionalPlane) -> float:
-    """k = R(u,v,u,v) / (g(u,u) g(v,v) - g(u,v)^2) at the base point."""
-    u, v = plane.vectors()
-    gm = g.at(plane.point)
-    guu = float(u @ gm @ u)
-    gvv = float(v @ gm @ v)
-    guv = float(u @ gm @ v)
-    denominator = guu * gvv - guv * guv
-    if abs(denominator) <= PLANE_TOL:
-        raise DegeneratePlaneError(
-            f"plane Gram determinant {denominator:.3e} below threshold")
-    numerator = R.apply(u, v, u, v, plane.point)
-    return numerator / denominator
-
-
-def j_sectional_curvature(R: CurvatureTensor, g: Metric, J: ProductStructure,
-                          u, point: Mapping[str, float]) -> float:
-    """Sectional curvature of the J-plane span{u, Ju} for non-isotropic u."""
-    import numpy as np
-    u = np.asarray(u, float)
-    gm = g.at(point)
-    if abs(float(u @ gm @ u)) <= ISOTROPY_TOL:
-        raise IsotropicVectorError("g(u, u) = 0: the J-plane of u is inadmissible")
-    ju = J.at(point) @ u
-    return sectional_curvature(R, g, SectionalPlane(point, tuple(u), tuple(ju)))
-
 
 def constant_c_test(R: CurvatureTensor, R0: CurvatureTensor, trials: int = 10,
                     seed: int = 0) -> Optional[float]:
@@ -462,6 +409,63 @@ def constant_c_test(R: CurvatureTensor, R0: CurvatureTensor, trials: int = 10,
     c = float(A @ B) / denom
     residual = float(np.max(np.abs(A - c * B)))
     return c if residual < SPACE_FORM_TOL else None
+
+
+@dataclass(frozen=True)
+class JSectionalCurvature:
+    """H_J(u) = R(u, Ju, u, Ju) / (g(u, u) g(Ju, Ju) - g(u, Ju)^2), one u per sample.
+
+    The two sides at the samples whose u was kept, and _scale of R there;
+    rejected counts the others, |g(u, u)| <= ISOTROPY_RATIO |u|^2 max |g|.
+    """
+
+    numerator: np.ndarray
+    denominator: np.ndarray
+    scale: np.ndarray
+    rejected: int
+
+    def bounds(self) -> tuple:
+        """min and max of H_J over the kept samples; (None, None) if none was kept."""
+        values = self.numerator / self.denominator
+        return (float(values.min()), float(values.max())) if len(values) else (None, None)
+
+    def excess(self, c: float) -> float:
+        """max |numerator - c * denominator| / scale: 0 where H_J = c at every kept sample."""
+        import numpy as np
+        return float(np.max(abs(self.numerator - c * self.denominator) / self.scale, initial=0.0))
+
+
+def j_sectional_curvature(R: CurvatureTensor, g: Metric, J: ProductStructure,
+                          trials: int = 10, seed: int = 0) -> JSectionalCurvature:
+    """H_J at the points of sample_record(g, trials, seed), from its stacks of g, J and R.
+
+    One u per sample, uniform in [-1, 1]^dim, comes from random.Random(f"u{seed}"), a
+    stream apart from the points'.  H_J = c exactly where R = c R0.  A kept sample whose
+    H_J or denominator is not finite raises EvaluationError naming H_J, both sides and
+    the point.
+    """
+    import numpy as np
+    _require_same_chart(g, J)
+    _require_same_chart(R, g)
+    record = sample_record(g, trials, seed)
+    G, Jm, D = record.of(g), record.of(J), record.of(R)
+    rng, dim = random.Random(f"u{seed}"), g.chart.dim
+    u = np.array([rng.uniform(-1.0, 1.0) for _ in range(len(G) * dim)]).reshape(-1, dim)
+    with np.errstate(all="ignore"):   # non-finite kept values are named below
+        ju = np.einsum('sab,sb->sa', Jm, u)
+        guu, guv, gvv = (np.einsum('sa,sab,sb->s', p, G, q)
+                         for p, q in ((u, u), (u, ju), (ju, ju)))
+        uv = u[:, :, None] * ju[:, None, :]
+        numerator = np.einsum('sab,sabcd,scd->s', uv, D, uv)   # R(u, Ju, u, Ju)
+        denominator = guu * gvv - guv * guv
+        kept = np.abs(guu) > ISOTROPY_RATIO * (u * u).sum(axis=1) * np.abs(G).max(axis=(1, 2))
+        bad = kept & ~(np.isfinite(denominator) & np.isfinite(numerator / denominator))
+    if bad.any():
+        s = int(np.argmax(bad))
+        raise EvaluationError(f"H_J: non-finite quotient {numerator[s]:.9g} / "
+                              f"{denominator[s]:.9g} {_at_point(record.points[s])}")
+    return JSectionalCurvature(numerator[kept], denominator[kept], _scale(D)[kept],
+                               int(len(kept) - kept.sum()))
 
 
 def metric_from_potential(phi: Expression, chart: Chart) -> Metric:

@@ -176,14 +176,6 @@ class VectorField:
         object.__setattr__(self, "components",
                            tuple(as_expression(c) for c in self.components))
 
-    @cached_property
-    def _compiled(self) -> Compiled:
-        return Compiled(self.components)
-
-    def at(self, point: Mapping[str, float]) -> np.ndarray:
-        import numpy as np
-        return np.array(self._compiled.at(point))
-
     def is_zero(self) -> bool:
         return all(is_zero(simplify(c)) for c in self.components)
 
@@ -260,13 +252,6 @@ class DifferentialForm:
         factor = as_expression(factor)
         return make_form(self.chart, self.degree,
                          [(k, factor * v) for k, v in self.coefficients.items()])
-
-    @cached_property
-    def _compiled(self) -> Compiled:
-        return Compiled(self.coefficients.values())
-
-    def at(self, point: Mapping[str, float]) -> dict:
-        return dict(zip(self.coefficients, self._compiled.at(point)))
 
     def __str__(self):
         return form_to_text(self)

@@ -93,6 +93,9 @@ class TestMalformedProblem:
                                           "of h = 0.3 (3.33333333 steps)"),
         ("integrate", _integrator(h=2.5), "t1 - t0 = 1 is not a whole number of steps "
                                           "of h = 2.5 (0.4 steps)"),
+        # 1e-7 relative off 100 steps: beyond the rule's 1e-9
+        ("integrate", _integrator(t1=1.0000001), "t1 - t0 = 1.0000001 is not a whole number "
+                                                 "of steps of h = 0.01 (100.00001 steps)"),
         ("derive", lagrangian_payload(tol="abc"), "tol must be a finite positive number"),
         ("check", {"kind": "metric", "n": 1, "metric": {"matrix": [["0", "1"]]}},
          "metric matrix must be 2 rows of 2 entries"),
@@ -122,7 +125,7 @@ class TestMalformedProblem:
         ("check", {"kind": "metric", "n": 1, "metric": {"model": "no"}},
          "metric model must be true, got 'no'"),
     ], ids=["t1-not-after-t0", "too-many-steps", "nan-step", "span-short-of-t1",
-            "span-past-t1", "tol-string",
+            "span-past-t1", "span-1e-7-off", "tol-string",
             "matrix-1x2", "potential-number", "nan-initial-state", "boolean-n",
             "boolean-seed", "boolean-initial-state", "boolean-t0", "boolean-t1", "boolean-h",
             "string-t1", "infinite-step", "huge-t1", "huge-initial-state", "huge-tol",
@@ -133,6 +136,13 @@ class TestMalformedProblem:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+
+    def test_span_within_1e_10_of_whole_steps_runs(self, tmp_path, capsys):
+        # 1 + 1e-10 is 100 steps of 0.01 to within 1e-10 relative, inside the rule's 1e-9
+        path = write_problem(tmp_path, _integrator(t1=1.0000000001))
+        assert main(["integrate", "--problem", path, "--out", str(tmp_path),
+                     "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["steps"] == 100
 
 
 OUTPUT_PAYLOADS = {"derive": lagrangian_payload(), "integrate": lagrangian_payload(),
@@ -167,6 +177,20 @@ class TestUnwritableOutput:
         target = os.path.join(out, name)
         assert capsys.readouterr() == ("", f"error: cannot write {target}: Is a directory\n")
         assert not [f for f in os.listdir(out) if f.startswith(".tmp-")]
+
+
+    @pytest.mark.parametrize("command", list(OUTPUT_PAYLOADS))
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "/abs", ".", "..", "nul\0"],
+                             ids=["parent", "subdir", "absolute", "dot", "dotdot", "nul"])
+    def test_name_cannot_lead_out_of_out(self, tmp_path, capsys, command, name):
+        # the name prefixes every file written to --out: one that is a path is refused
+        # before anything is written, inside or outside the output directory
+        path = write_problem(tmp_path, dict(OUTPUT_PAYLOADS[command], name=name))
+        out = os.path.join(tmp_path, "runs", "out")
+        assert main([command, "--problem", path, "--out", out]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", "error: name must not be . or .. or hold a path "
+                                           f"separator, got {name!r}\n")
+        assert sorted(os.listdir(tmp_path)) == ["problem.json"]
 
 
 def nested_hamiltonian(opening, depth):
@@ -395,8 +419,25 @@ class TestCheckCommand:
         problem = os.path.join(PROBLEMS, name)
         assert main(["check", "--problem", problem, "--seed", str(seed)]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        assert [line.split()[0] for line in lines[:-1]] == ["PASS"] * 6
+        assert [line.split()[0] for line in lines[:-1]] == ["PASS"] * 7
+        assert lines[-2].startswith("PASS j-sectional-curvature (H_J from -2 to -2, ")
         assert lines[-1] == "space form: c = -2"
+
+    def test_j_sectional_curvature_off_the_fitted_c_fails(self, capsys, monkeypatch):
+        # H_J = -2 on the space form: a fit that returned -1.5 must not pass it
+        from parakahler import curvature
+        fit = curvature.constant_c_test
+        monkeypatch.setattr(curvature, "constant_c_test", lambda *a, **kw: fit(*a, **kw) + 0.5)
+        problem = os.path.join(PROBLEMS, "space_form.json")
+        assert main(["check", "--problem", problem, "--format", "json"]) == EXIT_IDENTITY
+        report = json.loads(capsys.readouterr().out)
+        assert [name for name, row in report["identities"].items()
+                if not row["pass"]] == ["j-sectional-curvature"]
+        assert report["all_identities_pass"] is False
+        assert main(["check", "--problem", problem]) == EXIT_IDENTITY
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3] == "FAIL j-sectional-curvature (H_J from -2 to -2, 0 of 20 u rejected)"
+        assert lines[-1] == "first failing identity: j-sectional-curvature"
 
     def test_one_connection_per_check(self, capsys, monkeypatch):
         # nabla_J and riemann share christoffel(g): one probe, one compile of dg

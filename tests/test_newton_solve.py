@@ -106,3 +106,16 @@ class TestNewtonFloor:
             assert norm <= 4.0 * math.ulp(max(map(abs, y + v)))
             residuals.append(norm)
         assert max(residuals) > NEWTON_TOL   # the floor decided at least once
+
+    def test_nonlinear_large_momentum_final_state_bits(self):
+        # H_x reads the momenta cubically, so Newton takes more than one
+        # iteration per step, and at momenta of 2048 and more the 4 ulp floor,
+        # not 1e-12, decides where it stops: a looser floor stops some steps an
+        # iterate early and moves these bits (pinned from the 4 ulp loop)
+        H = HamiltonianSystem.from_source(
+            "0.5*(x1^2 + x2^2 + y1^2 + y2^2) + 3e-8*(x1*y1^3 + x2*y2^3) + 0.2*x2*y1", Chart(2))
+        assert not H.separable
+        final = integrate_symplectic_euler(H, (1.0, -2.0, 2048.0, 4096.0), 0.0, 0.5, 0.01)
+        assert [v.hex() for v in final.final_state().tolist()] == [
+            "0x1.1d2b8773f6b8ap+10", "0x1.14ee71017e6b7p+11",
+            "0x1.a208546c8bb9ap+10", "0x1.56132ec832a46p+11"]
